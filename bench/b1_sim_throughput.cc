@@ -15,7 +15,7 @@
 // Skipping must not change simulation results: each scenario cross-checks
 // request/response counts and final cycle between the two runs and fails
 // loudly on any mismatch (the byte-level differential lives in
-// tests/skip_differential_test.cc).
+// tests/engine_differential_test.cc).
 //
 // Wall-clock timing lives here in bench/ (never in src/, which stays free of
 // host-time calls for the determinism lint). `--smoke` shrinks the run for

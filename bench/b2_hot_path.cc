@@ -11,16 +11,11 @@
 //   * steady-state heap allocations per delivered message, counted from the
 //     pool/arena ledgers after a warmup window (target: ~0);
 //   * pool reuse ratio after warmup (target: >= 99%).
-// The `--no-pool` ablation re-runs the identical seeded scenario with the
-// pool and arena disabled and the legacy allocate-and-copy serialization
-// shape (SetMessageLegacyAllocMode) — the pre-optimization cost model. The
-// two runs must agree on every traffic count (the pooled path is
-// byte-identical by construction; tests/determinism_test.cc holds the
-// stronger trace-level version of this), so the speedup column compares
-// like with like.
+// The pool and arena ledgers are the hot path's own accounting; the
+// repository benchmark (perfbench/) counts allocations at the allocator.
 //
 // `--smoke` shrinks the run for CI; `--json <path>` emits the numbers CI
-// archives; `--no-pool` runs only the ablation configuration.
+// archives.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -117,14 +112,8 @@ struct RunResult {
   }
 };
 
-RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
-                    uint32_t threads) {
+RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
   BenchBoard bb;
-  // Pools and arenas are per-simulator domain state: toggle this board's
-  // mesh pool and this sim's context arena, not process-wide globals.
-  bb.board.mesh().pool().SetEnabled(pooled);
-  bb.sim.context().arena().SetEnabled(pooled);
-  SetMessageLegacyAllocMode(!pooled);
 
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b2");
@@ -142,15 +131,10 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
   }
 
   // `--threads N` drives the run through the sharded engine. The partition
-  // gives every shard its own pool and arena; the pooled/legacy toggle must
-  // cover those domains too, or the ablation would compare mixed modes.
+  // gives every shard its own pool and arena; the ledgers below sum them.
   std::optional<ParallelSimulator> psim;
   if (threads > 0) {
     psim.emplace(&bb.sim, &bb.board.mesh(), ParallelConfig{/*shards=*/0, threads});
-    for (uint32_t sh = 0; sh < psim->shards(); ++sh) {
-      PacketPool::ForContext(*psim->shard_context(sh)).SetEnabled(pooled);
-      psim->shard_context(sh)->arena().SetEnabled(pooled);
-    }
   }
   auto run = [&](Cycle end) {
     if (psim.has_value()) {
@@ -224,10 +208,6 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
       r.wall_seconds > 0 ? static_cast<double>(r.received) / r.wall_seconds : 0;
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(measure_cycles) / r.wall_seconds / 1e6 : 0;
-
-  // Leave the process in the default (pooled) configuration; the pool and
-  // arena die with this run's board and context, nothing else to restore.
-  SetMessageLegacyAllocMode(false);
   return r;
 }
 
@@ -256,7 +236,6 @@ void EmitRow(BenchJson& json, const char* config, const RunResult& r) {
 
 int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool no_pool_only = HasFlag(argc, argv, "--no-pool");
   const uint32_t threads = static_cast<uint32_t>(IntArg(argc, argv, "--threads", 0));
   const Cycle warmup_cycles = smoke ? 200'000 : 1'000'000;
   const Cycle measure_cycles = smoke ? 800'000 : 8'000'000;
@@ -279,48 +258,23 @@ int main(int argc, char** argv) {
     std::printf("engine: ParallelSimulator, %u worker thread(s)\n\n", threads);
   }
 
-  Table table("B2: steady-state hot path, pooled vs legacy alloc");
+  Table table("B2: steady-state hot path");
   table.SetHeader({"config", "Mcyc/s", "msgs", "msgs/wall-s", "reuse %",
                    "allocs/msg"});
 
+  const RunResult pooled = Run(warmup_cycles, measure_cycles, threads);
+  table.AddRow({"pooled", Table::Num(pooled.mcycles_per_sec, 1), Table::Int(pooled.received),
+                Table::Num(pooled.msgs_per_wall_sec, 0), Table::Num(pooled.reuse_pct, 2),
+                Table::Num(pooled.allocs_per_msg, 4)});
+  EmitRow(json, "pooled", pooled);
+  std::printf("steady-state pool reuse: %.2f%%, allocations/message: %.4f\n\n",
+              pooled.reuse_pct, pooled.allocs_per_msg);
+
+  // A saturated mesh that delivers nothing is a broken run, not a fast one.
   int rc = 0;
-  const RunResult legacy =
-      RunConfig(/*pooled=*/false, warmup_cycles, measure_cycles, threads);
-  table.AddRow({"no-pool", Table::Num(legacy.mcycles_per_sec, 1), Table::Int(legacy.received),
-                Table::Num(legacy.msgs_per_wall_sec, 0), "-",
-                Table::Num(legacy.allocs_per_msg, 2)});
-  EmitRow(json, "no-pool", legacy);
-
-  if (!no_pool_only) {
-    const RunResult pooled =
-        RunConfig(/*pooled=*/true, warmup_cycles, measure_cycles, threads);
-    table.AddRow({"pooled", Table::Num(pooled.mcycles_per_sec, 1), Table::Int(pooled.received),
-                  Table::Num(pooled.msgs_per_wall_sec, 0), Table::Num(pooled.reuse_pct, 2),
-                  Table::Num(pooled.allocs_per_msg, 4)});
-    EmitRow(json, "pooled", pooled);
-
-    // Pooling must be invisible to the simulation: identical traffic, or
-    // the comparison is meaningless and the run is wrong.
-    if (pooled.sent != legacy.sent || pooled.received != legacy.received ||
-        pooled.flits != legacy.flits) {
-      std::fprintf(stderr,
-                   "B2 FAIL: configs diverged (sent %llu vs %llu, recv %llu vs "
-                   "%llu, flits %llu vs %llu)\n",
-                   static_cast<unsigned long long>(pooled.sent),
-                   static_cast<unsigned long long>(legacy.sent),
-                   static_cast<unsigned long long>(pooled.received),
-                   static_cast<unsigned long long>(legacy.received),
-                   static_cast<unsigned long long>(pooled.flits),
-                   static_cast<unsigned long long>(legacy.flits));
-      rc = 1;
-    }
-    const double speedup = legacy.msgs_per_wall_sec > 0
-                               ? pooled.msgs_per_wall_sec / legacy.msgs_per_wall_sec
-                               : 0;
-    json.Param("speedup", speedup);
-    std::printf("speedup (pooled / no-pool wall throughput): %.2fx\n", speedup);
-    std::printf("steady-state pool reuse: %.2f%%, allocations/message: %.4f\n\n",
-                pooled.reuse_pct, pooled.allocs_per_msg);
+  if (pooled.received == 0) {
+    std::fprintf(stderr, "B2 FAIL: no messages delivered in the measured window\n");
+    rc = 1;
   }
 
   table.Print();

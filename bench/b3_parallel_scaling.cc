@@ -4,7 +4,7 @@
 // shards and runs them on 1, 2, and 4 worker threads over the SAME
 // partition — so every configuration executes the identical schedule and
 // must produce identical traffic counts (the byte-level proof lives in
-// tests/parallel_differential_test.cc; this harness cross-checks the counts
+// tests/engine_differential_test.cc; this harness cross-checks the counts
 // and measures the wall-clock side of the story):
 //   * simulated Mcycles per wall-second and speedup vs threads=1;
 //   * cross-shard handoff volume (flits through the boundary rings, packet

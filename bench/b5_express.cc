@@ -24,7 +24,7 @@
 //
 // Any cross-check divergence fails the run (exit 1): the fast path must be
 // invisible to the simulation (the byte-level proof lives in
-// tests/express_differential_test.cc; this harness re-checks the cheap
+// tests/engine_differential_test.cc; this harness re-checks the cheap
 // aggregate counts so a perf run cannot silently report garbage).
 //
 // `--smoke` shrinks the run for CI; `--no-express` restricts to the

@@ -44,17 +44,10 @@ BENCHMARK(BM_MessageRoundTrip)->Arg(64)->Arg(1024);
 
 // The actual executed-cycle path: acquire a pooled packet, serialize the
 // message into it (header into the head region, payload moved), deserialize
-// at the far end, release. Toggled between the pooled and the legacy
-// allocate-and-copy shape — the per-message cost bench/b2 measures end to
+// at the far end, release — the per-message cost bench/b2 measures end to
 // end, isolated from the router model.
 void BM_MessagePacketPath(benchmark::State& state) {
-  const bool pooled = state.range(1) != 0;
-  // Bench-local pool: the process-wide default is gone (pools are per-
-  // simulator domain state), so the ablation toggles a pool this loop owns.
   PacketPool packet_pool;
-  packet_pool.SetEnabled(pooled);
-  PayloadBuf::SetArenaEnabled(pooled);
-  SetMessageLegacyAllocMode(!pooled);
   PayloadBuf payload(static_cast<size_t>(state.range(0)), 0xab);
   for (auto _ : state) {
     PacketRef packet = packet_pool.Acquire();
@@ -66,18 +59,10 @@ void BM_MessagePacketPath(benchmark::State& state) {
     packet->flit_count = ComputeFlitCount(*packet);
     benchmark::DoNotOptimize(DeserializeMessage(*packet));
   }
-  PayloadBuf::SetArenaEnabled(true);
-  SetMessageLegacyAllocMode(false);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(state.range(0)));
 }
-BENCHMARK(BM_MessagePacketPath)
-    ->ArgPair(48, 0)
-    ->ArgPair(48, 1)
-    ->ArgPair(240, 0)
-    ->ArgPair(240, 1)
-    ->ArgPair(4096, 0)
-    ->ArgPair(4096, 1);
+BENCHMARK(BM_MessagePacketPath)->Arg(48)->Arg(240)->Arg(4096);
 
 void BM_CapabilityLookup(benchmark::State& state) {
   CapabilityTable table(256);

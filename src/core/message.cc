@@ -10,11 +10,6 @@ namespace {
 static_assert(kMessageHeaderBytes <= kPacketHeadBytes,
               "message header must fit the packet head-flit region");
 
-// Benchmark ablation toggle (bench/b2 --legacy-alloc): set once before a
-// run starts, never written while any simulator is running.
-// APIARY-SHARED(process): read-only during runs; per-domain copies would change the ablation's meaning.
-bool g_legacy_alloc_mode = false;
-
 void StoreU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v);
   p[1] = static_cast<uint8_t>(v >> 8);
@@ -84,9 +79,15 @@ void WriteHeader(const Message& msg, uint8_t* out) {
   StoreU32(out + off, static_cast<uint32_t>(msg.payload.size()));
 }
 
-// Parses the fixed header from `bytes` (at least kMessageHeaderBytes).
-// Returns the payload length the header declares.
-uint32_t ParseHeader(const uint8_t* bytes, Message* msg) {
+// Grant flag bits WriteHeader can emit; a byte with any other bit set is not
+// an encoding of any message.
+constexpr uint8_t kGrantFlagBits = 0x0f;
+
+// Parses the fixed header from `bytes` (at least kMessageHeaderBytes) and
+// stores the payload length it declares in *payload_len. Returns false when
+// the header is not one WriteHeader can produce, so every accepted header
+// re-serializes to the same bytes.
+bool ParseHeader(const uint8_t* bytes, Message* msg, uint32_t* payload_len) {
   size_t off = 0;
   msg->dst_service = LoadU32(bytes + off);
   off += 4;
@@ -110,12 +111,16 @@ uint32_t ParseHeader(const uint8_t* bytes, Message* msg) {
     grant->segment.length = LoadU64(bytes + off);
     off += 8;
     const uint8_t flags = bytes[off++];
+    if ((flags & ~kGrantFlagBits) != 0) {
+      return false;
+    }
     grant->valid = (flags & 1) != 0;
     grant->can_read = (flags & 2) != 0;
     grant->can_write = (flags & 4) != 0;
     grant->can_grant = (flags & 8) != 0;
   }
-  return LoadU32(bytes + off);
+  *payload_len = LoadU32(bytes + off);
+  return true;
 }
 
 }  // namespace
@@ -192,23 +197,7 @@ const char* MsgStatusName(MsgStatus status) {
 
 size_t Message::WireBytes() const { return kMessageHeaderBytes + payload.size(); }
 
-void SetMessageLegacyAllocMode(bool legacy) { g_legacy_alloc_mode = legacy; }
-
-bool MessageLegacyAllocMode() { return g_legacy_alloc_mode; }
-
 void SerializeMessageInto(Message&& msg, NocPacket& packet) {
-  if (g_legacy_alloc_mode) {
-    // Ablation path: materialize the contiguous wire copy (heap vector +
-    // full payload memcpy) and hash it in a second pass, like the pre-pool
-    // implementation did.
-    const std::vector<uint8_t> wire = SerializeMessage(msg);
-    packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
-    std::memcpy(packet.head.data(), wire.data(), kMessageHeaderBytes);
-    packet.payload.assign(wire.data() + kMessageHeaderBytes,
-                          wire.size() - kMessageHeaderBytes);
-    packet.checksum = PacketChecksum(wire);
-    return;
-  }
   packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
   WriteHeader(msg, packet.head.data());
   packet.payload = std::move(msg.payload);
@@ -218,13 +207,6 @@ void SerializeMessageInto(Message&& msg, NocPacket& packet) {
 }
 
 std::optional<Message> DeserializeMessage(NocPacket& packet) {
-  if (g_legacy_alloc_mode) {
-    std::vector<uint8_t> wire(packet.wire_bytes());
-    std::memcpy(wire.data(), packet.head.data(), packet.head_len);
-    std::memcpy(wire.data() + packet.head_len, packet.payload.data(),
-                packet.payload.size());
-    return DeserializeMessage(wire);
-  }
   if (packet.head_len == 0) {
     // Hand-built packet (tests, raw injectors): the whole contiguous wire
     // image lives in the payload.
@@ -234,8 +216,9 @@ std::optional<Message> DeserializeMessage(NocPacket& packet) {
     return std::nullopt;
   }
   Message msg;
-  const uint32_t payload_len = ParseHeader(packet.head.data(), &msg);
-  if (payload_len != packet.payload.size()) {
+  uint32_t payload_len = 0;
+  if (!ParseHeader(packet.head.data(), &msg, &payload_len) ||
+      payload_len != packet.payload.size()) {
     return std::nullopt;
   }
   msg.payload = std::move(packet.payload);
@@ -254,8 +237,9 @@ std::optional<Message> DeserializeMessage(const std::vector<uint8_t>& bytes) {
     return std::nullopt;
   }
   Message msg;
-  const uint32_t payload_len = ParseHeader(bytes.data(), &msg);
-  if (bytes.size() != kMessageHeaderBytes + payload_len) {
+  uint32_t payload_len = 0;
+  if (!ParseHeader(bytes.data(), &msg, &payload_len) ||
+      bytes.size() != kMessageHeaderBytes + payload_len) {
     return std::nullopt;
   }
   msg.payload.assign(bytes.data() + kMessageHeaderBytes, payload_len);

@@ -105,12 +105,6 @@ std::optional<Message> DeserializeMessage(NocPacket& packet);
 std::vector<uint8_t> SerializeMessage(const Message& msg);
 std::optional<Message> DeserializeMessage(const std::vector<uint8_t>& bytes);
 
-// Ablation hook for bench/b2_hot_path: routes Serialize/DeserializeMessage
-// through the contiguous copy path (one heap vector + full memcpy + second
-// checksum pass per message each way), reproducing the pre-pool cost shape.
-void SetMessageLegacyAllocMode(bool legacy);
-bool MessageLegacyAllocMode();
-
 // Payload helpers used by services and accelerators; overloads for plain
 // vectors remain for state snapshots and tests.
 void PutU64(PayloadBuf& buf, uint64_t v);

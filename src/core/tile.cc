@@ -8,7 +8,7 @@ Tile::Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig
     : id_(id), monitor_(id, ni, config), reconfig_cycles_(reconfig_cycles) {
   // Packets landing in the NI's delivery queue are this tile's input: route
   // the NI's delivery-side wake here so a parked tile resumes the cycle the
-  // legacy every-block loop would have drained the packet.
+  // reference every-block loop would have drained the packet.
   if (ni != nullptr) {
     ni->SetSinkWake(WakeHint(this));
   }

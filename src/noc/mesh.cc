@@ -107,41 +107,26 @@ void Mesh::Tick(Cycle now) {
     ExpressTickTop(express_, live_, now);
   }
   MergeFresh(live_);
-  if (!sweep_enabled_) {
-    // Phase 1: flits staged last cycle become visible everywhere.
-    for (auto& r : routers_) {
-      r->CommitStaged();
-    }
-    // Phase 2: route one flit per output port per router.
+  // Same three phases as a full sweep, over the busy subset only. Staged
+  // flits imply occupancy and occupancy implies list membership, so
+  // committing live routers commits every staged flit; RouteCycle and
+  // InjectCycle are no-ops on empty members, so skipping them is exact.
+  for (const uint32_t t : live_.routers) {
+    routers_[t]->CommitStaged();
+  }
+  if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
+    // An open stall window charges router.fault_stalled_cycles on every
+    // wedged router, busy or not — only the full sweep reproduces that.
     for (auto& r : routers_) {
       r->RouteCycle(now);
     }
-    // Phase 3: NIs feed the local input ports (visible next cycle).
-    for (auto& ni : nis_) {
-      ni->InjectCycle(now);
-    }
   } else {
-    // Active sweep: same three phases over the busy subset only. Staged
-    // flits imply occupancy and occupancy implies list membership, so
-    // committing live routers commits every staged flit; RouteCycle and
-    // InjectCycle are no-ops on empty members, so skipping them is exact.
     for (const uint32_t t : live_.routers) {
-      routers_[t]->CommitStaged();
+      routers_[t]->RouteCycle(now);
     }
-    if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
-      // An open stall window charges router.fault_stalled_cycles on every
-      // wedged router, busy or not — only the full sweep reproduces that.
-      for (auto& r : routers_) {
-        r->RouteCycle(now);
-      }
-    } else {
-      for (const uint32_t t : live_.routers) {
-        routers_[t]->RouteCycle(now);
-      }
-    }
-    for (const uint32_t t : live_.nis) {
-      nis_[t]->InjectCycle(now);
-    }
+  }
+  for (const uint32_t t : live_.nis) {
+    nis_[t]->InjectCycle(now);
   }
   CompactDead(live_);
 }
@@ -159,29 +144,15 @@ Cycle Mesh::NextActivity(Cycle now) const {
       return now;
     }
   }
-  if (sweep_enabled_) {
-    // The live sets are exact between ticks (marks are published on every
-    // idle-to-busy transition, compaction prunes on the drain side), so the
-    // busy check is a handful of emptiness tests instead of an O(tiles)
-    // scan — and agrees with that scan bit for bit.
-    if (LiveBusy(live_)) {
+  // The live sets are exact between ticks (marks are published on every
+  // idle-to-busy transition, compaction prunes on the drain side), so the
+  // busy check is a handful of emptiness tests instead of an O(tiles) scan.
+  if (LiveBusy(live_)) {
+    return now;
+  }
+  for (const LiveSet& set : shard_live_) {
+    if (LiveBusy(set)) {
       return now;
-    }
-    for (const LiveSet& set : shard_live_) {
-      if (LiveBusy(set)) {
-        return now;
-      }
-    }
-  } else {
-    for (const auto& r : routers_) {
-      if (r->HasBufferedFlits()) {
-        return now;
-      }
-    }
-    for (const auto& ni : nis_) {
-      if (ni->HasPendingInject()) {
-        return now;
-      }
     }
   }
   // Empty fabric: only the fault model (stall windows charge a counter every
@@ -462,14 +433,8 @@ void Mesh::ShardCommit(uint32_t shard, Cycle now) {
     ExpressTickTop(shard_express_[shard], set, now);
   }
   MergeFresh(set);
-  if (sweep_enabled_) {
-    for (const uint32_t t : set.routers) {
-      routers_[t]->CommitStaged();
-    }
-  } else {
-    for (const uint32_t t : partition_.shard_tiles[shard]) {
-      routers_[t]->CommitStaged();
-    }
+  for (const uint32_t t : set.routers) {
+    routers_[t]->CommitStaged();
   }
   for (const uint32_t e : shard_out_edges_[shard]) {
     edges_[e].link->ReleaseAnchors();
@@ -481,13 +446,12 @@ void Mesh::ShardRoute(uint32_t shard, Cycle now) {
   // counter on every wedged router of this shard, busy or not. The fault
   // model is read-only during shard phases (the injector ticks in the root
   // phase), so concurrent polls from workers are safe.
-  if (sweep_enabled_ &&
-      !(fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now)) {
-    for (const uint32_t t : shard_live_[shard].routers) {
+  if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
+    for (const uint32_t t : partition_.shard_tiles[shard]) {
       routers_[t]->RouteCycle(now);
     }
   } else {
-    for (const uint32_t t : partition_.shard_tiles[shard]) {
+    for (const uint32_t t : shard_live_[shard].routers) {
       routers_[t]->RouteCycle(now);
     }
   }
@@ -507,14 +471,8 @@ void Mesh::ShardTransfer(uint32_t shard, Cycle now) {
     edge.link->DeliverInto(*edge.dst_router, edge.in_port, now, *shard_pools_[shard]);
   }
   LiveSet& set = shard_live_[shard];
-  if (sweep_enabled_) {
-    for (const uint32_t t : set.nis) {
-      nis_[t]->InjectCycle(now);
-    }
-  } else {
-    for (const uint32_t t : partition_.shard_tiles[shard]) {
-      nis_[t]->InjectCycle(now);
-    }
+  for (const uint32_t t : set.nis) {
+    nis_[t]->InjectCycle(now);
   }
   CompactDead(set);
 }

@@ -47,9 +47,8 @@ class Mesh : public Clocked, public ShardedFabric {
   // Quiescent when no router buffers a flit, no NI has flits queued for
   // injection, and the installed fault model (if any) has no per-cycle mesh
   // work (open stall windows). Monitors re-arm the mesh by enqueuing into an
-  // NI during an executed cycle; the next boundary poll sees the flits. With
-  // the active sweep enabled (the default) the busy check is O(1) — the live
-  // lists are exact after every tick — instead of an O(tiles) scan.
+  // NI during an executed cycle; the next boundary poll sees the flits. The
+  // busy check is O(1): the live lists are exact after every tick.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   // The busy sets are mutated by shard-phase worker code (AcceptFlit during
   // routing/boundary delivery, Inject from monitor ticks), which no
@@ -60,14 +59,6 @@ class Mesh : public Clocked, public ShardedFabric {
   }
   std::string DebugName() const override { return "mesh"; }
 
-  // Ablation hatch (`--no-active-sweep`): when disabled, Tick sweeps every
-  // router and NI exactly as before live lists existed, and NextActivity
-  // falls back to the O(tiles) scan. The lists stay maintained either way
-  // (marks and compaction run in both paths), so re-enabling mid-run is
-  // exact. Toggle only with the parallel engine's workers parked.
-  void SetActiveSweepEnabled(bool enabled) { sweep_enabled_ = enabled; }
-  bool active_sweep_enabled() const { return sweep_enabled_; }
-
   uint32_t width() const { return config_.width; }
   uint32_t height() const { return config_.height; }
   uint32_t num_tiles() const { return config_.width * config_.height; }
@@ -77,7 +68,7 @@ class Mesh : public Clocked, public ShardedFabric {
   Router& router(TileId tile) { return *routers_[tile]; }
 
   // The pool every packet injected into this mesh is drawn from (monitors
-  // reach it through their NI). Bench/test ablations toggle it here.
+  // reach it through their NI).
   PacketPool& pool() { return *pool_; }
   const PacketPool& pool() const { return *pool_; }
 
@@ -201,7 +192,6 @@ class Mesh : public Clocked, public ShardedFabric {
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   NocFaultModel* fault_model_ = nullptr;
-  bool sweep_enabled_ = true;
   // Express lanes: one per sweep domain, same confinement as the LiveSets.
   // The lanes read router/NI/fault state through the friendship in
   // express.h; `folded_express_` keeps stats of shard lanes retired at

@@ -88,7 +88,7 @@ class NetworkInterface {
 
   // Wake channel for the consumer of delivered packets (the tile above this
   // NI): fired whenever a packet lands in the delivery queue, ending the
-  // tile's parked quiescence the cycle legacy tick order dictates.
+  // tile's parked quiescence the cycle reference tick order dictates.
   void SetSinkWake(WakeHint hint) { sink_wake_ = hint; }
 
   // Express-corridor wiring (Mesh::SetExpressEnabled): when set, InjectCycle

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #include "src/sim/payload_buf.h"
 #include "src/sim/types.h"
@@ -97,7 +96,7 @@ struct NocPacket {
 };
 
 // Defined in packet_pool.cc: returns the packet to its pool, or deletes it
-// when it was heap-allocated (pool exhaustion / pooling disabled).
+// when it was heap-allocated (pool exhaustion).
 void ReleasePacket(NocPacket* packet);
 
 // Intrusive non-atomic refcounted handle shared by a packet's flits and the
@@ -168,16 +167,6 @@ inline uint32_t ChecksumUpdate(uint32_t h, const uint8_t* bytes, size_t len) {
 }
 
 inline constexpr uint32_t kChecksumSeed = 2166136261u;
-
-inline uint32_t PacketChecksum(const uint8_t* bytes, size_t len) {
-  return ChecksumUpdate(kChecksumSeed, bytes, len);
-}
-
-// Thin overload for tests and cold callers that still hold vectors.
-// NOLINTNEXTLINE(apiary-hot-path): cold-caller convenience overload, never on the executed-cycle path
-inline uint32_t PacketChecksum(const std::vector<uint8_t>& payload) {
-  return PacketChecksum(payload.data(), payload.size());
-}
 
 // Checksum over a packet's full wire image (head region, then payload —
 // byte-identical to hashing the old contiguous serialization).

@@ -40,10 +40,6 @@ PacketPool::~PacketPool() {
 
 PacketRef PacketPool::Acquire() {
   ++stats_.acquires;
-  if (!enabled_) {
-    ++stats_.heap_allocs;
-    return PacketRef(new NocPacket);  // Unpooled: deleted on last unref.
-  }
   NocPacket* packet = nullptr;
   if (!free_.empty()) {
     packet = free_.back();

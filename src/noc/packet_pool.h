@@ -16,8 +16,8 @@
 //     of failing.
 //
 // Determinism: recycling changes packet *addresses* only. Every
-// simulation-visible field is reset on release, so seeded runs are
-// byte-identical with pooling on or off (tests/determinism_test.cc).
+// simulation-visible field is reset on release, so a recycled packet is
+// indistinguishable from a fresh one (tests/packet_pool_test.cc).
 #ifndef SRC_NOC_PACKET_POOL_H_
 #define SRC_NOC_PACKET_POOL_H_
 
@@ -60,11 +60,6 @@ class PacketPool {
   const PacketPoolStats& stats() const { return stats_; }
   void ResetStats();
 
-  // When disabled, Acquire() returns unpooled heap packets — the --no-pool
-  // ablation in bench/b2_hot_path.
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   // The domain-local pool for `context`, created on first use in the
   // context's PacketPool slot (destroyed with the context). This replaced
   // the old process-wide Default() pool: every simulation domain now
@@ -74,7 +69,6 @@ class PacketPool {
 
  private:
   uint32_t max_packets_;
-  bool enabled_ = true;
   std::vector<NocPacket*> free_;
   PacketPoolStats stats_;
 };

@@ -18,7 +18,7 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now, bool defer_first_tick) {
   s.order = next_order_++;
   s.deadline = 0;
   // A block registered from inside a Tick() must not tick this cycle (the
-  // legacy loop's count snapshot excluded it); one registered from an event
+  // reference loop's count snapshot excluded it); one registered from an event
   // callback runs this cycle (the snapshot was taken after events).
   s.no_tick_before = (ticking_ || defer_first_tick) ? now + 1 : 0;
   s.state = State::kActive;
@@ -68,17 +68,9 @@ void ActiveSchedule::Remove(uint32_t slot) {
   s.block->BindWakeSink(nullptr, 0);
   s.block = nullptr;
   s.state = State::kFree;
-  ++s.gen;  // Invalidates every wheel/far entry and hot-slot cache for this slot.
+  ++s.gen;  // Invalidates every wheel/far entry for this slot.
   --live_count_;
   free_slots_.push_back(slot);
-}
-
-Clocked* ActiveSchedule::BlockAt(uint32_t slot, uint32_t gen) const {
-  if (slot >= slots_.size()) {
-    return nullptr;
-  }
-  const Slot& s = slots_[slot];
-  return (s.state != State::kFree && s.gen == gen) ? s.block : nullptr;
 }
 
 void ActiveSchedule::InsertActive(uint32_t slot) {
@@ -90,10 +82,10 @@ void ActiveSchedule::InsertActive(uint32_t slot) {
   active_.insert(it, slot);
   // Mid-loop wake ordering: an insert at or before the cursor shifts the
   // in-progress element right, and the woken block (earlier in registration
-  // order than the waker) must not tick this cycle — the legacy loop had
+  // order than the waker) must not tick this cycle — the reference loop had
   // already passed it when the input arrived. Advancing the cursor handles
   // both at once. An insert after the cursor ticks this cycle, exactly when
-  // the legacy loop would have reached it.
+  // the reference loop would have reached it.
   if (ticking_ && pos <= cursor_) {
     ++cursor_;
   }

@@ -17,7 +17,7 @@
 //   * a per-boundary re-poll (SchedPolicy::kBoundaryPoll, for blocks whose
 //     inputs arrive outside any schedule-visible wake path),
 // and SchedPolicy::kEveryCycle opts a block out entirely (ticked on every
-// executed cycle, exactly as the legacy loop would).
+// executed cycle, exactly as the reference loop would).
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
 #define SRC_SIM_ACTIVE_SCHEDULE_H_
 
@@ -39,7 +39,7 @@ class ActiveSchedule final : public WakeSink {
   // blocks' removal — the fix for the old index-remap in
   // Simulator::ApplyPendingRemovals). The block starts active (conservative:
   // a spurious tick is a no-op). When called while ExecuteTicks is running,
-  // the block's first tick is deferred to the next cycle, matching the legacy
+  // the block's first tick is deferred to the next cycle, matching the reference
   // loop's count snapshot (blocks registered mid-tick start next cycle, while
   // blocks registered by event callbacks — before the loop — tick same-cycle).
   // `defer_first_tick` forces the next-cycle start regardless (the parallel
@@ -48,21 +48,14 @@ class ActiveSchedule final : public WakeSink {
   uint32_t Add(Clocked* block, Cycle now, bool defer_first_tick = false);
 
   // Removes a block; its slot id is recycled (generation-checked, so stale
-  // wheel entries and stale hot-slot caches can never alias the new tenant).
+  // wheel entries can never alias the new tenant).
   void Remove(uint32_t slot);
-
-  // The block at `slot` iff the slot still holds the same registration
-  // (generation match); nullptr otherwise. For stable hot-block caches.
-  Clocked* BlockAt(uint32_t slot, uint32_t gen) const;
-  uint32_t GenOf(uint32_t slot) const {
-    return slot < slots_.size() ? slots_[slot].gen : 0;
-  }
 
   // WakeSink: ends `slot`'s parked quiescence. Insertion keeps registration
   // order; a wake issued mid-ExecuteTicks by an *earlier*-order block is
-  // deferred to next cycle (the legacy loop had already ticked the sleeper
+  // deferred to next cycle (the reference loop had already ticked the sleeper
   // this cycle), while one from a *later*-order block ticks this cycle (the
-  // legacy loop had not reached the sleeper yet) — byte-identical visibility.
+  // reference loop had not reached the sleeper yet) — byte-identical visibility.
   void Wake(uint32_t slot) override;
 
   // WakeSink: re-reads the block's SchedulingPolicy() (a tile's policy
@@ -86,7 +79,7 @@ class ActiveSchedule final : public WakeSink {
 
   // Conservatively re-activates every block and drops all wheel state. Used
   // when blocks migrate between schedules (parallel engine rebinding) and
-  // when active-set mode is (re)enabled mid-run with stale state.
+  // when skipping is re-enabled mid-run with stale state.
   void RebuildAllActive();
 
   size_t size() const { return live_count_; }

@@ -91,7 +91,7 @@ class Clocked {
   // --- Wake protocol (active-set scheduling). ---
   //
   // Ends this block's parked quiescence: the schedule re-activates it for
-  // the cycle dictated by legacy tick order (a wake from a block earlier in
+  // the cycle dictated by reference tick order (a wake from a block earlier in
   // registration order takes effect this cycle; from a later block, next
   // cycle — exactly when a tick-everything loop would have seen the input).
   // Callable from const methods (a const query that flips cached state, e.g.

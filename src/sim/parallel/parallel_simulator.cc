@@ -103,7 +103,6 @@ ParallelSimulator::~ParallelSimulator() {
     ref.slot = sim_->sched_.Add(sim_->blocks_[i], sim_->now_);
   }
   sim_->sched_.RebuildAllActive();
-  sim_->ResetHotCache();
   sim_->defer_new_blocks_ = false;
   fabric_->DisablePartition();
 }
@@ -137,7 +136,7 @@ void ParallelSimulator::Reclassify() {
       }
       ref.sched = want;
       // Migration happens at the top of a cycle, pre-tick: the block is
-      // conservatively active and may tick this cycle, like the legacy
+      // conservatively active and may tick this cycle, like the reference
       // lists it just joined.
       ref.slot = want != nullptr ? want->Add(block, sim_->now_) : 0;
     }
@@ -190,7 +189,7 @@ void ParallelSimulator::WorkerCycle(uint32_t worker, Cycle now) {
     }
     ThreadDomain::ScopedInstall install(shard_contexts_[s]);
     fabric_->ShardTransfer(s, now);
-    if (sim_->ActiveSetLive()) {
+    if (sim_->skip_enabled_) {
       shard_scheds_[s]->ExecuteTicks(now);
       // Establish next cycle's active set while the schedule is still
       // worker-confined: the NextActivity polls here read only shard state
@@ -238,7 +237,7 @@ void ParallelSimulator::ExecuteCycle() {
     Reclassify();
   }
   const Cycle now = sim_->now_;
-  const bool active_sets = sim_->ActiveSetLive();
+  const bool active_sets = sim_->skip_enabled_;
   const size_t events_run = sim_->events_.RunUntil(now);
   if (active_sets && events_run > 0) {
     // Event callbacks are opaque; conservatively re-activate every schedule
@@ -258,7 +257,7 @@ void ParallelSimulator::ExecuteCycle() {
     for (size_t i = 0; i < root_count; ++i) {
       root_blocks_[i]->Tick(now);
     }
-    sim_->legacy_ticked_blocks_ += root_count;
+    sim_->reference_ticked_blocks_ += root_count;
   }
   const size_t blocks_after_root = sim_->blocks_.size();
 
@@ -279,10 +278,10 @@ void ParallelSimulator::ExecuteCycle() {
   (void)blocks_after_root;
 
   if (!active_sets) {
-    // Shard ticks ran through the legacy lists; count them deterministically
+    // Shard ticks ran through the reference lists; count them deterministically
     // on the coordinator (every shard block ticks every cycle in this mode).
     for (uint32_t s = 0; s < num_shards_; ++s) {
-      sim_->legacy_ticked_blocks_ += shard_blocks_[s].size();
+      sim_->reference_ticked_blocks_ += shard_blocks_[s].size();
     }
   }
   const bool removed = !sim_->pending_removals_.empty();
@@ -301,10 +300,6 @@ void ParallelSimulator::ExecuteCycle() {
 
 void ParallelSimulator::ParallelSkipAhead(Cycle limit) {
   if (!sim_->skip_enabled_ || sim_->now_ >= limit) {
-    return;
-  }
-  if (!sim_->ActiveSetLive()) {
-    sim_->SkipAhead(limit);  // Tick-everything mode: the O(N) sweep is correct as is.
     return;
   }
   const Cycle now = sim_->now_;

@@ -35,7 +35,7 @@
 // ThreadDomain::ScopedInstall, its log sink) plus SPSC boundary rings whose
 // contents are fixed by the grant protocol — so threads=1,2,...,shards
 // produce byte-identical traces, counters, and billing digests
-// (tests/parallel_differential_test.cc). Note the parallel schedule is its
+// (tests/engine_differential_test.cc). Note the parallel schedule is its
 // own documented tick order (root blocks, then shards in id order); it is
 // deterministic, but not the serial Simulator::Step interleaving.
 //
@@ -109,11 +109,11 @@ class ParallelSimulator {
   // migrates blocks between the root schedule and the per-shard schedules
   // (called when the list changes; coordinator only, workers at rest).
   void Reclassify();
-  // Active-set replacement for Simulator::SkipAhead: the jump target is the
+  // Sharded replacement for Simulator::SkipAhead: the jump target is the
   // minimum over the root schedule, every shard schedule, the fabric's own
-  // declaration, and the event queue — the same minimum the tick-everything
-  // sweep computes, so skip counts stay byte-identical. Delegates to the
-  // serial sweep when active sets are disabled.
+  // declaration, and the event queue — the minimum of every block's
+  // NextActivity, exactly as the serial engine computes it. No-op under the
+  // reference engine.
   void ParallelSkipAhead(Cycle limit);
   // Folds the shard schedules' tick/wake counters into the simulator's
   // (delta-based, so repeated Run() calls never double-count).

@@ -28,7 +28,7 @@ uint8_t* PayloadArena::Acquire(size_t min_bytes, size_t* capacity) {
     return new uint8_t[min_bytes];
   }
   *capacity = ClassBytes(cls);
-  if (enabled_ && !retired_ && !freelists_[cls].empty()) {
+  if (!retired_ && !freelists_[cls].empty()) {
     uint8_t* chunk = freelists_[cls].back();
     freelists_[cls].pop_back();
     stats_.freelist_bytes -= ClassBytes(cls);
@@ -43,7 +43,7 @@ void PayloadArena::Release(uint8_t* chunk, size_t capacity) {
   ++stats_.chunk_releases;
   --stats_.live_chunks;
   const int cls = ClassForBytes(capacity);
-  if (!enabled_ || retired_ || cls < 0 || ClassBytes(cls) != capacity) {
+  if (retired_ || cls < 0 || ClassBytes(cls) != capacity) {
     delete[] chunk;
   } else {
     freelists_[cls].push_back(chunk);

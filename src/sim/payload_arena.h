@@ -61,11 +61,6 @@ class PayloadArena {
   // Frees every parked freelist chunk (leak-audit hook for tests).
   void Trim();
 
-  // When disabled, heap-tier backing comes straight from operator new and
-  // is deleted on release (the --no-pool ablation).
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   const PayloadArenaStats& stats() const { return stats_; }
   void ResetStats();
 
@@ -77,7 +72,6 @@ class PayloadArena {
  private:
   std::vector<uint8_t*> freelists_[kNumClasses];
   PayloadArenaStats stats_;
-  bool enabled_ = true;
   bool retired_ = false;
 };
 

@@ -44,10 +44,6 @@ void PayloadBuf::ReleaseHeap() {
   }
 }
 
-void PayloadBuf::SetArenaEnabled(bool enabled) {
-  FallbackPayloadArena().SetEnabled(enabled);
-}
-
 const PayloadArenaStats& PayloadBuf::ArenaStats() {
   return FallbackPayloadArena().stats();
 }

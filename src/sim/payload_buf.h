@@ -194,17 +194,17 @@ class PayloadBuf {
   }
   friend bool operator!=(const PayloadBuf& a, const PayloadBuf& b) { return !(a == b); }
   friend bool operator==(const PayloadBuf& a, const std::vector<uint8_t>& b) {
-    return a.size_ == b.size() && std::memcmp(a.data_, b.data(), a.size_) == 0;
+    // An empty vector's data() may be null, which memcmp must never see.
+    return a.size_ == b.size() && (a.size_ == 0 || std::memcmp(a.data_, b.data(), a.size_) == 0);
   }
   friend bool operator==(const std::vector<uint8_t>& a, const PayloadBuf& b) {
     return b == a;
   }
 
-  // --- Fallback-arena controls (bench ablation + tests). ---
+  // --- Fallback-arena observability (tests). ---
   // These operate on the process fallback arena — the one serving bufs
   // created outside any installed SimContext. Code running under a
   // Simulator reaches its domain arena via sim.context().arena() instead.
-  static void SetArenaEnabled(bool enabled);
   static const PayloadArenaStats& ArenaStats();
   static void ResetArenaStats();
   // Frees every parked freelist chunk (leak-audit hook for tests).

@@ -8,9 +8,9 @@ namespace apiary {
 
 void Simulator::Register(Clocked* block) {
   blocks_.push_back(block);
-  // The schedule is kept bound even in tick-everything mode: slot ids give
-  // the hot-block cache a stable identity, wake calls stay counted, and
-  // re-enabling active sets mid-run only needs a conservative rebuild.
+  // The schedule is kept bound under the reference engine too: wake calls
+  // stay counted, and re-enabling skipping mid-run only needs a conservative
+  // rebuild.
   const uint32_t slot = sched_.Add(block, now_, defer_new_blocks_);
   slot_refs_.push_back(SlotRef{&sched_, slot});
 }
@@ -24,10 +24,7 @@ void Simulator::ApplyPendingRemovals() {
   // Single-pass lockstep compaction of blocks_ and slot_refs_: sort the
   // removal set once and binary-search it per block. Sorting also makes
   // double-unregister of the same block harmless (each surviving element is
-  // visited once). The hot-block cache needs no remapping — it holds a
-  // (schedule, slot, generation) identity, and removal bumps the slot's
-  // generation, so a stale cache simply fails its lookup and the skip poll
-  // falls through to the full sweep.
+  // visited once).
   std::sort(pending_removals_.begin(), pending_removals_.end());
   size_t kept = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
@@ -44,20 +41,11 @@ void Simulator::ApplyPendingRemovals() {
   pending_removals_.clear();
 }
 
-void Simulator::SetActiveSetEnabled(bool enabled) {
-  if (enabled && !active_set_enabled_) {
-    // Wheel and parked state went stale while the tick-everything path ran;
+void Simulator::SetSkipEnabled(bool enabled) {
+  if (enabled && !skip_enabled_) {
+    // Wheel and parked state went stale while the reference loop ran;
     // conservatively re-activate everything (spurious ticks are no-ops) and
     // let the next boundary re-park the quiescent.
-    sched_.RebuildAllActive();
-  }
-  active_set_enabled_ = enabled;
-}
-
-void Simulator::SetSkipEnabled(bool enabled) {
-  if (enabled && !skip_enabled_ && active_set_enabled_) {
-    // Active-set state sat idle while the no-skip legacy loop ran; same
-    // conservative re-activation as re-enabling active sets.
     sched_.RebuildAllActive();
   }
   skip_enabled_ = enabled;
@@ -65,7 +53,7 @@ void Simulator::SetSkipEnabled(bool enabled) {
 
 void Simulator::Step() {
   const size_t events_run = events_.RunUntil(now_);
-  if (ActiveSetLive()) {
+  if (skip_enabled_) {
     if (events_run > 0) {
       // Event callbacks are opaque: they may have delivered input to any
       // parked block. Re-activating everything is byte-safe; events are rare
@@ -80,12 +68,12 @@ void Simulator::Step() {
     for (size_t i = 0; i < count; ++i) {
       blocks_[i]->Tick(now_);
     }
-    legacy_ticked_blocks_ += count;
+    reference_ticked_blocks_ += count;
   }
   ApplyPendingRemovals();
   ++now_;
   ++executed_cycles_;
-  if (ActiveSetLive()) {
+  if (skip_enabled_) {
     sched_.AdvanceBoundary(now_);
   }
 }
@@ -94,42 +82,14 @@ void Simulator::SkipAhead(Cycle limit) {
   if (!skip_enabled_ || now_ >= limit) {
     return;
   }
-  if (ActiveSetLive()) {
-    // O(1) when any kActiveSet block is busy; otherwise the earliest pinned /
-    // boundary-poll declaration or live wheel deadline. This is exactly the
-    // minimum the tick-everything sweep below would compute (declarations are
-    // pure), so skip counts and targets are byte-identical across modes.
-    Cycle target = sched_.EarliestWork(now_);
-    if (target <= now_) {
-      return;
-    }
-    if (!events_.empty()) {
-      const Cycle due = events_.NextEventCycle();
-      if (due <= now_) {
-        return;  // An event is due immediately: nothing to skip.
-      }
-      target = std::min(target, due);
-    }
-    target = std::min(target, limit);
-    if (target <= now_) {
-      return;
-    }
-    JumpTo(target);
+  // O(1) when any kActiveSet block is busy; otherwise the earliest pinned /
+  // boundary-poll declaration or live wheel deadline — the minimum of every
+  // block's NextActivity (declarations are pure), so the reference engine
+  // would execute exactly the cycles jumped over here as no-ops.
+  Cycle target = sched_.EarliestWork(now_);
+  if (target <= now_) {
     return;
   }
-  // Saturated-path fast exit: the block that most recently proved activity is
-  // overwhelmingly likely to still be active, so poll it before scanning. A
-  // failed skip attempt then costs one virtual call instead of O(blocks).
-  // NextActivity is a pure query, so the extra poll has no observable effect.
-  Clocked* hot =
-      hot_ref_.sched != nullptr ? hot_ref_.sched->BlockAt(hot_ref_.slot, hot_gen_) : nullptr;
-  if (hot != nullptr && hot->NextActivity(now_) <= now_) {
-    return;
-  }
-  // The jump target is the earliest cycle anyone needs: the next pending
-  // event, or any block's declared next activity. A single active block
-  // (NextActivity <= now_) pins the target at now_ and we execute normally.
-  Cycle target = limit;
   if (!events_.empty()) {
     const Cycle due = events_.NextEventCycle();
     if (due <= now_) {
@@ -137,18 +97,7 @@ void Simulator::SkipAhead(Cycle limit) {
     }
     target = std::min(target, due);
   }
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    const Cycle next = blocks_[i]->NextActivity(now_);
-    if (next <= now_) {
-      // Remember the busy block for the fast exit above, by stable identity.
-      // Under the parallel engine the fabric block has no schedule (its ref
-      // is null): it stays out of the cache rather than crashing GenOf.
-      hot_ref_ = slot_refs_[i];
-      hot_gen_ = hot_ref_.sched != nullptr ? hot_ref_.sched->GenOf(hot_ref_.slot) : 0;
-      return;  // Someone is active next cycle: bail before polling the rest.
-    }
-    target = std::min(target, next);
-  }
+  target = std::min(target, limit);
   if (target <= now_) {
     return;
   }
@@ -164,10 +113,8 @@ void Simulator::JumpTo(Cycle target) {
     block->OnFastForward(target);
   }
   now_ = target;
-  if (ActiveSetLive()) {
-    // Deadlines landing exactly on the jump target are due now.
-    sched_.AdvanceBoundary(now_);
-  }
+  // Deadlines landing exactly on the jump target are due now.
+  sched_.AdvanceBoundary(now_);
 }
 
 void Simulator::Run(Cycle cycles) {

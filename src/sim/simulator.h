@@ -24,11 +24,10 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   // Registers a block. The simulator does not own the block; callers keep it
-  // alive for the duration of the run. Under active-set scheduling (the
-  // default) only blocks that are active — by declaration, timer-wheel
-  // deadline, or wake — are ticked on an executed cycle; with
-  // SetActiveSetEnabled(false) every block is ticked every executed cycle.
-  // Seeded runs are byte-identical either way.
+  // alive for the duration of the run. With skipping enabled (the default)
+  // only blocks that are active — by declaration, timer-wheel deadline, or
+  // wake — are ticked on an executed cycle; with SetSkipEnabled(false) every
+  // block is ticked every cycle. Seeded runs are byte-identical either way.
   void Register(Clocked* block);
 
   // Removes a previously registered block (e.g. a reconfigured-away
@@ -80,22 +79,15 @@ class Simulator {
     return static_cast<double>(cycles) * 1000.0 / frequency_mhz_;
   }
 
-  // Escape hatch (`--no-skip`): when disabled, every cycle is executed and
-  // every block is ticked, exactly as before quiescence awareness existed —
-  // active-set scheduling is bypassed too, so this is the pure legacy
-  // baseline. Seeded runs must be byte-identical either way; the
-  // differential tests enforce it.
+  // Selects the engine. Enabled (the default) is the optimized engine:
+  // quiescent stretches are fast-forwarded and executed cycles tick only the
+  // active set. Disabled (`--no-skip`) is the reference engine: every cycle
+  // is executed and every block is ticked in registration order. Seeded runs
+  // are byte-identical either way (tests/engine_differential_test.cc).
+  // Re-enabling mid-run conservatively re-activates every block (spurious
+  // ticks of quiescent blocks are no-ops).
   void SetSkipEnabled(bool enabled);
   bool skip_enabled() const { return skip_enabled_; }
-
-  // Ablation hatch (`--no-active-set`): when disabled, executed cycles tick
-  // every registered block in registration order, exactly as before active
-  // sets existed. Seeded runs must be byte-identical either way; the
-  // active-set differential test enforces it. Re-enabling mid-run
-  // conservatively re-activates every block (byte-safe: spurious ticks of
-  // quiescent blocks are no-ops).
-  void SetActiveSetEnabled(bool enabled);
-  bool active_set_enabled() const { return active_set_enabled_; }
 
   // Fast-forward observability (for benchmarks and tests).
   uint64_t skipped_cycles() const { return skipped_cycles_; }
@@ -106,7 +98,7 @@ class Simulator {
   // is the observed active fraction.
   uint64_t executed_cycles() const { return executed_cycles_; }
   uint64_t ticked_blocks() const {
-    return legacy_ticked_blocks_ + extra_ticked_blocks_ + sched_.ticked_blocks();
+    return reference_ticked_blocks_ + extra_ticked_blocks_ + sched_.ticked_blocks();
   }
   uint64_t wheel_wakes() const { return extra_wheel_wakes_ + sched_.wheel_wakes(); }
   uint64_t wake_calls() const { return extra_wake_calls_ + sched_.wake_calls(); }
@@ -128,10 +120,6 @@ class Simulator {
     uint32_t slot = 0;
   };
 
-  // Active-set scheduling is live only when skipping is too: `--no-skip`
-  // promises the complete legacy execution (every block, every cycle).
-  bool ActiveSetLive() const { return active_set_enabled_ && skip_enabled_; }
-
   void Step();
   // Fast-forwards now_ to the earliest cycle in (now_, limit] that any block
   // or event needs, when every block is quiescent. No-op when some block is
@@ -142,16 +130,11 @@ class Simulator {
   // post-jump boundary re-establishment.
   void JumpTo(Cycle target);
   void ApplyPendingRemovals();
-  void ResetHotCache() {
-    hot_ref_ = SlotRef{};
-    hot_gen_ = 0;
-  }
 
   SimContext context_;
   double frequency_mhz_;
   Cycle now_ = 0;
   bool skip_enabled_ = true;
-  bool active_set_enabled_ = true;
   // Set while a parallel engine drives this simulator: new registrations
   // start ticking next cycle even when made from an event callback (the
   // engine classifies them at the top of the next cycle, unlike Step()'s
@@ -160,18 +143,12 @@ class Simulator {
   uint64_t skipped_cycles_ = 0;
   uint64_t skips_ = 0;
   uint64_t executed_cycles_ = 0;
-  uint64_t legacy_ticked_blocks_ = 0;  // Ticks issued by the tick-everything path.
+  uint64_t reference_ticked_blocks_ = 0;  // Ticks issued by the reference engine.
   // Contributions from schedules this simulator does not own (the parallel
   // engine folds its shard schedules in at the end of each run).
   uint64_t extra_ticked_blocks_ = 0;
   uint64_t extra_wheel_wakes_ = 0;
   uint64_t extra_wake_calls_ = 0;
-  // The block that most recently kept a skip from happening, identified by
-  // stable (schedule, slot, generation) — never remapped on removal; a stale
-  // generation simply falls through to the full poll. Only the
-  // tick-everything path uses it (the active-set path's busy check is O(1)).
-  SlotRef hot_ref_;
-  uint32_t hot_gen_ = 0;
   std::vector<Clocked*> blocks_;
   std::vector<SlotRef> slot_refs_;  // Lockstep with blocks_.
   std::vector<Clocked*> pending_removals_;

@@ -136,7 +136,7 @@ class FloodAttacker : public Accelerator {
                                                                          : kNoActivity;
   }
   // The campaign flag is flipped by the driver block with no wake path into
-  // this tile — boundary-poll so the flip is seen the same cycle the legacy
+  // this tile — boundary-poll so the flip is seen the same cycle the reference
   // every-block loop would have seen it.
   [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
     return Clocked::SchedPolicy::kBoundaryPoll;

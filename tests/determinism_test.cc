@@ -9,7 +9,6 @@
 #include "src/core/message.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
-#include "src/noc/packet_pool.h"
 #include "src/services/gateway.h"
 #include "src/services/supervisor.h"
 #include "src/services/memory_service.h"
@@ -32,13 +31,8 @@ struct ScenarioResult {
   std::vector<uint8_t> last_response;
 };
 
-ScenarioResult RunScenario(uint64_t seed, bool pooled = true) {
+ScenarioResult RunScenario(uint64_t seed) {
   TestBoard tb;
-  // Hot-path ablation switch: pools and arenas are per-simulator domain state
-  // now, so the toggles live on this board's pool and this sim's context.
-  tb.board.mesh().pool().SetEnabled(pooled);
-  tb.sim.context().arena().SetEnabled(pooled);
-  SetMessageLegacyAllocMode(!pooled);
   tb.net.SetLossRate(0.02, 7);  // Loss + retries stress the determinism.
   tb.os.DeployService(kMemoryService,
                       std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
@@ -81,7 +75,6 @@ ScenarioResult RunScenario(uint64_t seed, bool pooled = true) {
   r.p50 = client.latency().P50();
   r.p999 = client.latency().P999();
   r.last_response = client.last_response();
-  SetMessageLegacyAllocMode(false);
   return r;
 }
 
@@ -108,7 +101,7 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
 // the same seed must produce byte-identical traces — a far stricter probe
 // than comparing end-of-run aggregates, since any intermediate divergence
 // (event order, retry timing, map iteration order) shows up in the trace.
-std::string RunScenarioTrace(uint64_t seed, bool pooled = true) {
+std::string RunScenarioTrace(uint64_t seed) {
   std::string trace;
   SetLogSink(
       [](LogLevel level, const std::string& line, void* user) {
@@ -121,7 +114,7 @@ std::string RunScenarioTrace(uint64_t seed, bool pooled = true) {
       &trace);
   const LogLevel prev = GetLogLevel();
   SetLogLevel(LogLevel::kDebug);
-  (void)RunScenario(seed, pooled);
+  (void)RunScenario(seed);
   SetLogLevel(prev);
   SetLogSink(nullptr, nullptr);
   return trace;
@@ -135,18 +128,6 @@ TEST(DeterminismTest, FullTraceOfTwoSeededRunsIsByteIdentical) {
   // empty or seed-blind trace cannot fake the test out.
   const std::string c = RunScenarioTrace(12);
   EXPECT_NE(a, c);
-}
-
-// The hot-path machinery (PacketPool recycling, PayloadBuf arena backing,
-// the move-through serialization path) must change only *where* bytes live,
-// never what the simulation does: a run with every optimization disabled —
-// the legacy allocate-per-message shape — has to trace byte-identically to
-// the pooled run. This is what licenses bench/b2's --no-pool ablation as a
-// fair comparison.
-TEST(DeterminismTest, PooledAndLegacyAllocRunsAreByteIdentical) {
-  const std::string legacy = RunScenarioTrace(11, /*pooled=*/false);
-  const std::string pooled = RunScenarioTrace(11, /*pooled=*/true);
-  EXPECT_EQ(legacy, pooled);
 }
 
 // A periodic closed-fire client: one echo request every `period` cycles,

@@ -9,7 +9,7 @@
 // Edge cases covered, per the issue checklist:
 //   * a fault window opening mid-corridor (FaultInjector::Fire materializes
 //     before the window exists);
-//   * Undeploy of a tile on the corridor (express_differential_test covers
+//   * Undeploy of a tile on the corridor (engine_differential_test covers
 //     the board-level variant; here the NoC observables stay identical);
 //   * shard-cut truncation under the parallel engine;
 //   * crossing traffic entering the corridor zone;

@@ -136,23 +136,6 @@ TEST(PacketPoolTest, ExhaustionFallsBackToUnpooledHeap) {
   EXPECT_EQ(pool.stats().pool_hits, 1u);
 }
 
-TEST(PacketPoolTest, DisabledPoolHandsOutPlainHeapPackets) {
-  PacketPool pool;
-  pool.SetEnabled(false);
-  {
-    PacketRef p = pool.Acquire();
-    ASSERT_TRUE(static_cast<bool>(p));
-    EXPECT_EQ(p->pool, nullptr);
-    EXPECT_EQ(pool.stats().live, 0u);
-  }
-  EXPECT_EQ(pool.stats().heap_allocs, 1u);
-  EXPECT_EQ(pool.stats().free_size, 0u);  // Nothing parked.
-
-  pool.SetEnabled(true);
-  PacketRef p = pool.Acquire();
-  EXPECT_EQ(p->pool, &pool);
-}
-
 TEST(PacketPoolTest, ResetStatsPreservesOccupancy) {
   PacketPool pool;
   PacketRef held = pool.Acquire();

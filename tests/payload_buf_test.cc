@@ -17,7 +17,6 @@ namespace {
 class PayloadBufTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    PayloadBuf::SetArenaEnabled(true);
     PayloadBuf::TrimArena();
     PayloadBuf::ResetArenaStats();
   }
@@ -140,19 +139,6 @@ TEST_F(PayloadBufTest, CopyIsDeepAndIndependent) {
   EXPECT_TRUE(a != b);
   b[0] = 0x33;
   EXPECT_TRUE(a == b);
-}
-
-TEST_F(PayloadBufTest, DisabledArenaFallsBackToPlainHeap) {
-  PayloadBuf::SetArenaEnabled(false);
-  {
-    PayloadBuf buf(300, 0x77);
-    EXPECT_EQ(buf.size(), 300u);
-    EXPECT_EQ(buf[299], 0x77);
-  }
-  // Straight new/delete: nothing parked for reuse.
-  EXPECT_EQ(PayloadBuf::ArenaStats().freelist_bytes, 0u);
-  EXPECT_EQ(PayloadBuf::ArenaStats().live_chunks, 0u);
-  PayloadBuf::SetArenaEnabled(true);
 }
 
 TEST_F(PayloadBufTest, TrimFreesParkedChunks) {

@@ -59,6 +59,137 @@ TEST_P(MessageFuzzTest, MutatedValidMessagesNeverMisparse) {
   }
 }
 
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t max_len) {
+  std::vector<uint8_t> bytes(rng.NextBelow(max_len + 1));
+  for (auto& b : bytes) {
+    b = static_cast<uint8_t>(rng.NextBelow(256));
+  }
+  return bytes;
+}
+
+// A well-formed message with every header field, both grants and a payload
+// of up to 200 bytes drawn from `rng`.
+Message RandomMessage(Rng& rng) {
+  Message m;
+  m.dst_service = static_cast<ServiceId>(rng.Next());
+  m.kind = static_cast<MsgKind>(rng.NextBelow(2));
+  m.opcode = static_cast<uint16_t>(rng.Next());
+  m.status = static_cast<MsgStatus>(rng.NextBelow(13));
+  m.request_id = rng.Next();
+  m.dst_process = static_cast<ProcessId>(rng.Next());
+  m.src_tile = static_cast<TileId>(rng.Next());
+  m.src_service = static_cast<ServiceId>(rng.Next());
+  m.src_app = static_cast<AppId>(rng.Next());
+  for (SegmentGrant* grant : {&m.grant, &m.grant2}) {
+    grant->segment.base = rng.Next();
+    grant->segment.length = rng.Next();
+    grant->valid = rng.NextBool(0.5);
+    grant->can_read = rng.NextBool(0.5);
+    grant->can_write = rng.NextBool(0.5);
+    grant->can_grant = rng.NextBool(0.5);
+  }
+  const std::vector<uint8_t> payload = RandomBytes(rng, 200);
+  m.payload.assign(payload.data(), payload.size());
+  return m;
+}
+
+// Head region (the first head_len bytes) followed by the payload.
+std::vector<uint8_t> WireImage(const NocPacket& packet) {
+  std::vector<uint8_t> image(packet.head.begin(), packet.head.begin() + packet.head_len);
+  image.insert(image.end(), packet.payload.begin(), packet.payload.end());
+  return image;
+}
+
+// The split wire image (head region + payload) is the packet decode path:
+// random head lengths, head bytes and payloads must never crash it, a
+// rejected packet keeps its payload, and an accepted packet re-serializes to
+// the same head and payload.
+TEST_P(MessageFuzzTest, ArbitrarySplitWireImageSafeToParse) {
+  Rng rng(GetParam() + 200);
+  int accepted = 0;
+  constexpr int kTrials = 3000;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    NocPacket packet;
+    Message seed_msg = RandomMessage(rng);
+    switch (rng.NextBelow(5)) {
+      case 0:  // Random head length over a well-formed image.
+        SerializeMessageInto(std::move(seed_msg), packet);
+        packet.head_len = static_cast<uint16_t>(rng.NextBelow(kPacketHeadBytes + 1));
+        break;
+      case 1:  // A few random head bytes.
+        SerializeMessageInto(std::move(seed_msg), packet);
+        for (uint64_t k = rng.NextInRange(1, 3); k > 0; --k) {
+          packet.head[rng.NextBelow(kPacketHeadBytes)] = static_cast<uint8_t>(rng.NextBelow(256));
+        }
+        break;
+      case 2: {  // Random payload under a well-formed head.
+        SerializeMessageInto(std::move(seed_msg), packet);
+        const std::vector<uint8_t> payload = RandomBytes(rng, 200);
+        packet.payload.assign(payload.data(), payload.size());
+        break;
+      }
+      case 3: {  // Header-less packet: the contiguous image rides in the payload.
+        const std::vector<uint8_t> image = SerializeMessage(seed_msg);
+        packet.payload.assign(image.data(), image.size());
+        break;
+      }
+      default: {  // Everything random.
+        packet.head_len = static_cast<uint16_t>(rng.NextBelow(kPacketHeadBytes + 1));
+        for (auto& b : packet.head) {
+          b = static_cast<uint8_t>(rng.NextBelow(256));
+        }
+        const std::vector<uint8_t> payload = RandomBytes(rng, 200);
+        packet.payload.assign(payload.data(), payload.size());
+        break;
+      }
+    }
+    const uint16_t head_len = packet.head_len;
+    const std::vector<uint8_t> image = WireImage(packet);
+    const std::vector<uint8_t> payload = packet.payload.ToVector();
+
+    std::optional<Message> msg = DeserializeMessage(packet);
+    if (!msg.has_value()) {
+      EXPECT_EQ(packet.payload, payload) << "trial " << trial;
+      continue;
+    }
+    ++accepted;
+    NocPacket again;
+    SerializeMessageInto(std::move(*msg), again);
+    if (head_len != 0) {
+      EXPECT_EQ(again.head_len, head_len) << "trial " << trial;
+    }
+    EXPECT_EQ(WireImage(again), image) << "trial " << trial;
+  }
+  // Both outcomes were exercised.
+  EXPECT_GT(accepted, kTrials / 4);
+  EXPECT_LT(accepted, kTrials);
+}
+
+// The end-to-end check the ejecting NI relies on: any single corrupted byte
+// of the head region or the payload changes PacketWireChecksum.
+TEST_P(MessageFuzzTest, EverySingleByteFlipChangesTheWireChecksum) {
+  Rng rng(GetParam() + 300);
+  int missed = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    NocPacket packet;
+    SerializeMessageInto(RandomMessage(rng), packet);
+    if (rng.NextBool(0.5)) {
+      packet.head_len = static_cast<uint16_t>(rng.NextBelow(kPacketHeadBytes + 1));
+    }
+    const uint32_t sum = PacketWireChecksum(packet);
+    for (size_t i = 0; i < packet.wire_bytes(); ++i) {
+      uint8_t* byte = packet.wire_byte(i);
+      const uint8_t original = *byte;
+      *byte = static_cast<uint8_t>(original ^ rng.NextInRange(1, 255));
+      if (PacketWireChecksum(packet) == sum) {
+        ++missed;
+      }
+      *byte = original;
+    }
+  }
+  EXPECT_EQ(missed, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MessageFuzzTest, ::testing::Values(1, 2, 3));
 
 // ---------------------------------------------------------------------

@@ -388,99 +388,15 @@ TEST(SimulatorTest, DoubleUnregisterIsHarmless) {
   EXPECT_EQ(b.ticks, 10);
 }
 
-// Records the order SkipAhead polls NextActivity, exposing the hot-block
-// fast-exit cache (src/sim/simulator.cc) to the tests below.
-class PollProbe : public Clocked {
- public:
-  PollProbe(std::vector<const PollProbe*>* log, bool active) : log_(log), active_(active) {}
-
-  void Tick(Cycle now) override { (void)now; }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    log_->push_back(this);
-    return active_ ? now : kNoActivity;
-  }
-  std::string DebugName() const override { return "poll_probe"; }
-
-  void SetActive(bool active) { active_ = active; }
-
- private:
-  std::vector<const PollProbe*>* log_;
-  bool active_;
-};
-
-TEST(SimulatorTest, RemovingABlockBeforeTheHotBlockRemapsTheCache) {
-  // Regression: ApplyPendingRemovals compacts blocks_, which shifts the
-  // index the hot-block cache stored. Removing a block *before* the hot one
-  // used to leave a stale index that aliased whatever slid into that slot;
-  // the cache must follow its block instead.
-  std::vector<const PollProbe*> log;
-  Simulator sim;
-  // The hot-block cache serves the tick-everything skip path; the active-set
-  // path's busy check is O(1) and never scans.
-  sim.SetActiveSetEnabled(false);
-  PollProbe a(&log, false);
-  PollProbe b(&log, false);
-  PollProbe c(&log, true);  // The busy block: becomes the hot cache entry.
-  PollProbe d(&log, false);
-  sim.Register(&a);
-  sim.Register(&b);
-  sim.Register(&c);
-  sim.Register(&d);
-
-  // Two-cycle runs throughout: SkipAhead only polls between cycles of a run
-  // (it early-outs once now reaches the run boundary).
-  sim.Run(2);  // SkipAhead scans a, b, then finds c active: hot = index 2.
-  log.clear();
-  sim.Run(2);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front(), &c);  // Fast exit polls the cached hot block first.
-
-  // The very next SkipAhead after the removal applies is the observable: a
-  // stale index (still 2) would poll d — the block that slid into c's old
-  // slot — before a scan self-heals the cache. The remapped cache polls c
-  // first, full stop.
-  sim.Unregister(&a);  // Compaction shifts c from index 2 to index 1.
-  log.clear();
-  sim.Run(2);  // Removal applies at the end of the first cycle's Step.
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front(), &c);
-}
-
-TEST(SimulatorTest, RemovingTheHotBlockItselfResetsTheCache) {
-  std::vector<const PollProbe*> log;
-  Simulator sim;
-  sim.SetActiveSetEnabled(false);  // The cache only serves the legacy scan.
-  PollProbe a(&log, false);
-  PollProbe b(&log, false);
-  PollProbe c(&log, true);
-  sim.Register(&a);
-  sim.Register(&b);
-  sim.Register(&c);
-
-  sim.Run(2);  // hot = index 2 (c).
-  c.SetActive(false);
-  b.SetActive(true);
-  sim.Unregister(&c);
-  log.clear();
-  sim.Run(2);  // Removal applies at the end of the first cycle's Step.
-  // Removing the hot block bumps its slot's generation, which invalidates
-  // the cache: no fast-exit poll happens and the scan starts from a, finding
-  // b active. The failure mode guarded here is aliasing — a stale cache must
-  // never poll whatever block slid into c's old slot.
-  ASSERT_GE(log.size(), 2u);
-  EXPECT_EQ(log[0], &a);
-  EXPECT_EQ(log[1], &b);
-}
-
 // Register/unregister churn regression: slot identities must stay stable
-// while other blocks come and go (the old engine re-resolved a raw index on
-// every removal, which aliased the hot-block cache), recycled slots must
-// never alias their previous tenant, and both engine modes must agree on
-// every block's tick count.
+// while other blocks come and go, recycled slots must never alias their
+// previous tenant, and the optimized engine must agree with the reference
+// engine (skipping off: every block, every cycle) on every block's tick
+// count.
 TEST(SimulatorTest, RegisterUnregisterChurnTicksExactlyTheRightBlocks) {
-  auto run = [](bool active_set) {
+  auto run = [](bool skip) {
     Simulator sim;
-    sim.SetActiveSetEnabled(active_set);
+    sim.SetSkipEnabled(skip);
     CountingBlock anchor;  // Always busy: pins the clock, no fast-forwards.
     sim.Register(&anchor);
 
@@ -509,11 +425,11 @@ TEST(SimulatorTest, RegisterUnregisterChurnTicksExactlyTheRightBlocks) {
     return final_ticks;
   };
 
-  const std::vector<int> with_sets = run(true);
-  const std::vector<int> legacy = run(false);
-  EXPECT_EQ(with_sets, legacy);
+  const std::vector<int> optimized = run(true);
+  const std::vector<int> reference = run(false);
+  EXPECT_EQ(optimized, reference);
   // The anchor saw every cycle: 40 rounds of 6 cycles each.
-  EXPECT_EQ(with_sets.back(), 240);
+  EXPECT_EQ(optimized.back(), 240);
 }
 
 // A parked block's slot is removed and immediately recycled by a new

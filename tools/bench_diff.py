@@ -4,13 +4,15 @@
 Usage:
   bench_diff.py --baseline-dir . --current-dir bench_out BENCH_b1.json ...
 
-For every named file, rows are joined on their identifying fields (scenario,
-period, threads, active_pct) and the key throughput fields — anything named
-*mcycles_per_sec, speedup, or express_hits — are compared against the
-baseline. A throughput drop beyond --tolerance (default 30%, smoke runs on
-shared CI hardware are noisy) or a corridor hit count collapsing to zero
-prints a GitHub ::warning annotation. The exit code is always 0: this step
-tracks the perf trajectory in-repo, it does not gate merges.
+For every named file, rows are joined on their identifying fields (config,
+scenario, period, threads, active_pct) and the key throughput fields —
+anything named *mcycles_per_sec, speedup, or express_hits — are compared
+against the baseline. A throughput drop beyond --tolerance (default 30%,
+smoke runs on shared CI hardware are noisy), a corridor hit count
+collapsing to zero, or a file holding two rows with the same identifying
+fields (they cannot be joined) prints a GitHub ::warning annotation. The
+exit code is always 0: this step tracks the perf trajectory in-repo, it
+does not gate merges.
 """
 
 import argparse
@@ -18,11 +20,26 @@ import json
 import os
 import sys
 
-ID_FIELDS = ("scenario", "period", "threads", "active_pct")
+ID_FIELDS = ("config", "scenario", "period", "threads", "active_pct")
 
 
 def row_key(row):
     return tuple((f, row[f]) for f in ID_FIELDS if f in row)
+
+
+def index_rows(name, path, rows):
+    """Maps row key -> row, warning about keys that name more than one row."""
+    indexed = {}
+    warnings = 0
+    for row in rows:
+        key = row_key(row)
+        if key in indexed:
+            label = ", ".join(f"{k}={v}" for k, v in key) or "no identifying fields"
+            print(f"::warning::{name}: {path} has two rows keyed [{label}]; "
+                  f"only the last one is compared")
+            warnings += 1
+        indexed[key] = row
+    return indexed, warnings
 
 
 def key_fields(row):
@@ -44,8 +61,10 @@ def diff_file(name, base_path, cur_path, tolerance):
         print(f"::warning::bench_diff: cannot compare {name}: {err}")
         return 1
 
-    base_rows = {row_key(r): r for r in base.get("rows", [])}
-    for row in cur.get("rows", []):
+    base_rows, dup_base = index_rows(name, base_path, base.get("rows", []))
+    cur_rows, dup_cur = index_rows(name, cur_path, cur.get("rows", []))
+    warnings += dup_base + dup_cur
+    for row in cur_rows.values():
         base_row = base_rows.get(row_key(row))
         if base_row is None:
             continue  # New sweep point: nothing to compare against yet.
