@@ -28,6 +28,15 @@
 //
 // A harness that compared nothing would pass all of the above, so the last
 // test plants a missed wake and checks that the harness reports it.
+//
+// The cases form four gtest suites, and tests/CMakeLists.txt registers one
+// ctest entry per suite (skip_, parallel_, active_set_ and
+// express_differential_test), so `ctest -j` runs them side by side:
+//   * ParallelDifferentialTest: the 8x8 workload at threads 1/2/4, 3 seeds.
+//   * ExpressDifferentialTest: serial chaos and mid-corridor Undeploy.
+//   * SkipDifferentialTest: IPC valleys and the RawQueue ready cycle.
+//   * ActiveSetDifferentialTest: the planted missed wake.
+// A new case joins one of these suites, or gets its own ctest entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -425,9 +434,9 @@ RunResult RunShardedWorkload(uint64_t seed, const Engine& engine) {
   return r;
 }
 
-class ShardedWorkloadTest : public ::testing::TestWithParam<uint64_t> {};
+class ParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ShardedWorkloadTest, ReferenceAndOptimizedMatchAtEveryThreadCount) {
+TEST_P(ParallelDifferentialTest, ReferenceAndOptimizedMatchAtEveryThreadCount) {
   const uint64_t seed = GetParam();
   const Engine baseline{/*optimized=*/true, /*threads=*/1};
   const RunResult want = RunShardedWorkload(seed, baseline);
@@ -470,7 +479,7 @@ TEST_P(ShardedWorkloadTest, ReferenceAndOptimizedMatchAtEveryThreadCount) {
 }
 
 constexpr uint64_t kSeeds[] = {kHandTunedSeed, 12, 13};
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedWorkloadTest, ::testing::ValuesIn(kSeeds));
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDifferentialTest, ::testing::ValuesIn(kSeeds));
 
 // ---------------------------------------------------------------------------
 // Serial scenarios.
@@ -539,7 +548,7 @@ RunResult RunSerialChaos(const Engine& engine, uint64_t plan_seed) {
   });
 }
 
-TEST(EngineDifferentialTest, SerialChaosCampaignMatches) {
+TEST(ExpressDifferentialTest, SerialChaosCampaignMatches) {
   constexpr uint64_t kPlanSeed = 9;
   const RunResult want = RunSerialChaos(kReference, kPlanSeed);
   const RunResult got = RunSerialChaos(kOptimized, kPlanSeed);
@@ -557,7 +566,7 @@ TEST(EngineDifferentialTest, SerialChaosCampaignMatches) {
 
 // Vacating a service tile mid-run revokes routes and identity but leaves the
 // NoC alone: corridors in flight to that tile keep their exact timing.
-TEST(EngineDifferentialTest, UndeployOnACorridorMatches) {
+TEST(ExpressDifferentialTest, UndeployOnACorridorMatches) {
   auto run = [](const Engine& engine) {
     return RunSerial(engine, TestBoardOptions{}, [](TestBoard& tb, auto& clients, RunResult*) {
       TileId st = kInvalidTile;
@@ -578,7 +587,7 @@ TEST(EngineDifferentialTest, UndeployOnACorridorMatches) {
 
 // E3-shaped IPC: kernel-mediated echo round trips with long idle valleys
 // between requests — the shape skipping is built for.
-TEST(EngineDifferentialTest, IpcValleysMatch) {
+TEST(SkipDifferentialTest, IpcValleysMatch) {
   auto run = [](const Engine& engine) {
     return RunSerial(engine, TestBoardOptions{}, [](TestBoard& tb, auto& clients, RunResult*) {
       clients.push_back(DeployEchoPair(tb, tb.os.CreateApp("ipc"), 20, /*period=*/1'000));
@@ -594,7 +603,7 @@ TEST(EngineDifferentialTest, IpcValleysMatch) {
   EXPECT_EQ(want.skipped_cycles, 0u);
 }
 
-TEST(EngineDifferentialTest, RawQueueReadyCycleIsAnActivityBoundary) {
+TEST(SkipDifferentialTest, RawQueueReadyCycleIsAnActivityBoundary) {
   // The RunUntil predicate polls Pop(), which gates on the entry's serialized
   // available_at; with skipping the queue's NextActivity must surface that
   // exact cycle as a boundary.
@@ -671,7 +680,7 @@ class ParkedSleeper : public Accelerator {
   std::shared_ptr<bool> flag_;
 };
 
-TEST(EngineDifferentialTest, PlantedMissedWakeIsReportedAsAMismatch) {
+TEST(ActiveSetDifferentialTest, PlantedMissedWakeIsReportedAsAMismatch) {
   constexpr uint64_t kSeed = 5;
   auto run = [](const Engine& engine) {
     return RunSerial(engine, TestBoardOptions{}, [](TestBoard& tb, auto&, RunResult*) {
