@@ -10,7 +10,10 @@
 //   * end-to-end throughput (messages per wall-second, Mcycles/s);
 //   * steady-state heap allocations per delivered message, counted from the
 //     pool/arena ledgers after a warmup window (target: ~0);
-//   * pool reuse ratio after warmup (target: >= 99%).
+//   * pool reuse ratio after warmup (target: >= 99%);
+//   * router arbitration probes per forwarded flit — a deterministic work
+//     counter (TryForward calls / flits routed; target: ~1, since the
+//     arbiters probe only inputs whose head flit requests the output).
 // The pool and arena ledgers are the hot path's own accounting; the
 // repository benchmark (perfbench/) counts allocations at the allocator.
 //
@@ -88,12 +91,14 @@ struct RunResult {
   uint64_t sent = 0;
   uint64_t received = 0;   // Delivered responses inside the measured window.
   uint64_t flits = 0;      // Flits routed inside the measured window.
+  uint64_t arb_probes = 0;  // Router TryForward calls inside the measured window.
   uint64_t acquires = 0;
   uint64_t pool_hits = 0;
   uint64_t heap_allocs = 0;      // Pool misses inside the measured window.
   uint64_t arena_allocs = 0;     // Arena chunk news inside the measured window.
   double reuse_pct = 0;          // pool_hits / acquires.
   double allocs_per_msg = 0;     // (heap_allocs + arena_allocs) / received.
+  double arb_probes_per_flit = 0;  // arb_probes / flits.
   double msgs_per_wall_sec = 0;
   double mcycles_per_sec = 0;
   uint64_t ticked_blocks = 0;    // Block-ticks issued inside the measured window.
@@ -162,6 +167,7 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
     received0 += c->received();
   }
   const uint64_t flits0 = bb.board.mesh().TotalFlitsRouted();
+  const uint64_t probes0 = bb.board.mesh().TotalArbProbes();
   const uint64_t ticked0 = bb.sim.ticked_blocks();
   const uint64_t executed0 = bb.sim.executed_cycles();
   const uint64_t wheel0 = bb.sim.wheel_wakes();
@@ -182,6 +188,7 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
   r.sent -= sent0;
   r.received -= received0;
   r.flits = bb.board.mesh().TotalFlitsRouted() - flits0;
+  r.arb_probes = bb.board.mesh().TotalArbProbes() - probes0;
   r.ticked_blocks = bb.sim.ticked_blocks() - ticked0;
   r.executed_cycles = bb.sim.executed_cycles() - executed0;
   r.wheel_wakes = bb.sim.wheel_wakes() - wheel0;
@@ -204,6 +211,8 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
   r.allocs_per_msg = r.received > 0 ? static_cast<double>(r.heap_allocs + r.arena_allocs) /
                                           static_cast<double>(r.received)
                                     : 0;
+  r.arb_probes_per_flit =
+      r.flits > 0 ? static_cast<double>(r.arb_probes) / static_cast<double>(r.flits) : 0;
   r.msgs_per_wall_sec =
       r.wall_seconds > 0 ? static_cast<double>(r.received) / r.wall_seconds : 0;
   r.mcycles_per_sec =
@@ -219,6 +228,8 @@ void EmitRow(BenchJson& json, const char* config, const RunResult& r) {
   json.Metric("messages", r.received);
   json.Metric("msgs_per_wall_sec", r.msgs_per_wall_sec);
   json.Metric("flits", r.flits);
+  json.Metric("arb_probes", r.arb_probes);
+  json.Metric("arb_probes_per_flit", r.arb_probes_per_flit);
   json.Metric("packet_acquires", r.acquires);
   json.Metric("pool_hits", r.pool_hits);
   json.Metric("pool_reuse_pct", r.reuse_pct);
@@ -260,12 +271,13 @@ int main(int argc, char** argv) {
 
   Table table("B2: steady-state hot path");
   table.SetHeader({"config", "Mcyc/s", "msgs", "msgs/wall-s", "reuse %",
-                   "allocs/msg"});
+                   "allocs/msg", "probes/flit"});
 
   const RunResult pooled = Run(warmup_cycles, measure_cycles, threads);
   table.AddRow({"pooled", Table::Num(pooled.mcycles_per_sec, 1), Table::Int(pooled.received),
                 Table::Num(pooled.msgs_per_wall_sec, 0), Table::Num(pooled.reuse_pct, 2),
-                Table::Num(pooled.allocs_per_msg, 4)});
+                Table::Num(pooled.allocs_per_msg, 4),
+                Table::Num(pooled.arb_probes_per_flit, 3)});
   EmitRow(json, "pooled", pooled);
   std::printf("steady-state pool reuse: %.2f%%, allocations/message: %.4f\n\n",
               pooled.reuse_pct, pooled.allocs_per_msg);

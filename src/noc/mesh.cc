@@ -281,6 +281,14 @@ uint64_t Mesh::TotalFlitsRouted() const {
   return total;
 }
 
+uint64_t Mesh::TotalArbProbes() const {
+  uint64_t total = 0;
+  for (const auto& r : routers_) {
+    total += r->arb_probes();
+  }
+  return total;
+}
+
 uint64_t Mesh::LogicCellCost() const {
   return static_cast<uint64_t>(num_tiles()) *
          (Router::LogicCellCost(config_.router_buffer_depth) +

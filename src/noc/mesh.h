@@ -103,6 +103,8 @@ class Mesh : public Clocked, public ShardedFabric {
   CounterSet AggregateCounters() const;
   Histogram AggregateLatency() const;
   uint64_t TotalFlitsRouted() const;
+  // Router arbitration probes summed over the mesh (Router::arb_probes).
+  uint64_t TotalArbProbes() const;
 
   // Total logic-cell cost of the NoC fabric (routers + NIs).
   uint64_t LogicCellCost() const;

@@ -16,6 +16,18 @@ NetworkInterface::NetworkInterface(TileId tile, Router* router, uint32_t inject_
   }
 }
 
+CounterSet NetworkInterface::counters() const {
+  CounterSet set;
+  set.AddNonzero("ni.inject_backpressure", inject_backpressure_);
+  set.AddNonzero("ni.packets_injected", packets_injected_);
+  set.AddNonzero("ni.flits_injected", flits_injected_);
+  set.AddNonzero("ni.flits_ejected", flits_ejected_);
+  set.AddNonzero("ni.packets_dropped_fault", packets_dropped_fault_);
+  set.AddNonzero("ni.checksum_drops", checksum_drops_);
+  set.AddNonzero("ni.packets_delivered", packets_delivered_);
+  return set;
+}
+
 uint32_t NetworkInterface::LogicCellCost() {
   // Packetization, reassembly and queue logic; roughly half a router.
   return 2000;
@@ -46,7 +58,7 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
   const uint32_t flits = ComputeFlitCount(*packet);
   packet->flit_count = flits;
   if (!CanInject(flits, packet->vc)) {
-    counters_.Add("ni.inject_backpressure");
+    ++inject_backpressure_;
     return false;
   }
   packet->inject_cycle = now;
@@ -59,8 +71,8 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
     queue.push_back(Flit{packet, i});
   }
   queue.push_back(Flit{std::move(packet), flits - 1});
-  counters_.Add("ni.packets_injected");
-  counters_.Add("ni.flits_injected", flits);
+  ++packets_injected_;
+  flits_injected_ += flits;
   // Idle-to-busy transition: publish this NI into the mesh's live set.
   if (!live_marked_ && live_out_ != nullptr) {
     live_out_->push_back(tile_);
@@ -90,7 +102,7 @@ void NetworkInterface::InjectCycle(Cycle now) {
 }
 
 void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
-  counters_.Add("ni.flits_ejected");
+  ++flits_ejected_;
   if (!flit.is_tail()) {
     return;
   }
@@ -99,7 +111,7 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
   assert(flit.packet->flit_count == ComputeFlitCount(*flit.packet));
   if (flit.packet->dropped) {
     // A link fault swallowed part of this packet in flight.
-    counters_.Add("ni.packets_dropped_fault");
+    ++packets_dropped_fault_;
     return;
   }
   if (flit.packet->checksum != 0 &&
@@ -107,11 +119,11 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
     // Corruption is detected here, never silently consumed: the packet is
     // discarded and the loss surfaces as a counter (and, one layer up, as a
     // request timeout rather than a garbled message).
-    counters_.Add("ni.checksum_drops");
+    ++checksum_drops_;
     return;
   }
   latency_.Record(now - flit.packet->inject_cycle);
-  counters_.Add("ni.packets_delivered");
+  ++packets_delivered_;
   delivered_.push_back(flit.packet);
   // New deliverable input for the tile above: end its parked quiescence.
   sink_wake_.Wake();

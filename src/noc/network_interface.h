@@ -102,7 +102,9 @@ class NetworkInterface {
   // segment above this.
   uint32_t max_packet_flits() const { return inject_queue_flits_; }
 
-  const CounterSet& counters() const { return counters_; }
+  // Counter snapshot under the stable dotted names ("ni.flits_ejected",
+  // ...); only nonzero counters appear.
+  CounterSet counters() const;
   const Histogram& latency_histogram() const { return latency_; }
 
   static uint32_t LogicCellCost();
@@ -130,7 +132,14 @@ class NetworkInterface {
   bool live_marked_ = false;
   WakeHint sink_wake_;
   std::deque<PacketRef> delivered_;
-  CounterSet counters_;
+  // Typed counters behind counters().
+  uint64_t inject_backpressure_ = 0;
+  uint64_t packets_injected_ = 0;
+  uint64_t flits_injected_ = 0;
+  uint64_t flits_ejected_ = 0;
+  uint64_t packets_dropped_fault_ = 0;
+  uint64_t checksum_drops_ = 0;
+  uint64_t packets_delivered_ = 0;
   Histogram latency_;  // Injection-to-tail-ejection latency, in cycles.
 };
 

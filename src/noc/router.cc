@@ -1,5 +1,8 @@
 #include "src/noc/router.h"
 
+#include <bit>
+#include <cassert>
+
 #include "src/noc/boundary_link.h"
 #include "src/noc/network_interface.h"
 
@@ -17,6 +20,15 @@ Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height
       buf.staged.Init(buffer_depth_);
     }
   }
+}
+
+CounterSet Router::counters() const {
+  CounterSet set;
+  set.AddNonzero("router.stalls", stalls_);
+  set.AddNonzero("router.weighted_grants", weighted_grants_);
+  set.AddNonzero("router.fault_dropped_packets", fault_dropped_packets_);
+  set.AddNonzero("router.fault_stalled_cycles", fault_stalled_cycles_);
+  return set;
 }
 
 uint32_t Router::LogicCellCost(uint32_t buffer_depth) {
@@ -91,7 +103,9 @@ bool Router::AcceptFlit(RouterPort in_port, const Flit& flit) {
   if (FreeSlots(in_port, flit.vc()) == 0) {
     return false;
   }
-  inputs_[in_port][static_cast<int>(flit.vc())].staged.push_back(flit);
+  const int vc = static_cast<int>(flit.vc());
+  inputs_[in_port][vc].staged.push_back(flit);
+  staged_ |= 1u << (in_port * kNumVcs + vc);
   ++occupancy_;
   // Idle-to-busy transition: publish this router into the mesh's live set.
   if (!live_marked_ && live_out_ != nullptr) {
@@ -102,12 +116,42 @@ bool Router::AcceptFlit(RouterPort in_port, const Flit& flit) {
 }
 
 void Router::CommitStaged() {
-  for (auto& port_bufs : inputs_) {
-    for (auto& buf : port_bufs) {
-      while (!buf.staged.empty()) {
-        buf.flits.push_back(buf.staged.take_front());
-      }
+  for (; staged_ != 0; staged_ &= staged_ - 1) {
+    const int slot = std::countr_zero(staged_);
+    const int in = slot / kNumVcs;
+    const int vc = slot % kNumVcs;
+    InputBuffer& buf = inputs_[in][vc];
+    const bool had_head = !buf.flits.empty();
+    while (!buf.staged.empty()) {
+      buf.flits.push_back(buf.staged.take_front());
     }
+    if (!had_head) {
+      PublishHead(in, vc);
+    }
+  }
+}
+
+uint32_t Router::RotateInputs(uint32_t mask, int first) {
+  return ((mask >> first) | (mask << (kNumPorts - first))) & kAllInputs;
+}
+
+int Router::RotatedInput(uint32_t rotated, int first) {
+  const int in = first + std::countr_zero(rotated);
+  return in >= kNumPorts ? in - kNumPorts : in;
+}
+
+int Router::NextRequestedOutput(int from) const {
+  // Shifting out every mask below `from` leaves zero exactly when no later
+  // output has a requester (RequestShift(kNumPorts, 0) clears the word).
+  const uint64_t pending = requests_ >> RequestShift(from, 0);
+  return pending == 0 ? kNumPorts : from + std::countr_zero(pending) / RequestShift(1, 0);
+}
+
+void Router::PublishHead(int in, int vc) {
+  const InputBuffer& buf = inputs_[in][vc];
+  if (!buf.flits.empty()) {
+    const RouterPort out = RoutePort(buf.flits.front().dst());
+    requests_ |= uint64_t{1} << (RequestShift(out, vc) + in);
   }
 }
 
@@ -148,19 +192,20 @@ void Router::SendDownstream(RouterPort out, const Flit& flit, Cycle now) {
 }
 
 bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
+  ++arb_probes_;
+  if (((Requests(out, vc) >> in) & 1u) == 0) {
+    return false;  // Empty buffer, or its head routes elsewhere.
+  }
   InputBuffer& buf = inputs_[in][vc];
-  if (buf.flits.empty()) {
-    return false;
-  }
   const Flit& flit = buf.flits.front();
-  if (RoutePort(flit.dst()) != out || static_cast<int>(flit.vc()) != vc) {
-    return false;
-  }
   if (!DownstreamHasSpace(out, flit.vc())) {
-    counters_.Add("router.stalls");
+    ++stalls_;
     return false;
   }
   OutputVcState& state = outputs_[out][vc];
+  // Callers probe only the owner of a held output vc, so a packet blocked
+  // behind another's wormhole waits on its request bit and is never probed.
+  assert(state.owner_port == -1 || state.owner_port == in);
   if (state.owner_port == -1) {
     if (!flit.is_head()) {
       // Body flit whose ownership was released by an earlier tail: cannot
@@ -168,10 +213,6 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
       return false;
     }
     state.owner_port = in;
-  } else if (state.owner_port != in) {
-    // Output vc is held by another packet (wormhole).
-    counters_.Add("router.vc_blocked");
-    return false;
   }
   // Link fault injection: consulted once per packet per link (on the head
   // flit). The remaining flits keep flowing so wormhole state stays sane;
@@ -179,7 +220,7 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   if (fault_model_ != nullptr && out != kPortLocal && flit.is_head() &&
       fault_model_->OnLinkTraverse(tile(), flit, now)) {
     flit.packet->dropped = true;
-    counters_.Add("router.fault_dropped_packets");
+    ++fault_dropped_packets_;
   }
   SendDownstream(out, flit, now);
   if (flit.is_tail()) {
@@ -188,6 +229,8 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   buf.flits.pop_front();
   --occupancy_;
   ++flits_routed_;
+  requests_ &= ~(uint64_t{1} << (RequestShift(out, vc) + in));
+  PublishHead(in, vc);
   // Boundary-fed input buffer: report the freed slot to the upstream shard
   // (flushed as a credit at the end of this shard's route phase).
   if (in != kPortLocal && in_boundary_[in] != nullptr) {
@@ -196,7 +239,7 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   return true;
 }
 
-bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
+bool Router::AcquireWeighted(RouterPort out, int vc, uint32_t requests, Cycle now) {
   // Scan the candidate head flits for this free (out, vc): per class, the
   // first candidate in input round-robin priority order.
   struct Candidate {
@@ -206,15 +249,11 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
   std::array<Candidate, kNumArbClasses> cand;
   int num_classes = 0;
   bool stalled = false;
-  for (int pi = 0; pi < kNumPorts; ++pi) {
-    const int in = (rr_input_[out] + pi) % kNumPorts;
-    const InputBuffer& buf = inputs_[in][vc];
-    if (buf.flits.empty()) {
-      continue;
-    }
-    const Flit& flit = buf.flits.front();
-    if (RoutePort(flit.dst()) != out || static_cast<int>(flit.vc()) != vc ||
-        !flit.is_head()) {
+  const int first = rr_input_[out];
+  for (uint32_t rot = RotateInputs(requests, first); rot != 0; rot &= rot - 1) {
+    const int in = RotatedInput(rot, first);
+    const Flit& flit = inputs_[in][vc].flits.front();
+    if (!flit.is_head()) {
       continue;
     }
     if (!DownstreamHasSpace(out, flit.vc())) {
@@ -229,7 +268,7 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
     }
   }
   if (stalled) {
-    counters_.Add("router.stalls");
+    ++stalls_;
     return false;
   }
   if (num_classes == 0) {
@@ -269,7 +308,7 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
   if (TryForward(out, cand[winner].in, vc, now)) {
     class_deficit_[out][winner] -= static_cast<int64_t>(cand[winner].flits);
     rr_input_[out] = (cand[winner].in + 1) % kNumPorts;
-    counters_.Add("router.weighted_grants");
+    ++weighted_grants_;
     return true;
   }
   return false;
@@ -277,32 +316,45 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
 
 void Router::RouteCycle(Cycle now) {
   if (fault_model_ != nullptr && fault_model_->RouterStalled(tile(), now)) {
-    counters_.Add("router.fault_stalled_cycles");
+    ++fault_stalled_cycles_;
     return;  // Wedged crossbar: buffers fill, upstream backpressure builds.
   }
   // One flit per output port per cycle (the physical link constraint).
   // VC-level round robin, then input-port round robin within a vc. When
   // weights are configured, acquisition of a free output vc goes through the
-  // deficit arbiter instead of plain input round robin.
-  for (int out = 0; out < kNumPorts; ++out) {
+  // deficit arbiter instead of plain input round robin. Only requesting
+  // inputs are probed: a probe of any other input fails before touching a
+  // counter, a pointer or a deficit, so skipping it keeps the order exact.
+  // The next requested output is re-read after every output: a pop publishes
+  // its buffer's next head, which later outputs of this same cycle must see.
+  for (int out = NextRequestedOutput(0); out < kNumPorts; out = NextRequestedOutput(out + 1)) {
     bool sent = false;
     for (int vci = 0; vci < kNumVcs && !sent; ++vci) {
       const int vc = (rr_vc_[out] + vci) % kNumVcs;
-      const OutputVcState& state = outputs_[out][vc];
-      if (state.owner_port != -1) {
-        // Continue the packet that owns this output vc.
-        sent = TryForward(static_cast<RouterPort>(out), state.owner_port, vc, now);
+      const uint32_t requests = Requests(out, vc);
+      if (requests == 0) {
+        continue;
+      }
+      const int owner = outputs_[out][vc].owner_port;
+      if (owner != -1) {
+        // Continue the packet that owns this output vc; other requesters
+        // wait behind its wormhole.
+        if ((requests >> owner) & 1u) {
+          sent = TryForward(static_cast<RouterPort>(out), owner, vc, now);
+        }
         continue;
       }
       if (weighted_) {
-        sent = AcquireWeighted(static_cast<RouterPort>(out), vc, now);
+        sent = AcquireWeighted(static_cast<RouterPort>(out), vc, requests, now);
         continue;
       }
-      for (int pi = 0; pi < kNumPorts && !sent; ++pi) {
-        const int in = (rr_input_[out] + pi) % kNumPorts;
-        sent = TryForward(static_cast<RouterPort>(out), in, vc, now);
-        if (sent) {
+      const int first = rr_input_[out];
+      for (uint32_t rot = RotateInputs(requests, first); rot != 0; rot &= rot - 1) {
+        const int in = RotatedInput(rot, first);
+        if (TryForward(static_cast<RouterPort>(out), in, vc, now)) {
           rr_input_[out] = (in + 1) % kNumPorts;
+          sent = true;
+          break;
         }
       }
     }

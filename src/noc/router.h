@@ -4,6 +4,11 @@
 // The Mesh orchestrates all routers in two phases per cycle (commit staged
 // flits, then route), which gives every router a consistent view of
 // downstream buffer occupancy without explicit credit wires.
+//
+// Arbitration work is proportional to queued flits: each committed head
+// flit's XY route is computed once and published as a bit in a per-(output,
+// VC) request mask, and the arbiters walk only the set bits in the same
+// rotated round-robin order a full (out, VC, in) scan would visit them.
 #ifndef SRC_NOC_ROUTER_H_
 #define SRC_NOC_ROUTER_H_
 
@@ -80,8 +85,13 @@ class Router {
   uint32_t y() const { return y_; }
   TileId tile() const { return y_ * mesh_width_ + x_; }
 
-  const CounterSet& counters() const { return counters_; }
+  // Counter snapshot under the stable dotted names ("router.stalls", ...);
+  // only nonzero counters appear, as with the string-keyed set it replaces.
+  CounterSet counters() const;
   uint64_t flits_routed() const { return flits_routed_; }
+  // Arbitration probes: TryForward calls, i.e. (output, VC, input) triples
+  // the arbiters examined. Deterministic work counter for the hot-path bench.
+  uint64_t arb_probes() const { return arb_probes_; }
 
   // True while any input buffer holds a flit (staged or committed) — the
   // mesh's quiescence check. O(1): tracked as a running occupancy count.
@@ -128,17 +138,32 @@ class Router {
   // XY dimension-order route computation for a destination tile.
   RouterPort RoutePort(TileId dst) const;
 
+  // Rotates a kNumPorts-bit input mask so that bit 0 is input `first`:
+  // walking the result's set bits lowest first (count trailing zeros) visits
+  // requesting inputs in round-robin order starting at `first`.
+  static uint32_t RotateInputs(uint32_t mask, int first);
+  // The input a rotated mask's lowest set bit stands for.
+  static int RotatedInput(uint32_t rotated, int first);
+  // The lowest output >= `from` with a requesting input, or kNumPorts.
+  int NextRequestedOutput(int from) const;
+
+  // Routes committed buffer (in, vc)'s head flit, if any, and sets its
+  // request bit. Called whenever a new head appears: a commit into an empty
+  // buffer, or a pop (which first clears the old head's bit).
+  void PublishHead(int in, int vc);
+
   // Attempts to forward the head-of-line flit from inputs_[in][vc] through
-  // `out`. Returns true on success.
+  // `out`. Returns true on success. Only called with `in` owning (out, vc)
+  // or with (out, vc) free.
   bool TryForward(RouterPort out, int in, int vc, Cycle now);
 
-  // Weighted acquisition of a free output vc: scans this vc's candidate
-  // head flits, and when two or more arbitration classes compete, lets the
-  // class with the largest deficit win (deficits accrue by weight per
-  // contested attempt and the winner pays its packet's flit count, so
-  // long-run grants converge to the weight ratio). A sole candidate class
-  // passes immediately and free of charge.
-  bool AcquireWeighted(RouterPort out, int vc, Cycle now);
+  // Weighted acquisition of a free output vc: scans this vc's requesting
+  // head flits (`requests`), and when two or more arbitration classes
+  // compete, lets the class with the largest deficit win (deficits accrue by
+  // weight per contested attempt and the winner pays its packet's flit
+  // count, so long-run grants converge to the weight ratio). A sole
+  // candidate class passes immediately and free of charge.
+  bool AcquireWeighted(RouterPort out, int vc, uint32_t requests, Cycle now);
 
   bool DownstreamHasSpace(RouterPort out, Vc vc) const;
   void SendDownstream(RouterPort out, const Flit& flit, Cycle now);
@@ -158,6 +183,24 @@ class Router {
 
   InputBuffer inputs_[kNumPorts][kNumVcs];
   OutputVcState outputs_[kNumPorts][kNumVcs];
+  // Occupancy-driven arbitration state, exact after every CommitStaged and
+  // TryForward (DESIGN.md §4):
+  // - requests_ packs one kNumPorts-bit input mask per (out, vc), at bit
+  //   RequestShift(out, vc): bit `in` of that mask is set iff committed
+  //   buffer (in, vc) is nonempty and its head flit's XY route is `out`.
+  //   The head's route is thus cached as its one request bit, computed
+  //   once per head. One word, so "no request at this or any later
+  //   output" is a single shift-and-test;
+  // - staged_ has bit (in * kNumVcs + vc) set iff that staged ring is
+  //   nonempty, so CommitStaged touches only buffers that received flits.
+  static constexpr uint32_t kAllInputs = (1u << kNumPorts) - 1;
+  static constexpr int RequestShift(int out, int vc) { return (out * kNumVcs + vc) * kNumPorts; }
+  static_assert(kNumPorts * kNumVcs * kNumPorts < 64, "request masks must pack in one word");
+  uint32_t Requests(int out, int vc) const {
+    return static_cast<uint32_t>(requests_ >> RequestShift(out, vc)) & kAllInputs;
+  }
+  uint64_t requests_ = 0;
+  uint32_t staged_ = 0;
   // Round-robin pointers: per output port, the next input port to consider.
   std::array<int, kNumPorts> rr_input_{};
   // Per output port, the next vc to consider (VC-level interleaving).
@@ -173,13 +216,19 @@ class Router {
   std::array<std::array<int64_t, kNumArbClasses>, kNumPorts> class_deficit_{};
 
   uint64_t flits_routed_ = 0;
+  uint64_t arb_probes_ = 0;
+  // Typed counters behind counters(): router.stalls counts every probe of a
+  // requesting input whose downstream (out, vc) had no space.
+  uint64_t stalls_ = 0;
+  uint64_t weighted_grants_ = 0;
+  uint64_t fault_dropped_packets_ = 0;
+  uint64_t fault_stalled_cycles_ = 0;
   // Total flits resident across all input buffers (staged + committed).
   uint64_t occupancy_ = 0;
   // Busy-transition publication target (the owning mesh's fresh-live list)
   // and the membership mark that keeps each transition published once.
   std::vector<uint32_t>* live_out_ = nullptr;
   bool live_marked_ = false;
-  CounterSet counters_;
 };
 
 }  // namespace apiary

@@ -13,6 +13,13 @@ namespace apiary {
 class CounterSet {
  public:
   void Add(const std::string& name, uint64_t delta = 1) { counters_[name] += delta; }
+  // Adds `value` only when nonzero: renders a typed counter field the way a
+  // string-keyed counter that was never incremented renders (absent).
+  void AddNonzero(const std::string& name, uint64_t value) {
+    if (value != 0) {
+      counters_[name] += value;
+    }
+  }
   void Set(const std::string& name, uint64_t value) { counters_[name] = value; }
   uint64_t Get(const std::string& name) const;
   void Reset() { counters_.clear(); }

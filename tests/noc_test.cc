@@ -4,6 +4,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "src/noc/mesh.h"
 #include "src/noc/packet.h"
@@ -409,6 +410,122 @@ TEST(MeshTest, WeightedArbitrationIsWorkConserving) {
   // Within 10% of the unweighted link rate (DRR rounds cost at most an
   // occasional arbitration cycle).
   EXPECT_GE(weighted * 10, unweighted * 9);
+}
+
+// Golden arbitration order. The engine differential cannot see a change in
+// router arbitration (both engines share Router), so this pins the exact
+// round-robin and weighted-deficit order on a standalone mesh: seeded random
+// traffic on both VCs and three arbitration classes, and an FNV-1a digest of
+// every (eject cycle, tile, packet id) in retrieval order. The expected
+// values were recorded with the original probe-every-(out, VC, in) router.
+class StallWindow : public NocFaultModel {
+ public:
+  bool OnLinkTraverse(TileId, const Flit&, Cycle) override { return false; }
+  bool RouterStalled(TileId tile, Cycle now) override {
+    return (tile == 5 || tile == 10) && now >= 400 && now < 900;
+  }
+};
+
+enum class ArbVariant { kPlain, kWeighted, kSingleVc, kStallWindow };
+
+struct ArbGolden {
+  uint64_t digest;
+  std::string counters;
+};
+
+ArbGolden RunArbitrationGolden(ArbVariant variant) {
+  Simulator sim;
+  MeshConfig cfg{4, 4, 4, 128};
+  cfg.force_single_vc = variant == ArbVariant::kSingleVc;
+  Mesh mesh(cfg);
+  sim.Register(&mesh);
+  StallWindow stalls;
+  if (variant == ArbVariant::kStallWindow) {
+    mesh.SetFaultModel(&stalls);
+  }
+  if (variant == ArbVariant::kWeighted) {
+    mesh.SetArbClassWeight(0, 4);
+    mesh.SetArbClassWeight(1, 2);
+    mesh.SetArbClassWeight(2, 1);
+  }
+  Rng rng(2024);
+  uint64_t digest = 14695981039346656037ull;
+  auto fold = [&digest](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+    }
+  };
+  uint64_t next_id = 1;
+  uint64_t delivered = 0;
+  auto drain = [&] {
+    for (TileId t = 0; t < mesh.num_tiles(); ++t) {
+      while (auto p = mesh.ni(t).Retrieve()) {
+        fold(sim.now());
+        fold(t);
+        fold(p->packet_id);
+        ++delivered;
+      }
+    }
+  };
+  for (Cycle c = 0; c < 2000; ++c) {
+    for (int k = 0; k < 3; ++k) {
+      const TileId src = static_cast<TileId>(rng.NextBelow(mesh.num_tiles()));
+      const TileId dst = static_cast<TileId>(rng.NextBelow(mesh.num_tiles()));
+      auto p = MakePacket(src, dst, rng.NextBelow(160), next_id,
+                          rng.NextBool(0.5) ? Vc::kRequest : Vc::kResponse);
+      p->arb_class = static_cast<uint8_t>(rng.NextBelow(3));
+      if (mesh.ni(src).Inject(p, sim.now())) {
+        ++next_id;
+      }
+    }
+    sim.Run(1);
+    drain();
+  }
+  EXPECT_TRUE(sim.RunUntil(
+      [&] {
+        drain();
+        return delivered + 1 == next_id;
+      },
+      100000));
+  return ArbGolden{digest, mesh.AggregateCounters().ToString()};
+}
+
+TEST(ArbitrationGoldenTest, PlainRoundRobin) {
+  const ArbGolden got = RunArbitrationGolden(ArbVariant::kPlain);
+  EXPECT_EQ(got.digest, 0x832462e89d7eb745ull);
+  EXPECT_EQ(got.counters,
+            "ni.flits_ejected=23719 ni.flits_injected=23719 "
+            "ni.inject_backpressure=26 ni.packets_delivered=5974 "
+            "ni.packets_injected=5974 router.stalls=26626");
+}
+
+TEST(ArbitrationGoldenTest, WeightedDeficitThreeClasses) {
+  const ArbGolden got = RunArbitrationGolden(ArbVariant::kWeighted);
+  EXPECT_EQ(got.digest, 0x1bb51e8ab1aff653ull);
+  EXPECT_EQ(got.counters,
+            "ni.flits_ejected=23655 ni.flits_injected=23655 "
+            "ni.inject_backpressure=41 ni.packets_delivered=5959 "
+            "ni.packets_injected=5959 router.stalls=24746 "
+            "router.weighted_grants=1935");
+}
+
+TEST(ArbitrationGoldenTest, ForcedSingleVc) {
+  const ArbGolden got = RunArbitrationGolden(ArbVariant::kSingleVc);
+  EXPECT_EQ(got.digest, 0xf93c047c2f0b0f44ull);
+  EXPECT_EQ(got.counters,
+            "ni.flits_ejected=19831 ni.flits_injected=19831 "
+            "ni.inject_backpressure=871 ni.packets_delivered=5129 "
+            "ni.packets_injected=5129 router.stalls=16682");
+}
+
+TEST(ArbitrationGoldenTest, RouterStallWindow) {
+  const ArbGolden got = RunArbitrationGolden(ArbVariant::kStallWindow);
+  EXPECT_EQ(got.digest, 0x52e1d367d902b3d0ull);
+  EXPECT_EQ(got.counters,
+            "ni.flits_ejected=19801 ni.flits_injected=19801 "
+            "ni.inject_backpressure=948 ni.packets_delivered=5052 "
+            "ni.packets_injected=5052 router.fault_stalled_cycles=1000 "
+            "router.stalls=45512");
 }
 
 }  // namespace

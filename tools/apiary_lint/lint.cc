@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace apiary {
 namespace lint {
@@ -433,6 +434,9 @@ LintConfig DefaultConfig() {
   // The corridor planner/reservation layer: launch and materialize run on
   // the executed-cycle path, so allocation is confined to Configure().
   config.express_hot_path_prefixes = {"src/noc/express"};
+  // Router and NI counters fire per probe and per flit; they are plain
+  // fields, rendered into a CounterSet only when someone asks.
+  config.typed_counter_prefixes = {"src/noc/router.", "src/noc/network_interface."};
 
   // src/sim/clocked.h rides along for quiescence hygiene: an ignored
   // NextActivity() result means a computed wake-up cycle was dropped on the
@@ -779,9 +783,29 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
       }
     }
   }
+  bool typed_counters = false;
+  for (const auto& prefix : config.typed_counter_prefixes) {
+    if (StartsWith(file.path, prefix)) {
+      typed_counters = true;
+      break;
+    }
+  }
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
     const std::string& line = file.code_lines[i];
     const int lineno = static_cast<int>(i) + 1;
+    // Literals are blanked in the code view (which keeps comments out), so
+    // the opening quote is read from the raw line at the same column.
+    constexpr std::string_view kCounterAdd = "counters_.Add(";
+    const size_t add = typed_counters ? line.find(kCounterAdd) : std::string::npos;
+    const size_t arg = add == std::string::npos
+                           ? std::string::npos
+                           : file.raw_lines[i].find_first_not_of(' ', add + kCounterAdd.size());
+    if (arg != std::string::npos && file.raw_lines[i][arg] == '"') {
+      findings->push_back({file.path, lineno, "apiary-hot-path",
+                           "string-keyed counter on the per-flit path allocates a key and "
+                           "walks a std::map per event; count in a typed uint64_t field "
+                           "and render names in counters()"});
+    }
     if (line.find("make_shared<NocPacket") != std::string::npos ||
         line.find("make_shared< NocPacket") != std::string::npos) {
       findings->push_back({file.path, lineno, "apiary-hot-path",

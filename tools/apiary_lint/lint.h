@@ -149,6 +149,10 @@ struct LintConfig {
   // and no container assign/resize/reserve. Reservation state is sized once
   // and recycled in place.
   std::vector<std::string> express_hot_path_prefixes;
+  // Path prefixes whose counters are typed uint64_t fields: a string-literal
+  // `counters_.Add("...")` there builds a std::string key and does a
+  // std::map lookup per event (once per flit in the router and NI).
+  std::vector<std::string> typed_counter_prefixes;
 
   // --- apiary-opcode-coverage ---
   // Path suffixes of the headers that define the opcode ABI.

@@ -441,6 +441,35 @@ TEST(HotPath, ExpressDisciplineLimitedToExpressFiles) {
                   .empty());
 }
 
+TEST(HotPath, RouterAndNiCountersAreTyped) {
+  const auto findings = LintOne("src/noc/network_interface.cc",
+                                "void NetworkInterface::EjectFlit() {\n"
+                                "  counters_.Add(\"ni.flits_ejected\");\n"
+                                "  counters_.Add( \"ni.flits_injected\", flits);\n"
+                                "  ++flits_ejected_;\n"
+                                "}\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[0].message.find("typed uint64_t field"), std::string::npos);
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/router.h", "counters_.Add(\"router.stalls\");\n"),
+                       "apiary-hot-path"));
+}
+
+TEST(HotPath, TypedCounterRuleIgnoresCommentsRenderingAndOtherFiles) {
+  // Rendering the snapshot from a local set, a comment and a non-literal key
+  // are all fine in the router.
+  EXPECT_TRUE(LintOne("src/noc/router.cc",
+                      "CounterSet Router::counters() const {\n"
+                      "  set.Add(\"router.stalls\", stalls_);\n"
+                      "  // was counters_.Add(\"router.stalls\")\n"
+                      "  counters_.Add(name);\n"
+                      "}\n")
+                  .empty());
+  // Other blocks keep their string-keyed CounterSet for now.
+  EXPECT_TRUE(LintOne("src/core/monitor.cc", "counters_.Add(\"monitor.sends\");\n").empty());
+}
+
 // ---------------------------------------------------------------------------
 // apiary-global-state.
 // ---------------------------------------------------------------------------
@@ -929,6 +958,8 @@ TEST(Fixtures, GoodTreesAreCleanBadTreesFail) {
       {"expresspath/good", {"src"}, 0, ""},
       {"expresspath/bad", {"src"}, 1, "apiary-hot-path"},
       {"expresspath/suppressed", {"src"}, 0, ""},
+      {"typedcounters/good", {"src"}, 0, ""},
+      {"typedcounters/bad", {"src"}, 1, "apiary-hot-path"},
       {"globalstate/good", {"src"}, 0, ""},
       {"globalstate/bad", {"src"}, 1, "apiary-global-state"},
       {"globalstate/suppressed", {"src"}, 0, ""},
