@@ -35,6 +35,14 @@ class KvStoreAccelerator : public Accelerator {
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Tick only provisions the value log and drains the boot backlog; once
+  // both are done the store is purely message-driven.
+  // APIARY-WAKE(tile): hosted accelerator — requests and memory-service
+  // replies arrive through the owning Tile, whose NI sink wake ends the park
+  // on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return !ready() || !boot_backlog_.empty() ? now : kNoActivity;
+  }
 
   std::string name() const override { return "kv_store"; }
   uint32_t LogicCellCost() const override { return 35000; }

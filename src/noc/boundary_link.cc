@@ -99,7 +99,7 @@ void BoundaryLink::DeliverInto(Router& router, RouterPort in_port, Cycle now,
     flit.packet = clone_[vc];
     flit.index = record.index;
     const bool tail = flit.is_tail();
-    const bool accepted = router.AcceptFlit(in_port, flit);
+    const bool accepted = router.AcceptFlit(in_port, std::move(flit));
     assert(accepted && "credit invariant violated: receiver buffer full");
     (void)accepted;
     if (tail) {

@@ -334,10 +334,7 @@ void ExpressLane::Materialize(uint32_t index) {
     for (uint32_t i = launched; i < c.flits; ++i) {
       queue.push_back(Flit{c.packet, i});
     }
-    if (!src_ni.live_marked_ && src_ni.live_out_ != nullptr) {
-      src_ni.live_out_->push_back(src_ni.tile());
-      src_ni.live_marked_ = true;
-    }
+    src_ni.PublishLive();
   }
   ++stats_.materializations;
   Remove(index);

@@ -1,6 +1,6 @@
 #include "src/noc/mesh.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -9,9 +9,22 @@ namespace apiary {
 namespace {
 // The port a flit leaving through `out` arrives on downstream.
 constexpr RouterPort kOppositePort[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
+
+// Calls f(tile) for every bit set in `set`'s `bits` member, in ascending
+// tile order. Each word is read when the walk reaches it, so bits set in
+// later words by f itself are visited too.
+template <typename Set, typename F>
+void ForEachTile(const Set& set, uint64_t Set::value_type::*bits, F&& f) {
+  for (size_t w = 0; w < set.size(); ++w) {
+    for (uint64_t word = set[w].*bits; word != 0; word &= word - 1) {
+      f(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+    }
+  }
+}
 }  // namespace
 
-Mesh::Mesh(MeshConfig config, SimContext* context) : config_(config) {
+Mesh::Mesh(MeshConfig config, SimContext* context)
+    : config_(config), live_(MakeLiveSet(config.width * config.height)) {
   if (context != nullptr) {
     pool_ = &PacketPool::ForContext(*context);
   } else {
@@ -51,51 +64,46 @@ Mesh::Mesh(MeshConfig config, SimContext* context) : config_(config) {
       }
     }
   }
-  BindLiveLists();
+  BindLiveSets();
   express_.Configure(this, n, nullptr, 0);
 }
 
-void Mesh::BindLiveLists() {
+void Mesh::BindLiveSets() {
   for (uint32_t t = 0; t < num_tiles(); ++t) {
-    routers_[t]->SetLiveList(&live_.fresh_routers);
-    nis_[t]->SetLiveList(&live_.fresh_nis);
+    routers_[t]->SetLiveWord(&live_[t / 64].fresh_routers);
+    nis_[t]->SetLiveWord(&live_[t / 64].fresh_nis);
   }
 }
 
-void Mesh::MergeFresh(LiveSet& set) {
-  // Entries are unique (the mark gates publication), so append + sort keeps
-  // the list sorted ascending — the sweep order of the full loop.
-  if (!set.fresh_routers.empty()) {
-    set.routers.insert(set.routers.end(), set.fresh_routers.begin(), set.fresh_routers.end());
-    std::sort(set.routers.begin(), set.routers.end());
-    set.fresh_routers.clear();
+bool Mesh::LiveBusy(const LiveSet& set) {
+  for (const LiveWord& w : set) {
+    if ((w.routers | w.fresh_routers | w.nis | w.fresh_nis) != 0) {
+      return true;
+    }
   }
-  if (!set.fresh_nis.empty()) {
-    set.nis.insert(set.nis.end(), set.fresh_nis.begin(), set.fresh_nis.end());
-    std::sort(set.nis.begin(), set.nis.end());
-    set.fresh_nis.clear();
+  return false;
+}
+
+void Mesh::MergeFresh(LiveSet& set) {
+  for (LiveWord& w : set) {
+    w.routers |= w.fresh_routers;
+    w.fresh_routers = 0;
+    w.nis |= w.fresh_nis;
+    w.fresh_nis = 0;
   }
 }
 
 void Mesh::CompactDead(LiveSet& set) {
-  size_t kept = 0;
-  for (const uint32_t t : set.routers) {
-    if (routers_[t]->HasBufferedFlits()) {
-      set.routers[kept++] = t;
-    } else {
-      routers_[t]->ClearLiveMark();
+  ForEachTile(set, &LiveWord::routers, [&](uint32_t t) {
+    if (!routers_[t]->HasBufferedFlits()) {
+      set[t / 64].routers &= ~(uint64_t{1} << (t % 64));
     }
-  }
-  set.routers.resize(kept);
-  kept = 0;
-  for (const uint32_t t : set.nis) {
-    if (nis_[t]->HasPendingInject()) {
-      set.nis[kept++] = t;
-    } else {
-      nis_[t]->ClearLiveMark();
+  });
+  ForEachTile(set, &LiveWord::nis, [&](uint32_t t) {
+    if (!nis_[t]->HasPendingInject()) {
+      set[t / 64].nis &= ~(uint64_t{1} << (t % 64));
     }
-  }
-  set.nis.resize(kept);
+  });
 }
 
 void Mesh::Tick(Cycle now) {
@@ -108,12 +116,10 @@ void Mesh::Tick(Cycle now) {
   }
   MergeFresh(live_);
   // Same three phases as a full sweep, over the busy subset only. Staged
-  // flits imply occupancy and occupancy implies list membership, so
+  // flits imply occupancy and occupancy implies a live bit, so
   // committing live routers commits every staged flit; RouteCycle and
   // InjectCycle are no-ops on empty members, so skipping them is exact.
-  for (const uint32_t t : live_.routers) {
-    routers_[t]->CommitStaged();
-  }
+  ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) { routers_[t]->CommitStaged(); });
   if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
     // An open stall window charges router.fault_stalled_cycles on every
     // wedged router, busy or not — only the full sweep reproduces that.
@@ -121,13 +127,9 @@ void Mesh::Tick(Cycle now) {
       r->RouteCycle(now);
     }
   } else {
-    for (const uint32_t t : live_.routers) {
-      routers_[t]->RouteCycle(now);
-    }
+    ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) { routers_[t]->RouteCycle(now); });
   }
-  for (const uint32_t t : live_.nis) {
-    nis_[t]->InjectCycle(now);
-  }
+  ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) { nis_[t]->InjectCycle(now); });
   CompactDead(live_);
 }
 
@@ -144,9 +146,9 @@ Cycle Mesh::NextActivity(Cycle now) const {
       return now;
     }
   }
-  // The live sets are exact between ticks (marks are published on every
-  // idle-to-busy transition, compaction prunes on the drain side), so the
-  // busy check is a handful of emptiness tests instead of an O(tiles) scan.
+  // The live sets are exact between ticks (every accept/inject sets its
+  // bit, compaction clears drained ones), so the busy check is a few word
+  // tests instead of an O(tiles) scan.
   if (LiveBusy(live_)) {
     return now;
   }
@@ -220,26 +222,26 @@ ExpressStats Mesh::AggregateExpressStats() const {
 void Mesh::ExpressTickTop(ExpressLane& lane, LiveSet& set, Cycle now) {
   lane.RunCompletions(now);
   if (lane.AnyActive()) {
-    // Conflict scan over the domain's busy sets. Index-based with snapshot
-    // bounds: materializing a corridor appends its own router/NI marks to
-    // the fresh lists, and those can never conflict with the survivors (the
-    // path/zone disjointness invariant), so new entries are safely skipped.
-    const size_t routers = set.routers.size();
-    const size_t fresh_routers = set.fresh_routers.size();
-    const size_t nis = set.nis.size();
-    const size_t fresh_nis = set.fresh_nis.size();
-    for (size_t i = 0; i < routers && lane.AnyActive(); ++i) {
-      lane.MaterializeTouchingRouter(set.routers[i]);
-    }
-    for (size_t i = 0; i < fresh_routers && lane.AnyActive(); ++i) {
-      lane.MaterializeTouchingRouter(set.fresh_routers[i]);
-    }
-    for (size_t i = 0; i < nis && lane.AnyActive(); ++i) {
-      lane.MaterializeTouchingNi(set.nis[i]);
-    }
-    for (size_t i = 0; i < fresh_nis && lane.AnyActive(); ++i) {
-      lane.MaterializeTouchingNi(set.fresh_nis[i]);
-    }
+    // Conflict scan over the domain's busy sets. Materializing a corridor
+    // sets its own path routers' and source NI's fresh bits, which the walk
+    // may then visit; those can never conflict with the survivors (the
+    // path/zone disjointness invariant), so such visits are no-ops. The
+    // order corridors materialize in does not matter either: each one
+    // touches only its own path, its source queue and ejection counters.
+    auto routers = [&](uint32_t t) {
+      if (lane.AnyActive()) {
+        lane.MaterializeTouchingRouter(t);
+      }
+    };
+    auto nis = [&](uint32_t t) {
+      if (lane.AnyActive()) {
+        lane.MaterializeTouchingNi(t);
+      }
+    };
+    ForEachTile(set, &LiveWord::routers, routers);
+    ForEachTile(set, &LiveWord::fresh_routers, routers);
+    ForEachTile(set, &LiveWord::nis, nis);
+    ForEachTile(set, &LiveWord::fresh_nis, nis);
   }
   // Every observer until the next tick sees end-of-`now` state, really or
   // analytically — the uniform materialization boundary.
@@ -328,14 +330,14 @@ void Mesh::EnablePartition(const DomainPartition& partition,
     nis_[t]->SetPool(shard_pools_[partition_.shard_of_tile[t]]);
   }
 
-  // Per-shard live sets: the idle precondition above guarantees every mark
-  // is clear and the serial lists are empty, so repointing is all it takes.
-  // Sized once here — element addresses stay stable while partitioned.
-  shard_live_.assign(partition_.num_shards, LiveSet{});
+  // Per-shard live sets over global tile ids: the idle precondition above
+  // guarantees the serial bits are clear, so repointing is all it takes.
+  // Sized once here — word addresses stay stable while partitioned.
+  shard_live_.assign(partition_.num_shards, MakeLiveSet(num_tiles()));
   for (uint32_t t = 0; t < num_tiles(); ++t) {
-    LiveSet& set = shard_live_[partition_.shard_of_tile[t]];
-    routers_[t]->SetLiveList(&set.fresh_routers);
-    nis_[t]->SetLiveList(&set.fresh_nis);
+    LiveWord& word = shard_live_[partition_.shard_of_tile[t]][t / 64];
+    routers_[t]->SetLiveWord(&word.fresh_routers);
+    nis_[t]->SetLiveWord(&word.fresh_nis);
   }
 
   // Boundary shims on every directed cut link.
@@ -411,18 +413,16 @@ void Mesh::DisablePartition() {
     ni->SetPool(pool_);
   }
   // Fold the shard busy sets back into the serial one (a disabled partition
-  // may still hold in-flight flits; their routers keep their marks) and
-  // repoint the publication targets. Members are disjoint across shards, so
-  // staging everything as fresh and letting the next tick merge is exact.
-  for (LiveSet& set : shard_live_) {
-    live_.fresh_routers.insert(live_.fresh_routers.end(), set.routers.begin(), set.routers.end());
-    live_.fresh_routers.insert(live_.fresh_routers.end(), set.fresh_routers.begin(),
-                               set.fresh_routers.end());
-    live_.fresh_nis.insert(live_.fresh_nis.end(), set.nis.begin(), set.nis.end());
-    live_.fresh_nis.insert(live_.fresh_nis.end(), set.fresh_nis.begin(), set.fresh_nis.end());
+  // may still hold in-flight flits) and repoint the publication targets.
+  // Staging everything as fresh and letting the next tick merge is exact.
+  for (const LiveSet& set : shard_live_) {
+    for (size_t w = 0; w < set.size(); ++w) {
+      live_[w].fresh_routers |= set[w].routers | set[w].fresh_routers;
+      live_[w].fresh_nis |= set[w].nis | set[w].fresh_nis;
+    }
   }
   shard_live_.clear();
-  BindLiveLists();
+  BindLiveSets();
   // Retire (don't destroy) the shard contexts: live packets in delivery
   // queues still point at their pools. They die with the mesh.
   for (auto& context : shard_contexts_) {
@@ -441,9 +441,7 @@ void Mesh::ShardCommit(uint32_t shard, Cycle now) {
     ExpressTickTop(shard_express_[shard], set, now);
   }
   MergeFresh(set);
-  for (const uint32_t t : set.routers) {
-    routers_[t]->CommitStaged();
-  }
+  ForEachTile(set, &LiveWord::routers, [&](uint32_t t) { routers_[t]->CommitStaged(); });
   for (const uint32_t e : shard_out_edges_[shard]) {
     edges_[e].link->ReleaseAnchors();
   }
@@ -459,9 +457,8 @@ void Mesh::ShardRoute(uint32_t shard, Cycle now) {
       routers_[t]->RouteCycle(now);
     }
   } else {
-    for (const uint32_t t : shard_live_[shard].routers) {
-      routers_[t]->RouteCycle(now);
-    }
+    ForEachTile(shard_live_[shard], &LiveWord::routers,
+                [&](uint32_t t) { routers_[t]->RouteCycle(now); });
   }
   // Publish this cycle's consumed credits before the engine's route_done
   // grant, so the upstream shard's harvest sees the complete cycle.
@@ -479,9 +476,7 @@ void Mesh::ShardTransfer(uint32_t shard, Cycle now) {
     edge.link->DeliverInto(*edge.dst_router, edge.in_port, now, *shard_pools_[shard]);
   }
   LiveSet& set = shard_live_[shard];
-  for (const uint32_t t : set.nis) {
-    nis_[t]->InjectCycle(now);
-  }
+  ForEachTile(set, &LiveWord::nis, [&](uint32_t t) { nis_[t]->InjectCycle(now); });
   CompactDead(set);
 }
 

@@ -48,7 +48,7 @@ class Mesh : public Clocked, public ShardedFabric {
   // injection, and the installed fault model (if any) has no per-cycle mesh
   // work (open stall windows). Monitors re-arm the mesh by enqueuing into an
   // NI during an executed cycle; the next boundary poll sees the flits. The
-  // busy check is O(1): the live lists are exact after every tick.
+  // busy check tests a few live-set words: they are exact after every tick.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   // The busy sets are mutated by shard-phase worker code (AcceptFlit during
   // routing/boundary delivery, Inject from monitor ticks), which no
@@ -137,36 +137,41 @@ class Mesh : public Clocked, public ShardedFabric {
 
  private:
   // The busy subset of one sweep domain (the whole mesh when serial, one
-  // shard when partitioned). `routers`/`nis` are sorted ascending and exact
-  // after compaction: tile t is listed iff its router buffers a flit / its
-  // NI has flits queued. `fresh_*` stage idle-to-busy transitions published
-  // by AcceptFlit/Inject since the last merge; merging (append + sort) at
-  // the top of the next sweep keeps the tick order identical to the full
-  // ascending sweep. Newly staged flits are commit-invisible until that
-  // sweep anyway, so deferring a fresh router one merge is byte-exact.
-  struct LiveSet {
-    std::vector<uint32_t> routers;
-    std::vector<uint32_t> fresh_routers;
-    std::vector<uint32_t> nis;
-    std::vector<uint32_t> fresh_nis;
+  // shard when partitioned), as bitsets over global tile ids: bit t lives
+  // in word t / 64 at position t % 64, and the four sets' words for one
+  // such range share a LiveWord. `routers`/`nis` are exact after
+  // compaction: bit t is set iff its router buffers a flit / its NI has
+  // flits queued. AcceptFlit/Inject OR their bit into `fresh_*` on every
+  // event (idempotent); merging is a word OR at the top of the next sweep.
+  // Sweeps walk set bits lowest first (count trailing zeros), which is the
+  // ascending tile order of the full sweep, so the order stays exact with
+  // no sort. Newly staged flits are commit-invisible until that sweep
+  // anyway, so deferring a fresh router one merge is byte-exact. A fresh
+  // bit always belongs to a busy member at compaction (a flit staged this
+  // tick cannot leave before the next commit), so no drained member is
+  // ever revived by a later merge.
+  struct LiveWord {
+    uint64_t routers = 0;
+    uint64_t fresh_routers = 0;
+    uint64_t nis = 0;
+    uint64_t fresh_nis = 0;
   };
+  using LiveSet = std::vector<LiveWord>;
+  static LiveSet MakeLiveSet(uint32_t num_tiles) { return LiveSet((num_tiles + 63) / 64); }
 
-  static bool LiveBusy(const LiveSet& set) {
-    return !set.routers.empty() || !set.fresh_routers.empty() || !set.nis.empty() ||
-           !set.fresh_nis.empty();
-  }
+  static bool LiveBusy(const LiveSet& set);
   // Per-executed-cycle express work for one sweep domain, before the live
   // merge: complete corridors due this cycle, then materialize any corridor
   // whose zone a busy router (or whose path a busy NI) has entered.
   void ExpressTickTop(ExpressLane& lane, LiveSet& set, Cycle now);
   // Points each NI at its domain's lane (or detaches them when disabled).
   void BindExpressLanes();
-  void MergeFresh(LiveSet& set);
-  // Drops drained members and clears their marks, restoring the "listed iff
-  // busy" invariant the O(1) NextActivity check relies on.
+  static void MergeFresh(LiveSet& set);
+  // Clears drained members' bits, restoring the "set iff busy" invariant
+  // the NextActivity check relies on.
   void CompactDead(LiveSet& set);
   // Points every router/NI at the serial live set.
-  void BindLiveLists();
+  void BindLiveSets();
 
   // One directed cut link: flits leave `src` shard through src_router's
   // `out_port` and arrive in `dst` shard on dst_router's `in_port`.

@@ -73,11 +73,7 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
   queue.push_back(Flit{std::move(packet), flits - 1});
   ++packets_injected_;
   flits_injected_ += flits;
-  // Idle-to-busy transition: publish this NI into the mesh's live set.
-  if (!live_marked_ && live_out_ != nullptr) {
-    live_out_->push_back(tile_);
-    live_marked_ = true;
-  }
+  PublishLive();
   return true;
 }
 
@@ -93,7 +89,9 @@ void NetworkInterface::InjectCycle(Cycle now) {
     if (queue.empty()) {
       continue;
     }
-    if (router_->AcceptFlit(kPortLocal, queue.front())) {
+    // AcceptFlit moves the flit only on success; the pop then clears an
+    // empty slot.
+    if (router_->AcceptFlit(kPortLocal, std::move(queue.front()))) {
       queue.pop_front();
       inject_rr_ = (inject_rr_ + i + 1) % kNumVcs;
       return;

@@ -46,7 +46,8 @@ class NetworkInterface {
   Vc EffectiveVc(Vc vc) const { return force_single_vc_ ? Vc::kRequest : vc; }
 
   // Called by the Mesh each cycle: moves up to one flit from the injection
-  // queue into the router's local input port.
+  // queue into the router's local input port (a move: the queue's
+  // reference passes to the router).
   void InjectCycle(Cycle now);
 
   // Called by the local router when a flit is ejected to this tile.
@@ -80,11 +81,14 @@ class NetworkInterface {
   // caches the old pointer.
   void SetPool(PacketPool* pool) { pool_ = pool; }
 
-  // Live-list publication (Mesh active sweep): the first packet queued while
-  // unmarked appends this tile id to `list`, so the mesh sweeps only NIs
-  // with pending injections. The mesh clears the mark on compaction.
-  void SetLiveList(std::vector<uint32_t>* list) { live_out_ = list; }
-  void ClearLiveMark() { live_marked_ = false; }
+  // Live-set publication (Mesh active sweep): every queued packet ORs this
+  // tile's bit (tile % 64) into `word`, the mesh's fresh-NI bitset word
+  // covering this tile, so the mesh sweeps only NIs with pending injections.
+  // Idempotent; the mesh clears the bit when the queues drain.
+  void SetLiveWord(uint64_t* word) {
+    live_word_ = word;
+    live_bit_ = uint64_t{1} << (tile_ % 64);
+  }
 
   // Wake channel for the consumer of delivered packets (the tile above this
   // NI): fired whenever a packet lands in the delivery queue, ending the
@@ -114,6 +118,13 @@ class NetworkInterface {
   // materialization, and replays the round-robin pointer (express.h).
   friend class ExpressLane;
 
+  // Marks this NI busy in the mesh's fresh live bits.
+  void PublishLive() {
+    if (live_word_ != nullptr) {
+      *live_word_ |= live_bit_;
+    }
+  }
+
   TileId tile_;
   Router* router_;
   uint32_t inject_queue_flits_;
@@ -126,10 +137,10 @@ class NetworkInterface {
   // never touches the heap after wiring.
   std::array<RingBuffer<Flit>, kNumVcs> inject_queues_;
   int inject_rr_ = 0;
-  // Busy-transition publication target (the owning mesh's fresh-live list)
-  // plus the once-per-transition mark, and the delivery-side wake handle.
-  std::vector<uint32_t>* live_out_ = nullptr;
-  bool live_marked_ = false;
+  // This tile's word and bit in the owning mesh's fresh-NI bitset, and the
+  // delivery-side wake handle.
+  uint64_t* live_word_ = nullptr;
+  uint64_t live_bit_ = 0;
   WakeHint sink_wake_;
   std::deque<PacketRef> delivered_;
   // Typed counters behind counters().

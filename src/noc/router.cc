@@ -12,13 +12,16 @@ Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height
                uint32_t buffer_depth)
     : x_(x), y_(y), mesh_width_(mesh_width), mesh_height_(mesh_height),
       buffer_depth_(buffer_depth) {
-  // flits + staged together never exceed buffer_depth (FreeSlots counts
-  // both), but either side alone may briefly hold the full depth.
+  // One FIFO per input VC holds committed and staged flits alike, so its
+  // capacity is exactly the architectural buffer depth.
   for (auto& port_bufs : inputs_) {
     for (auto& buf : port_bufs) {
       buf.flits.Init(buffer_depth_);
-      buf.staged.Init(buffer_depth_);
     }
+  }
+  route_.resize(static_cast<size_t>(mesh_width_) * mesh_height_);
+  for (TileId dst = 0; dst < route_.size(); ++dst) {
+    route_[dst] = ComputeRoute(dst);
   }
 }
 
@@ -75,7 +78,7 @@ void Router::ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t depa
       departed < flits ? static_cast<int>(in) : -1;
 }
 
-RouterPort Router::RoutePort(TileId dst) const {
+RouterPort Router::ComputeRoute(TileId dst) const {
   const uint32_t dx = dst % mesh_width_;
   const uint32_t dy = dst / mesh_width_;
   if (dx > x_) {
@@ -94,23 +97,23 @@ RouterPort Router::RoutePort(TileId dst) const {
 }
 
 uint32_t Router::FreeSlots(RouterPort in_port, Vc vc) const {
-  const InputBuffer& buf = inputs_[in_port][static_cast<int>(vc)];
-  const uint32_t used = static_cast<uint32_t>(buf.flits.size() + buf.staged.size());
+  const uint32_t used = inputs_[in_port][static_cast<int>(vc)].flits.size();
   return used >= buffer_depth_ ? 0 : buffer_depth_ - used;
 }
 
-bool Router::AcceptFlit(RouterPort in_port, const Flit& flit) {
-  if (FreeSlots(in_port, flit.vc()) == 0) {
+bool Router::AcceptFlit(RouterPort in_port, Flit&& flit) {
+  const int vc = static_cast<int>(flit.vc());
+  InputBuffer& buf = inputs_[in_port][vc];
+  if (buf.flits.size() >= buffer_depth_) {
     return false;
   }
-  const int vc = static_cast<int>(flit.vc());
-  inputs_[in_port][vc].staged.push_back(flit);
+  // Behind the watermark: invisible to arbitration until the next commit.
+  buf.flits.push_back(std::move(flit));
   staged_ |= 1u << (in_port * kNumVcs + vc);
   ++occupancy_;
-  // Idle-to-busy transition: publish this router into the mesh's live set.
-  if (!live_marked_ && live_out_ != nullptr) {
-    live_out_->push_back(tile());
-    live_marked_ = true;
+  // Publish this router into the mesh's fresh live bits (idempotent).
+  if (live_word_ != nullptr) {
+    *live_word_ |= live_bit_;
   }
   return true;
 }
@@ -121,10 +124,8 @@ void Router::CommitStaged() {
     const int in = slot / kNumVcs;
     const int vc = slot % kNumVcs;
     InputBuffer& buf = inputs_[in][vc];
-    const bool had_head = !buf.flits.empty();
-    while (!buf.staged.empty()) {
-      buf.flits.push_back(buf.staged.take_front());
-    }
+    const bool had_head = buf.visible != 0;
+    buf.visible = buf.flits.size();
     if (!had_head) {
       PublishHead(in, vc);
     }
@@ -149,7 +150,7 @@ int Router::NextRequestedOutput(int from) const {
 
 void Router::PublishHead(int in, int vc) {
   const InputBuffer& buf = inputs_[in][vc];
-  if (!buf.flits.empty()) {
+  if (buf.visible != 0) {
     const RouterPort out = RoutePort(buf.flits.front().dst());
     requests_ |= uint64_t{1} << (RequestShift(out, vc) + in);
   }
@@ -176,7 +177,7 @@ bool Router::DownstreamHasSpace(RouterPort out, Vc vc) const {
   return next->FreeSlots(kOpposite[out], vc) > 0;
 }
 
-void Router::SendDownstream(RouterPort out, const Flit& flit, Cycle now) {
+void Router::SendDownstream(RouterPort out, Flit& flit, Cycle now) {
   if (out == kPortLocal) {
     if (ni_ != nullptr) {
       ni_->EjectFlit(flit, now);
@@ -188,7 +189,7 @@ void Router::SendDownstream(RouterPort out, const Flit& flit, Cycle now) {
     return;
   }
   static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-  neighbors_[out]->AcceptFlit(kOpposite[out], flit);
+  neighbors_[out]->AcceptFlit(kOpposite[out], std::move(flit));
 }
 
 bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
@@ -197,7 +198,7 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
     return false;  // Empty buffer, or its head routes elsewhere.
   }
   InputBuffer& buf = inputs_[in][vc];
-  const Flit& flit = buf.flits.front();
+  Flit& flit = buf.flits.front();
   if (!DownstreamHasSpace(out, flit.vc())) {
     ++stalls_;
     return false;
@@ -222,11 +223,14 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
     flit.packet->dropped = true;
     ++fault_dropped_packets_;
   }
-  SendDownstream(out, flit, now);
   if (flit.is_tail()) {
     state.owner_port = -1;
   }
+  // Moves the flit into a neighbour's buffer (ejection and boundary sends
+  // read it in place); the pop then releases whatever reference is left.
+  SendDownstream(out, flit, now);
   buf.flits.pop_front();
+  --buf.visible;
   --occupancy_;
   ++flits_routed_;
   requests_ &= ~(uint64_t{1} << (RequestShift(out, vc) + in));

@@ -5,10 +5,17 @@
 // flits, then route), which gives every router a consistent view of
 // downstream buffer occupancy without explicit credit wires.
 //
+// Each input VC is one FIFO with a commit watermark: flits accepted this
+// cycle append behind it, and the commit phase moves the watermark to the
+// tail, so arbitration sees only the committed prefix while FreeSlots
+// counts both sides. A hop moves the flit from this FIFO into the
+// neighbour's (no copy, no reference-count traffic).
+//
 // Arbitration work is proportional to queued flits: each committed head
-// flit's XY route is computed once and published as a bit in a per-(output,
-// VC) request mask, and the arbiters walk only the set bits in the same
-// rotated round-robin order a full (out, VC, in) scan would visit them.
+// flit's XY route is read from a per-destination table built at
+// construction and published as a bit in a per-(output, VC) request mask,
+// and the arbiters walk only the set bits in the same rotated round-robin
+// order a full (out, VC, in) scan would visit them.
 #ifndef SRC_NOC_ROUTER_H_
 #define SRC_NOC_ROUTER_H_
 
@@ -69,14 +76,16 @@ class Router {
   // to the default weight (1).
   void SetClassWeight(uint8_t cls, uint32_t weight);
 
-  // Phase 1: staged flits (arrived last cycle) become visible.
+  // Phase 1: staged flits (arrived last cycle) become visible: each
+  // written buffer's watermark moves to its tail.
   void CommitStaged();
 
   // Phase 2: forward up to one flit per output port.
   void RouteCycle(Cycle now);
 
-  // Returns true and stages the flit if input buffer (port, vc) has space.
-  bool AcceptFlit(RouterPort in_port, const Flit& flit);
+  // Returns true and stages the flit (moved in, behind the watermark) if
+  // input buffer (port, vc) has space; on false `flit` is left untouched.
+  bool AcceptFlit(RouterPort in_port, Flit&& flit);
 
   // Free slots in input buffer (port, vc), counting staged flits.
   uint32_t FreeSlots(RouterPort in_port, Vc vc) const;
@@ -97,12 +106,14 @@ class Router {
   // mesh's quiescence check. O(1): tracked as a running occupancy count.
   bool HasBufferedFlits() const { return occupancy_ != 0; }
 
-  // Live-list publication (Mesh active sweep): on the first flit accepted
-  // while unmarked, the router appends its tile id to `list` — the mesh's
-  // per-cycle busy set. The mesh clears the mark when it compacts the
-  // router out of the list (occupancy back to zero).
-  void SetLiveList(std::vector<uint32_t>* list) { live_out_ = list; }
-  void ClearLiveMark() { live_marked_ = false; }
+  // Live-set publication (Mesh active sweep): every accepted flit ORs this
+  // tile's bit (tile % 64) into `word`, the mesh's fresh-router bitset word
+  // covering this tile. Idempotent, so no membership mark is needed; the
+  // mesh merges fresh bits into its busy set and clears drained routers'.
+  void SetLiveWord(uint64_t* word) {
+    live_word_ = word;
+    live_bit_ = uint64_t{1} << (tile() % 64);
+  }
 
   // Estimated logic-cell cost of this router instance (for the FPGA resource
   // model; see src/fpga/resource_model.h for calibration notes).
@@ -122,12 +133,14 @@ class Router {
   void ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t departed,
                       uint32_t flits);
 
-  // Fixed-capacity rings (buffer_depth each, sized once at construction):
-  // the input buffer models a hardware FIFO, so its bound is architectural
-  // and per-flit queue churn must not touch the heap.
+  // One fixed-capacity ring per input VC (buffer_depth, sized once at
+  // construction): the buffer models a hardware FIFO, so its bound is
+  // architectural and per-flit queue churn must not touch the heap. The
+  // first `visible` flits are committed; the rest were accepted since the
+  // last commit and stay invisible to arbitration until it runs.
   struct InputBuffer {
     RingBuffer<Flit> flits;
-    RingBuffer<Flit> staged;
+    uint32_t visible = 0;
   };
   struct OutputVcState {
     // Wormhole ownership: the (input port, vc) whose packet currently holds
@@ -135,8 +148,12 @@ class Router {
     int owner_port = -1;
   };
 
-  // XY dimension-order route computation for a destination tile.
-  RouterPort RoutePort(TileId dst) const;
+  // XY dimension-order route for a destination tile: a table lookup for
+  // on-mesh destinations, arithmetic otherwise.
+  RouterPort RoutePort(TileId dst) const {
+    return dst < route_.size() ? static_cast<RouterPort>(route_[dst]) : ComputeRoute(dst);
+  }
+  RouterPort ComputeRoute(TileId dst) const;
 
   // Rotates a kNumPorts-bit input mask so that bit 0 is input `first`:
   // walking the result's set bits lowest first (count trailing zeros) visits
@@ -166,13 +183,17 @@ class Router {
   bool AcquireWeighted(RouterPort out, int vc, uint32_t requests, Cycle now);
 
   bool DownstreamHasSpace(RouterPort out, Vc vc) const;
-  void SendDownstream(RouterPort out, const Flit& flit, Cycle now);
+  // Hands `flit` to the next hop: moved into a neighbour's AcceptFlit, read
+  // in place by local ejection and boundary sends.
+  void SendDownstream(RouterPort out, Flit& flit, Cycle now);
 
   uint32_t x_;
   uint32_t y_;
   uint32_t mesh_width_;
   uint32_t mesh_height_;
   uint32_t buffer_depth_;
+  // Output port per destination tile, computed once at construction.
+  std::vector<uint8_t> route_;
 
   std::array<Router*, 4> neighbors_{};
   // Cut-link shims (indexed by the four neighbor ports); null off-partition.
@@ -191,8 +212,9 @@ class Router {
   //   The head's route is thus cached as its one request bit, computed
   //   once per head. One word, so "no request at this or any later
   //   output" is a single shift-and-test;
-  // - staged_ has bit (in * kNumVcs + vc) set iff that staged ring is
-  //   nonempty, so CommitStaged touches only buffers that received flits.
+  // - staged_ has bit (in * kNumVcs + vc) set iff that buffer holds flits
+  //   past its watermark, so CommitStaged touches only buffers that
+  //   received flits.
   static constexpr uint32_t kAllInputs = (1u << kNumPorts) - 1;
   static constexpr int RequestShift(int out, int vc) { return (out * kNumVcs + vc) * kNumPorts; }
   static_assert(kNumPorts * kNumVcs * kNumPorts < 64, "request masks must pack in one word");
@@ -225,10 +247,9 @@ class Router {
   uint64_t fault_stalled_cycles_ = 0;
   // Total flits resident across all input buffers (staged + committed).
   uint64_t occupancy_ = 0;
-  // Busy-transition publication target (the owning mesh's fresh-live list)
-  // and the membership mark that keeps each transition published once.
-  std::vector<uint32_t>* live_out_ = nullptr;
-  bool live_marked_ = false;
+  // This tile's word and bit in the owning mesh's fresh-router bitset.
+  uint64_t* live_word_ = nullptr;
+  uint64_t live_bit_ = 0;
 };
 
 }  // namespace apiary

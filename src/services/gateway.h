@@ -25,6 +25,13 @@ class NetGateway : public Accelerator {
 
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
+  // No Tick: the gateway only forwards messages.
+  // APIARY-WAKE(tile): purely reactive service — the owning Tile's NI sink
+  // wake ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    (void)now;
+    return kNoActivity;
+  }
 
   std::string name() const override { return "net_gateway"; }
   uint32_t LogicCellCost() const override { return 7000; }

@@ -34,7 +34,8 @@
 // express_differential_test), so `ctest -j` runs them side by side:
 //   * ParallelDifferentialTest: the 8x8 workload at threads 1/2/4, 3 seeds.
 //   * ExpressDifferentialTest: serial chaos and mid-corridor Undeploy.
-//   * SkipDifferentialTest: IPC valleys and the RawQueue ready cycle.
+//   * SkipDifferentialTest: IPC valleys, the RawQueue ready cycle, and a
+//     KV store behind a network gateway (both parked between messages).
 //   * ActiveSetDifferentialTest: the planted missed wake.
 // A new case joins one of these suites, or gets its own ctest entry.
 #include <gtest/gtest.h>
@@ -46,14 +47,21 @@
 #include <vector>
 
 #include "src/accel/echo.h"
+#include "src/accel/kv_store.h"
 #include "src/baseline/raw_queue.h"
+#include "src/core/service_ids.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/services/gateway.h"
+#include "src/services/memory_service.h"
+#include "src/services/network_service.h"
 #include "src/services/supervisor.h"
 #include "src/sim/logging.h"
 #include "src/sim/parallel/parallel_simulator.h"
 #include "src/sim/random.h"
 #include "src/tenant/tenant.h"
+#include "src/workload/client.h"
+#include "src/workload/kv_workload.h"
 #include "tests/test_util.h"
 
 namespace apiary {
@@ -174,6 +182,7 @@ struct RunResult {
   std::string billing_b;
   uint32_t digest_a = 0;
   uint32_t digest_b = 0;
+  std::string host_client;  // External client host: counts and latency.
   std::string trace;  // Root trace, then shard traces in shard order.
 
   // Engine-dependent: asserted per engine, never compared across engines.
@@ -221,6 +230,7 @@ std::string Transcript(const RunResult& r) {
   out << "billing_b: " << r.billing_b << '\n';
   out << "digest_a: " << r.digest_a << '\n';
   out << "digest_b: " << r.digest_b << '\n';
+  out << "host_client: " << r.host_client << '\n';
   out << "trace:\n" << r.trace;
   return out.str();
 }
@@ -600,6 +610,57 @@ TEST(SkipDifferentialTest, IpcValleysMatch) {
   EXPECT_GT(want.client_sent, 100u);
   EXPECT_GT(got.client_ok, 100u);
   EXPECT_GT(got.skipped_cycles, 100'000u);
+  EXPECT_EQ(want.skipped_cycles, 0u);
+}
+
+// The direct-attached KV use case: a closed-loop external client through the
+// MAC and network service to a gateway, a KV store and the memory service.
+// The gateway and the store park between messages, so the optimized engine
+// skips whenever every request is on the external wire.
+TEST(SkipDifferentialTest, KvBehindGatewayMatches) {
+  auto run = [](const Engine& engine) {
+    return RunSerial(engine, TestBoardOptions{}, [](TestBoard& tb, auto&, RunResult* r) {
+      tb.os.DeployService(kMemoryService,
+                          std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
+      tb.os.DeployService(
+          kNetworkService,
+          std::make_unique<NetworkService>(
+              &tb.os, std::make_unique<Mac100GAdapter>(tb.board.mac100g()), /*reliable=*/false));
+      const AppId app = tb.os.CreateApp("kv");
+      ServiceId kv_svc = 0;
+      const TileId kt = tb.os.Deploy(app, std::make_unique<KvStoreAccelerator>(1 << 18, 4096),
+                                     &kv_svc);
+      (void)tb.os.GrantSendToService(kt, kMemoryService);
+      auto* gw = new NetGateway();
+      ServiceId gw_svc = 0;
+      const TileId gt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(gw), &gw_svc);
+      (void)tb.os.GrantSendToService(gt, kNetworkService);
+      gw->SetBackend(tb.os.GrantSendToService(gt, kv_svc));
+      KvWorkloadConfig wl;
+      wl.keyspace = 50;
+      wl.read_fraction = 0.7;
+      ClientConfig ccfg;
+      ccfg.server_endpoint = tb.board.mac100g()->address();
+      ccfg.dst_service = gw_svc;
+      ccfg.open_loop = false;
+      ccfg.concurrency = 3;
+      ccfg.max_requests = 80;
+      ccfg.seed = 5;
+      ClientHost client(ccfg, &tb.net, MakeKvRequestFactory(wl));
+      tb.sim.Register(&client);
+      EXPECT_TRUE(tb.sim.RunUntil([&] { return client.received() >= 80; }, 2'000'000));
+      tb.sim.Run(20'000);  // Idle tail: every tile parked.
+      r->host_client = "received=" + std::to_string(client.received()) +
+                       " errors=" + std::to_string(client.errors()) +
+                       " latency=" + client.latency().Summary();
+    });
+  };
+  const RunResult want = run(kReference);
+  const RunResult got = run(kOptimized);
+  EXPECT_EQ(Mismatch("kv behind gateway", kReference, want, kOptimized, got), "");
+  // Every request is answered; the errors are GET misses on unwritten keys.
+  EXPECT_EQ(want.host_client.rfind("received=80 ", 0), 0u) << want.host_client;
+  EXPECT_GT(got.skips, 0u);
   EXPECT_EQ(want.skipped_cycles, 0u);
 }
 

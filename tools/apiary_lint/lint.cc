@@ -437,6 +437,10 @@ LintConfig DefaultConfig() {
   // Router and NI counters fire per probe and per flit; they are plain
   // fields, rendered into a CounterSet only when someone asks.
   config.typed_counter_prefixes = {"src/noc/router.", "src/noc/network_interface."};
+  // The per-cycle fabric keeps its live sets and request masks as bitsets
+  // walked lowest bit first, which is already ascending tile/port order.
+  config.fabric_sort_prefixes = {"src/noc/mesh.", "src/noc/router.",
+                                 "src/noc/network_interface."};
 
   // src/sim/clocked.h rides along for quiescence hygiene: an ignored
   // NextActivity() result means a computed wake-up cycle was dropped on the
@@ -790,9 +794,26 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
       break;
     }
   }
+  bool fabric_file = false;
+  for (const auto& prefix : config.fabric_sort_prefixes) {
+    if (StartsWith(file.path, prefix)) {
+      fabric_file = true;
+      break;
+    }
+  }
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
     const std::string& line = file.code_lines[i];
     const int lineno = static_cast<int>(i) + 1;
+    if (fabric_file) {
+      for (const char* sort : {"std::sort", "std::stable_sort"}) {
+        if (!FindIdentifier(line, sort).empty()) {
+          findings->push_back({file.path, lineno, "apiary-hot-path",
+                               std::string(sort) + " on the per-cycle fabric re-sorts every "
+                               "executed cycle; keep the set as bitset words and walk set bits "
+                               "lowest first (countr_zero) for ascending order"});
+        }
+      }
+    }
     // Literals are blanked in the code view (which keeps comments out), so
     // the opening quote is read from the raw line at the same column.
     constexpr std::string_view kCounterAdd = "counters_.Add(";

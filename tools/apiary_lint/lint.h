@@ -153,6 +153,10 @@ struct LintConfig {
   // `counters_.Add("...")` there builds a std::string key and does a
   // std::map lookup per event (once per flit in the router and NI).
   std::vector<std::string> typed_counter_prefixes;
+  // Path prefixes of the per-cycle fabric (mesh, router, NI), where sweep
+  // and arbitration order come from bit walks: a std::sort or
+  // std::stable_sort there re-sorts on every executed cycle.
+  std::vector<std::string> fabric_sort_prefixes;
 
   // --- apiary-opcode-coverage ---
   // Path suffixes of the headers that define the opcode ABI.

@@ -456,6 +456,34 @@ TEST(HotPath, RouterAndNiCountersAreTyped) {
                        "apiary-hot-path"));
 }
 
+TEST(HotPath, FabricFilesBanSorting) {
+  const auto findings = LintOne("src/noc/mesh.cc",
+                                "void Mesh::MergeFresh(LiveSet& set) {\n"
+                                "  std::sort(set.routers.begin(), set.routers.end());\n"
+                                "  std::stable_sort(set.nis.begin(), set.nis.end());\n"
+                                "}\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 3);
+  EXPECT_NE(findings[0].message.find("bit"), std::string::npos);
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/router.h", "std::sort(v.begin(), v.end());\n"),
+                       "apiary-hot-path"));
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/network_interface.cc",
+                               "std::stable_sort(q.begin(), q.end());\n"),
+                       "apiary-hot-path"));
+}
+
+TEST(HotPath, SortRuleIgnoresCommentsOtherNamesAndOtherFiles) {
+  EXPECT_TRUE(LintOne("src/noc/mesh.cc",
+                      "// merging once needed std::sort\n"
+                      "std::sort_heap(v.begin(), v.end());\n"
+                      "std::is_sorted(v.begin(), v.end());\n")
+                  .empty());
+  // Setup-time code elsewhere in the NoC may sort.
+  EXPECT_TRUE(LintOne("src/noc/express.cc", "std::sort(v.begin(), v.end());\n").empty());
+  EXPECT_TRUE(LintOne("src/sim/simulator.cc", "std::sort(v.begin(), v.end());\n").empty());
+}
+
 TEST(HotPath, TypedCounterRuleIgnoresCommentsRenderingAndOtherFiles) {
   // Rendering the snapshot from a local set, a comment and a non-literal key
   // are all fine in the router.
@@ -960,6 +988,8 @@ TEST(Fixtures, GoodTreesAreCleanBadTreesFail) {
       {"expresspath/suppressed", {"src"}, 0, ""},
       {"typedcounters/good", {"src"}, 0, ""},
       {"typedcounters/bad", {"src"}, 1, "apiary-hot-path"},
+      {"fabricsort/good", {"src"}, 0, ""},
+      {"fabricsort/bad", {"src"}, 1, "apiary-hot-path"},
       {"globalstate/good", {"src"}, 0, ""},
       {"globalstate/bad", {"src"}, 1, "apiary-global-state"},
       {"globalstate/suppressed", {"src"}, 0, ""},
