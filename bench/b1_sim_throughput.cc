@@ -28,14 +28,12 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "src/accel/echo.h"
 #include "src/core/kernel.h"
 #include "src/noc/express.h"
-#include "src/sim/parallel/parallel_simulator.h"
 #include "src/stats/table.h"
 
 using namespace apiary;
@@ -169,8 +167,7 @@ struct RunResult {
   }
 };
 
-RunResult RunOne(Scenario scenario, bool skip_enabled, bool express,
-                 Cycle run_cycles, uint32_t threads) {
+RunResult RunOne(Scenario scenario, bool skip_enabled, bool express, Cycle run_cycles) {
   BenchBoard bb;
   bb.sim.SetSkipEnabled(skip_enabled);
   bb.board.mesh().SetExpressEnabled(express);
@@ -196,21 +193,10 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express,
     }
   }
 
-  // `--threads N` drives the run through the sharded engine (default
-  // partition; see src/sim/parallel/) instead of the serial Step loop.
-  std::optional<ParallelSimulator> psim;
-  if (threads > 0) {
-    psim.emplace(&bb.sim, &bb.board.mesh(), ParallelConfig{/*shards=*/0, threads});
-  }
-
   // Host wall time is the measurand here (simulated cycles per wall-second);
   // it never feeds back into simulated state, so determinism is unaffected.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
-  if (psim.has_value()) {
-    psim->Run(run_cycles);
-  } else {
-    bb.sim.Run(run_cycles);
-  }
+  bb.sim.Run(run_cycles);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
@@ -254,20 +240,14 @@ int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
   const bool no_skip_only = HasFlag(argc, argv, "--no-skip");
   const bool express = !HasFlag(argc, argv, "--no-express");
-  const uint32_t threads = static_cast<uint32_t>(IntArg(argc, argv, "--threads", 0));
   const Cycle run_cycles = smoke ? 2'000'000 : 20'000'000;
 
   std::printf("B1: simulator throughput, quiescence skipping on vs off\n");
-  std::printf("(%llu simulated cycles per run%s)\n\n",
-              static_cast<unsigned long long>(run_cycles),
-              threads > 0 ? ", sharded engine" : "");
-  if (threads > 0) {
-    std::printf("engine: ParallelSimulator, %u worker thread(s)\n\n", threads);
-  }
+  std::printf("(%llu simulated cycles per run)\n\n",
+              static_cast<unsigned long long>(run_cycles));
 
   BenchJson json("b1_sim_throughput");
   json.Param("run_cycles", static_cast<uint64_t>(run_cycles));
-  json.Param("threads", static_cast<uint64_t>(threads));
   json.Param("express", express ? 1 : 0);
   json.Param("smoke", smoke ? 1 : 0);
 
@@ -277,7 +257,7 @@ int main(int argc, char** argv) {
 
   bool consistent = true;
   for (Scenario s : {Scenario::kIdle, Scenario::kLight, Scenario::kSaturated}) {
-    const RunResult off = RunOne(s, /*skip_enabled=*/false, express, run_cycles, threads);
+    const RunResult off = RunOne(s, /*skip_enabled=*/false, express, run_cycles);
     if (no_skip_only) {
       table.AddRow({Name(s), Table::Num(off.mcycles_per_sec, 1), "-", "-", "-", "-"});
       json.BeginRow();
@@ -285,7 +265,7 @@ int main(int argc, char** argv) {
       json.Metric("noskip_mcycles_per_sec", off.mcycles_per_sec);
       continue;
     }
-    const RunResult on = RunOne(s, /*skip_enabled=*/true, express, run_cycles, threads);
+    const RunResult on = RunOne(s, /*skip_enabled=*/true, express, run_cycles);
     // The whole point is that skipping is invisible to the simulation:
     // identical end cycle and identical traffic counts, or the run is wrong.
     if (on.end_cycle != off.end_cycle || on.sent != off.sent ||

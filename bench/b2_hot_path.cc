@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "src/core/kernel.h"
 #include "src/core/message.h"
 #include "src/noc/packet_pool.h"
-#include "src/sim/parallel/parallel_simulator.h"
 #include "src/sim/payload_buf.h"
 #include "src/stats/table.h"
 
@@ -117,7 +115,7 @@ struct RunResult {
   }
 };
 
-RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
+RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   BenchBoard bb;
 
   ApiaryOs& os = bb.os;
@@ -135,31 +133,12 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
     (void)os.GrantSendToService(ct, echo_svc);
   }
 
-  // `--threads N` drives the run through the sharded engine. The partition
-  // gives every shard its own pool and arena; the ledgers below sum them.
-  std::optional<ParallelSimulator> psim;
-  if (threads > 0) {
-    psim.emplace(&bb.sim, &bb.board.mesh(), ParallelConfig{/*shards=*/0, threads});
-  }
-  auto run = [&](Cycle end) {
-    if (psim.has_value()) {
-      psim->Run(end);
-    } else {
-      bb.sim.Run(end);
-    }
-  };
-
   // Warm up: the pool grows to the traffic's high-water mark, the arena
   // freelists fill, queues reach steady occupancy. Everything after the
   // ledger reset is steady state.
-  run(warmup_cycles);
+  bb.sim.Run(warmup_cycles);
   bb.board.mesh().ResetPoolStats();
   bb.sim.context().arena().ResetStats();
-  if (psim.has_value()) {
-    for (uint32_t sh = 0; sh < psim->shards(); ++sh) {
-      psim->shard_context(sh)->arena().ResetStats();
-    }
-  }
   uint64_t sent0 = 0;
   uint64_t received0 = 0;
   for (const SaturatingClient* c : clients) {
@@ -176,7 +155,7 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
   // Host wall time is the measurand; it never feeds back into simulated
   // state, so determinism is unaffected.
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
-  run(measure_cycles);
+  bb.sim.Run(measure_cycles);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
@@ -200,11 +179,6 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles, uint32_t threads) {
   r.pool_hits = pool.pool_hits;
   r.heap_allocs = pool.heap_allocs;
   r.arena_allocs = bb.sim.context().arena().stats().chunk_allocs;
-  if (psim.has_value()) {
-    for (uint32_t sh = 0; sh < psim->shards(); ++sh) {
-      r.arena_allocs += psim->shard_context(sh)->arena().stats().chunk_allocs;
-    }
-  }
   r.reuse_pct =
       r.acquires > 0 ? 100.0 * static_cast<double>(r.pool_hits) / static_cast<double>(r.acquires)
                      : 0;
@@ -247,7 +221,6 @@ void EmitRow(BenchJson& json, const char* config, const RunResult& r) {
 
 int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
-  const uint32_t threads = static_cast<uint32_t>(IntArg(argc, argv, "--threads", 0));
   const Cycle warmup_cycles = smoke ? 200'000 : 1'000'000;
   const Cycle measure_cycles = smoke ? 800'000 : 8'000'000;
 
@@ -263,17 +236,13 @@ int main(int argc, char** argv) {
   json.Param("measure_cycles", static_cast<uint64_t>(measure_cycles));
   json.Param("pairs", static_cast<uint64_t>(kPairs));
   json.Param("window", static_cast<uint64_t>(kWindow));
-  json.Param("threads", static_cast<uint64_t>(threads));
   json.Param("smoke", smoke ? 1 : 0);
-  if (threads > 0) {
-    std::printf("engine: ParallelSimulator, %u worker thread(s)\n\n", threads);
-  }
 
   Table table("B2: steady-state hot path");
   table.SetHeader({"config", "Mcyc/s", "msgs", "msgs/wall-s", "reuse %",
                    "allocs/msg", "probes/flit"});
 
-  const RunResult pooled = Run(warmup_cycles, measure_cycles, threads);
+  const RunResult pooled = Run(warmup_cycles, measure_cycles);
   table.AddRow({"pooled", Table::Num(pooled.mcycles_per_sec, 1), Table::Int(pooled.received),
                 Table::Num(pooled.msgs_per_wall_sec, 0), Table::Num(pooled.reuse_pct, 2),
                 Table::Num(pooled.allocs_per_msg, 4),

@@ -189,21 +189,6 @@ inline bool HasFlag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
-// `--flag N` / `--flag=N` integer argument, or `def` when absent.
-inline uint64_t IntArg(int argc, char** argv, const std::string& flag, uint64_t def) {
-  const std::string prefix = flag + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg == flag && i + 1 < argc) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtoull(arg.c_str() + prefix.size(), nullptr, 10);
-    }
-  }
-  return def;
-}
-
 }  // namespace apiary
 
 #endif  // BENCH_BENCH_UTIL_H_

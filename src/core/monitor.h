@@ -167,7 +167,7 @@ class Monitor : public TileApi {
   TokenBucket limiter_;
   // Tenant-wide budget, not owned: the kernel installs one bucket across a
   // tenant's monitors by design (enforced aggregate NoC share).
-  // NOLINTNEXTLINE(apiary-domain-confinement): deliberate tenant-scoped sharing; a sharded engine must split this into per-domain sub-buckets (ROADMAP item 1)
+  // NOLINTNEXTLINE(apiary-domain-confinement): deliberate tenant-scoped sharing; every monitor of one board lives in one simulator domain
   TokenBucket* shared_limiter_ = nullptr;
   uint8_t arb_class_ = 0;
   TileFaultState fault_state_ = TileFaultState::kHealthy;

@@ -41,9 +41,6 @@ class Tile : public Clocked {
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   void OnFastForward(Cycle resume_cycle) override;
-  // A tile is anchored to its NoC endpoint: the sharded engine ticks it (and
-  // with it its monitor and accelerator) on the worker owning its shard.
-  [[nodiscard]] TileId PartitionHome() const override { return id_; }
   // The tile's policy follows the loaded accelerator (a campaign-flag
   // attacker needs boundary polling; most logic honors the full wake
   // contract). Swap points call RequestPolicyRefresh().

@@ -133,32 +133,7 @@ void FaultInjector::Fire(const FaultEvent& event, Cycle now) {
   }
 }
 
-void FaultInjector::EnableShardedLinkFaults(uint32_t num_tiles) {
-  tile_states_.clear();
-  tile_states_.reserve(num_tiles);
-  for (uint32_t t = 0; t < num_tiles; ++t) {
-    // Expand (plan seed, tile) through SplitMix64 so adjacent tile streams
-    // share no structure.
-    SplitMix64 mix(plan_.seed ^ (0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(t) + 1)));
-    tile_states_.push_back(TileFaultState{Rng(mix.Next())});
-  }
-}
-
 void FaultInjector::Tick(Cycle now) {
-  // Fold the sharded per-tile tallies into the shared counters. Tick runs in
-  // the root phase, barrier-separated from every shard-phase traversal; the
-  // skip clamp at each window close guarantees a fold after the last
-  // possible draw, so end-of-campaign counters are always complete.
-  for (TileFaultState& state : tile_states_) {
-    if (state.drops != 0) {
-      counters_.Add("fault.link_drops_applied", state.drops);
-      state.drops = 0;
-    }
-    if (state.corruptions != 0) {
-      counters_.Add("fault.link_corruptions_applied", state.corruptions);
-      state.corruptions = 0;
-    }
-  }
   auto expire = [now](std::vector<Window>& windows) {
     windows.erase(std::remove_if(windows.begin(), windows.end(),
                                  [now](const Window& w) { return now >= w.until; }),
@@ -174,8 +149,7 @@ void FaultInjector::Tick(Cycle now) {
 }
 
 // APIARY-WAKE(self): the declaration itself covers every input — plan
-// events by time, and traversal tallies only accrue inside open windows,
-// whose close-cycle clamp below keeps the injector awake for the fold.
+// events by time, and window closes by the close-cycle clamp below.
 Cycle FaultInjector::NextActivity(Cycle now) const {
   Cycle next = kNoActivity;
   if (next_event_ < plan_.events.size()) {
@@ -186,9 +160,8 @@ Cycle FaultInjector::NextActivity(Cycle now) const {
   // `now < until`), but the closing cycle is where window-gated state flips;
   // bounding the jump there keeps RunUntil predicates cycle-exact. A window
   // whose close cycle has arrived but that Tick has not yet erased still
-  // declares work due NOW: the expire+fold tick is pending, and under active
-  // sets a parked injector would otherwise have its window-close wake
-  // swallowed by the boundary re-poll, losing the final tally fold.
+  // declares work due NOW, so the expire tick runs at the close cycle under
+  // both engines.
   auto clamp_windows = [&next, now](const std::vector<Window>& windows) {
     for (const Window& w : windows) {
       if (w.until <= now) {
@@ -225,31 +198,19 @@ bool FaultInjector::NocQuiet(Cycle now) const {
   return !open(drop_windows_) && !open(corrupt_windows_) && !open(stall_windows_);
 }
 
-bool FaultInjector::DrawHit(TileId router_tile, double rate) {
-  if (!tile_states_.empty() && router_tile < tile_states_.size()) {
-    return tile_states_[router_tile].rng.NextBool(rate);
-  }
-  return rng_.NextBool(rate);
-}
-
 bool FaultInjector::WindowHit(const std::vector<Window>& windows, TileId router_tile,
                               Cycle now) {
   for (const Window& w : windows) {
     if (now < w.until && (w.tile == kInvalidTile || w.tile == router_tile)) {
-      return DrawHit(router_tile, w.rate);
+      return rng_.NextBool(w.rate);
     }
   }
   return false;
 }
 
 bool FaultInjector::OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle now) {
-  const bool sharded = !tile_states_.empty() && router_tile < tile_states_.size();
   if (WindowHit(drop_windows_, router_tile, now)) {
-    if (sharded) {
-      ++tile_states_[router_tile].drops;
-    } else {
-      counters_.Add("fault.link_drops_applied");
-    }
+    counters_.Add("fault.link_drops_applied");
     return true;
   }
   if (WindowHit(corrupt_windows_, router_tile, now)) {
@@ -257,15 +218,10 @@ bool FaultInjector::OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle n
     // payload) — the stale end-to-end checksum is how the ejecting NI
     // detects it, wherever it lands.
     NocPacket& packet = *flit.packet;
-    Rng& rng = sharded ? tile_states_[router_tile].rng : rng_;
     if (packet.wire_bytes() > 0) {
-      const size_t index = static_cast<size_t>(rng.NextBelow(packet.wire_bytes()));
-      *packet.wire_byte(index) ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
-      if (sharded) {
-        ++tile_states_[router_tile].corruptions;
-      } else {
-        counters_.Add("fault.link_corruptions_applied");
-      }
+      const size_t index = static_cast<size_t>(rng_.NextBelow(packet.wire_bytes()));
+      *packet.wire_byte(index) ^= static_cast<uint8_t>(1u << rng_.NextBelow(8));
+      counters_.Add("fault.link_corruptions_applied");
     }
   }
   return false;

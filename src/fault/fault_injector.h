@@ -58,19 +58,6 @@ class FaultInjector : public Clocked, public NocFaultModel {
   // nothing, so the corridor's skipped traversal checks are byte-exact.
   [[nodiscard]] bool NocQuiet(Cycle now) const override;
 
-  // Sharded link-fault mode, for boards driven by the ParallelSimulator:
-  // OnLinkTraverse runs inside shard phases — concurrently across shards —
-  // so the single Rng/CounterSet would race. Sharded mode gives every tile
-  // its own fault stream (seeded from the plan seed and the tile id) and
-  // its own drop/corrupt tally cells; Tick (root phase, barrier-separated
-  // from all traversals) folds the cells into counters(). Per-tile draw
-  // order is the tile's own traversal order, which the sharded schedule
-  // fixes — so campaigns replay byte-identically for any thread count.
-  // NOTE: the sharded streams differ from the serial single-stream draws;
-  // compare sharded runs only against other sharded runs.
-  void EnableShardedLinkFaults(uint32_t num_tiles);
-  bool sharded_link_faults() const { return !tile_states_.empty(); }
-
   // fault.injected / fault.<kind> / fault.link_drops_applied / ... plus the
   // per-result DRAM counters (fault.dram_corrupted / fault.dram_ecc_corrected).
   const CounterSet& counters() const { return counters_; }
@@ -88,19 +75,7 @@ class FaultInjector : public Clocked, public NocFaultModel {
     double rate;
   };
 
-  // One tile's private fault stream + tally cells (sharded mode). Written
-  // only by the worker that owns the tile's shard; cache-line sized so two
-  // shards' cells never share a line.
-  struct alignas(64) TileFaultState {
-    Rng rng;
-    uint64_t drops = 0;
-    uint64_t corruptions = 0;
-  };
-
   bool WindowHit(const std::vector<Window>& windows, TileId router_tile, Cycle now);
-  // True with probability `rate`, drawn from the tile's stream in sharded
-  // mode and the plan stream otherwise.
-  bool DrawHit(TileId router_tile, double rate);
   void Fire(const FaultEvent& event, Cycle now);
   void Record(const FaultEvent& event, Cycle now, const std::string& note);
 
@@ -111,7 +86,6 @@ class FaultInjector : public Clocked, public NocFaultModel {
   std::vector<Window> drop_windows_;
   std::vector<Window> corrupt_windows_;
   std::vector<Window> stall_windows_;
-  std::vector<TileFaultState> tile_states_;  // Empty = serial single-stream mode.
   CounterSet counters_;
   std::vector<std::string> trace_;
 };

@@ -13,7 +13,7 @@ Board::Board(BoardConfig config, Simulator& sim, ExternalNetwork* external_netwo
   budget_ = std::make_unique<ResourceBudget>(*part);
 
   // The mesh draws packets from this simulator's domain pool, so two boards
-  // on two simulators (one per worker thread) share no allocator state.
+  // on two simulators (one per thread) share no allocator state.
   mesh_ = std::make_unique<Mesh>(config_.mesh, &sim_->context());
   if (!budget_->ChargeStatic("noc", mesh_->LogicCellCost())) {
     ok_ = false;

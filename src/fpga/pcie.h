@@ -49,9 +49,9 @@ class PcieEndpoint : public Clocked {
     return queue_.front().complete_at > now ? queue_.front().complete_at : now;
   }
   std::string DebugName() const override { return "pcie"; }
-  // Submissions arrive from host/baseline code with no wake path of its own
-  // (including DMA ticks that run outside the root phase), so the endpoint
-  // is re-polled fresh at every executed-cycle boundary instead of parked.
+  // Submissions arrive from host/baseline code and DMA ticks with no wake
+  // path of their own, so the endpoint is re-polled fresh at every
+  // executed-cycle boundary instead of parked.
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kBoundaryPoll;
   }

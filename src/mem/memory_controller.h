@@ -41,9 +41,9 @@ class MemoryController : public Clocked, public MemoryBackend {
     return dram_.NextActivity(now);
   }
   std::string DebugName() const override { return "memctl"; }
-  // Requests are enqueued by memory-service ticks (shard phase under the
-  // parallel engine) — no schedule-visible wake path, so re-poll at every
-  // executed-cycle boundary instead of parking on the wheel.
+  // Requests are enqueued by memory-service ticks, which do not call
+  // RequestWake on the controller — so re-poll at every executed-cycle
+  // boundary instead of parking on the wheel.
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kBoundaryPoll;
   }

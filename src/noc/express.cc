@@ -20,12 +20,9 @@ constexpr int32_t kZoneDy[5] = {0, -1, 1, 0, 0};
 inline int32_t Sign(int32_t v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 }  // namespace
 
-void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles, const uint32_t* shard_of_tile,
-                            uint32_t shard) {
+void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles) {
   assert(active_count_ == 0 && "reconfiguring a lane with corridors in flight");
   mesh_ = mesh;
-  shard_of_tile_ = shard_of_tile;
-  shard_ = shard;
   num_tiles_ = num_tiles;
   corridors_.assign(kMaxCorridors, Corridor{});
   path_owner_.assign(num_tiles, 0);
@@ -68,7 +65,7 @@ bool ExpressLane::ZoneContains(const Corridor& c, TileId tile) const {
   const int32_t width = static_cast<int32_t>(mesh_->width());
   const int32_t x = static_cast<int32_t>(tile) % width;
   const int32_t y = static_cast<int32_t>(tile) / width;
-  for (uint32_t k = 0; k <= c.covered; ++k) {
+  for (uint32_t k = 0; k <= c.hops; ++k) {
     const TileId p = PathTile(c, k);
     const int32_t px = static_cast<int32_t>(p) % width;
     const int32_t py = static_cast<int32_t>(p) / width;
@@ -84,7 +81,7 @@ void ExpressLane::InstallMaps(uint32_t index, int delta) {
   const int32_t width = static_cast<int32_t>(mesh_->width());
   const int32_t height = static_cast<int32_t>(mesh_->height());
   source_owner_[PathTile(c, 0)] = delta > 0 ? static_cast<uint16_t>(index + 1) : 0;
-  for (uint32_t k = 0; k <= c.covered; ++k) {
+  for (uint32_t k = 0; k <= c.hops; ++k) {
     const TileId t = PathTile(c, k);
     path_owner_[t] = delta > 0 ? static_cast<uint16_t>(index + 1) : 0;
     const int32_t x = static_cast<int32_t>(t) % width;
@@ -168,34 +165,10 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
     return false;
   }
   // Non-interference walk over the path and its zone.
-  uint32_t covered = 0;
-  bool truncated = false;
   for (uint32_t k = 0; k <= hops; ++k) {
     const TileId t = PathTile(c, k);
     const int32_t x = static_cast<int32_t>(t) % width;
     const int32_t y = static_cast<int32_t>(t) / width;
-    if (shard_of_tile_ != nullptr) {
-      // The tile and its whole zone stencil must be shard-interior: a zone
-      // tile in another shard would hide interference in a live set this
-      // lane's conflict scan never reads. The corridor truncates at the last
-      // interior router and self-materializes there (shard-cut truncation).
-      bool interior = shard_of_tile_[t] == shard_;
-      for (int n = 1; n < 5 && interior; ++n) {
-        const int32_t zx = x + kZoneDx[n];
-        const int32_t zy = y + kZoneDy[n];
-        if (zx >= 0 && zy >= 0 && zx < width && zy < height) {
-          interior = shard_of_tile_[zy * width + zx] == shard_;
-        }
-      }
-      if (!interior) {
-        if (k < 2) {
-          return false;  // No analytic coverage worth installing.
-        }
-        truncated = true;
-        covered = k - 1;
-        break;
-      }
-    }
     const Router& r = *mesh_->routers_[t];
     if (r.HasBufferedFlits()) {
       return false;
@@ -225,7 +198,6 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
         return false;  // Busy zone: the first scan would materialize us.
       }
     }
-    covered = k;
   }
   // Install: the queue drains into the corridor (one ref pins the packet),
   // and inject_rr_ takes the value any number of real injection cycles from
@@ -238,12 +210,8 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   c.launch = now;
   c.flits = flits;
   c.vc = q;
-  c.covered = truncated ? covered : hops;
-  c.truncated = truncated;
-  // Full corridors deliver when the tail ejects (D+F+H). Truncated ones run
-  // until the lead flit is about to leave the last covered router, then
-  // self-materialize so it crosses the boundary link cycle-accurately.
-  c.due = truncated ? now + c.covered + 1 : now + flits + hops;
+  // The corridor delivers when the tail ejects (D+F+H).
+  c.due = now + flits + hops;
   c.active = true;
   ++active_count_;
   InstallMaps(slot, +1);
@@ -266,11 +234,7 @@ void ExpressLane::RunCompletions(Cycle now) {
     if (c.due != now) {
       continue;
     }
-    if (c.truncated) {
-      Materialize(i);
-    } else {
-      Deliver(i);
-    }
+    Deliver(i);
   }
 }
 
@@ -321,7 +285,7 @@ void ExpressLane::Materialize(uint32_t index) {
   }
   // R_k forwarded clamp(E-D-k, 0, F) flits by the end of cycle E; routers
   // the lead flit has not left keep untouched arbitration state.
-  for (uint32_t k = 0; k <= c.covered; ++k) {
+  for (uint32_t k = 0; k <= c.hops; ++k) {
     const uint32_t departed = elapsed > k ? std::min(c.flits, elapsed - k) : 0;
     mesh_->routers_[PathTile(c, k)]->ExpressCatchUp(PathOut(c, k), PathIn(c, k), c.vc,
                                                     departed, c.flits);

@@ -3,9 +3,8 @@
 //
 // When a whole packet sits alone in an NI injection queue and every remaining
 // hop of its XY route is verifiably non-interfering — each path router idle
-// and free on the needed (output port, VC), no open fault window, and (when
-// partitioned) the path plus its 1-hop neighborhood entirely inside one shard
-// — the traversal is a closed-form pipeline: flit i is staged into path
+// and free on the needed (output port, VC), and no open fault window — the
+// traversal is a closed-form pipeline: flit i is staged into path
 // router R_k at cycle D+i+k, forwarded at D+i+k+1, and ejected at D+i+H+1.
 // The lane records that schedule instead of ticking the routers, and replays
 // its externally visible effects (per-router flit counts, arbitration
@@ -61,34 +60,20 @@ class Mesh;
 class NetworkInterface;
 enum RouterPort : int;
 
-// Aggregated lane statistics (reported in BENCH_b1/b3/b4/b5 JSON).
+// Aggregated lane statistics (reported in BENCH_b1/b5 JSON).
 struct ExpressStats {
   uint64_t launches = 0;          // Corridors installed.
   uint64_t delivered = 0;         // Corridors that completed analytically.
   uint64_t materializations = 0;  // Corridors converted back to real flits.
   uint64_t hops_sum = 0;          // Sum of H over delivered corridors.
   uint64_t flits_delivered = 0;   // Flits delivered via completed corridors.
-
-  void Fold(const ExpressStats& other) {
-    launches += other.launches;
-    delivered += other.delivered;
-    materializations += other.materializations;
-    hops_sum += other.hops_sum;
-    flits_delivered += other.flits_delivered;
-  }
 };
 
-// One express lane per sweep domain (the whole mesh when serial, one shard
-// when partitioned). Thread-confined exactly like the domain's LiveSet: only
-// the owning worker touches it during shard phases, only the coordinator
-// between cycles.
+// The mesh's express lane: every corridor in flight on it.
 class ExpressLane {
  public:
   // Sized-once wiring (cold path; the only place this class allocates).
-  // `shard_of_tile`/`shard` restrict corridors to one shard's interior when
-  // partitioned (null/0 for the serial lane: the whole mesh qualifies).
-  void Configure(Mesh* mesh, uint32_t num_tiles, const uint32_t* shard_of_tile,
-                 uint32_t shard);
+  void Configure(Mesh* mesh, uint32_t num_tiles);
   void SetEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
@@ -97,9 +82,8 @@ class ExpressLane {
   // also inject this cycle — the corridor's schedule already covers it).
   bool TryLaunch(NetworkInterface& ni, Cycle now);
 
-  // Completion sweep: corridors due this cycle either deliver (full path) or
-  // self-materialize (shard-cut truncation). Runs at the top of the mesh
-  // tick/commit phase, before the conflict scan and the live-set merge.
+  // Completion sweep: corridors due this cycle deliver. Runs at the top of
+  // the mesh tick, before the conflict scan and the live-set merge.
   void RunCompletions(Cycle now);
 
   // Conflict scan entry points: a busy router anywhere in a corridor's zone,
@@ -109,7 +93,7 @@ class ExpressLane {
   void MaterializeTouchingNi(TileId tile);
 
   // External interference hooks.
-  void MaterializeAll();                // Weight/fault/partition reconfig.
+  void MaterializeAll();                // Weight/fault reconfig.
   void MaterializeSource(TileId tile);  // New Inject on a corridor's source.
 
   // Virtual injection-queue occupancy of the corridor sourced at `tile` on
@@ -128,13 +112,11 @@ class ExpressLane {
  private:
   struct Corridor {
     PacketRef packet;
-    Cycle launch = 0;      // D: cycle the first flit was (virtually) injected.
-    Cycle due = 0;         // Completion cycle (delivery or self-materialize).
-    uint32_t flits = 0;    // F (cached packet->flit_count).
-    uint32_t hops = 0;     // H: full XY path is R_0..R_H.
-    uint32_t covered = 0;  // Last covered router index (== hops unless cut).
+    Cycle launch = 0;    // D: cycle the first flit was (virtually) injected.
+    Cycle due = 0;       // Completion cycle (delivery).
+    uint32_t flits = 0;  // F (cached packet->flit_count).
+    uint32_t hops = 0;   // H: full XY path is R_0..R_H.
     int vc = 0;
-    bool truncated = false;  // Completion materializes at the shard cut.
     bool active = false;
     // Path geometry (X-run then Y-run); tiles derived, never stored.
     int32_t sx = 0, sy = 0, dx = 0, dy = 0;
@@ -151,8 +133,6 @@ class ExpressLane {
   void Remove(uint32_t index);
 
   Mesh* mesh_ = nullptr;
-  const uint32_t* shard_of_tile_ = nullptr;
-  uint32_t shard_ = 0;
   uint32_t num_tiles_ = 0;
   bool enabled_ = false;
   // State boundary: mesh phases through this cycle are reflected (really or

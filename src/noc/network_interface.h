@@ -75,12 +75,6 @@ class NetworkInterface {
   // the Board path (the mesh always wires one in).
   PacketPool* pool() const { return pool_; }
 
-  // Partition support (Mesh::EnablePartition): repoints this tile's senders
-  // at the owning shard's pool, so injected packets are born, routed, and
-  // released inside one domain. Monitors read pool() per send — nothing
-  // caches the old pointer.
-  void SetPool(PacketPool* pool) { pool_ = pool; }
-
   // Live-set publication (Mesh active sweep): every queued packet ORs this
   // tile's bit (tile % 64) into `word`, the mesh's fresh-NI bitset word
   // covering this tile, so the mesh sweeps only NIs with pending injections.

@@ -63,8 +63,7 @@ class PacketPool {
   // The domain-local pool for `context`, created on first use in the
   // context's PacketPool slot (destroyed with the context). This replaced
   // the old process-wide Default() pool: every simulation domain now
-  // recycles packets privately, so concurrent Simulators never contend —
-  // the confinement ROADMAP item 1's sharded engine builds on.
+  // recycles packets privately, so concurrent Simulators never contend.
   static PacketPool& ForContext(SimContext& context);
 
  private:

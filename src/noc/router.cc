@@ -3,7 +3,6 @@
 #include <bit>
 #include <cassert>
 
-#include "src/noc/boundary_link.h"
 #include "src/noc/network_interface.h"
 
 namespace apiary {
@@ -162,12 +161,6 @@ bool Router::DownstreamHasSpace(RouterPort out, Vc vc) const {
     // maximum packet and delivery queues are modeled at the monitor level.
     return true;
   }
-  if (out_boundary_[out] != nullptr) {
-    // Cut link: credit flow control stands in for the neighbor's FreeSlots —
-    // a credit is a guaranteed slot in the receiving input buffer, reflecting
-    // its end-of-previous-cycle occupancy (never reading the other shard).
-    return out_boundary_[out]->HasCredit(vc);
-  }
   Router* next = neighbors_[out];
   if (next == nullptr) {
     return false;
@@ -182,10 +175,6 @@ void Router::SendDownstream(RouterPort out, Flit& flit, Cycle now) {
     if (ni_ != nullptr) {
       ni_->EjectFlit(flit, now);
     }
-    return;
-  }
-  if (out_boundary_[out] != nullptr) {
-    out_boundary_[out]->Send(flit, now);
     return;
   }
   static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
@@ -226,8 +215,8 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   if (flit.is_tail()) {
     state.owner_port = -1;
   }
-  // Moves the flit into a neighbour's buffer (ejection and boundary sends
-  // read it in place); the pop then releases whatever reference is left.
+  // Moves the flit into a neighbour's buffer (ejection reads it in place);
+  // the pop then releases whatever reference is left.
   SendDownstream(out, flit, now);
   buf.flits.pop_front();
   --buf.visible;
@@ -235,11 +224,6 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   ++flits_routed_;
   requests_ &= ~(uint64_t{1} << (RequestShift(out, vc) + in));
   PublishHead(in, vc);
-  // Boundary-fed input buffer: report the freed slot to the upstream shard
-  // (flushed as a credit at the end of this shard's route phase).
-  if (in != kPortLocal && in_boundary_[in] != nullptr) {
-    in_boundary_[in]->NotifyPop(static_cast<Vc>(vc));
-  }
   return true;
 }
 

@@ -31,7 +31,6 @@
 
 namespace apiary {
 
-class BoundaryLink;
 class NetworkInterface;
 
 enum RouterPort : int {
@@ -52,14 +51,6 @@ class Router {
   void SetNeighbor(RouterPort port, Router* neighbor) { neighbors_[port] = neighbor; }
   void SetLocalInterface(NetworkInterface* ni) { ni_ = ni; }
   void SetFaultModel(NocFaultModel* model) { fault_model_ = model; }
-
-  // Partition wiring (Mesh::EnablePartition/DisablePartition): when a
-  // neighbor link crosses a shard cut, outbound flits go through the
-  // boundary shim (credit-gated) instead of touching the neighbor directly,
-  // and pops from a boundary-fed input buffer are reported back as credits.
-  // Null restores the direct path.
-  void SetOutputBoundary(RouterPort port, BoundaryLink* link) { out_boundary_[port] = link; }
-  void SetInputBoundary(RouterPort port, BoundaryLink* link) { in_boundary_[port] = link; }
 
   // Weighted bandwidth arbitration: assigns a deficit weight to an
   // arbitration class. While any weight is configured and two or more
@@ -184,7 +175,7 @@ class Router {
 
   bool DownstreamHasSpace(RouterPort out, Vc vc) const;
   // Hands `flit` to the next hop: moved into a neighbour's AcceptFlit, read
-  // in place by local ejection and boundary sends.
+  // in place by local ejection.
   void SendDownstream(RouterPort out, Flit& flit, Cycle now);
 
   uint32_t x_;
@@ -196,9 +187,6 @@ class Router {
   std::vector<uint8_t> route_;
 
   std::array<Router*, 4> neighbors_{};
-  // Cut-link shims (indexed by the four neighbor ports); null off-partition.
-  std::array<BoundaryLink*, 4> out_boundary_{};
-  std::array<BoundaryLink*, 4> in_boundary_{};
   NetworkInterface* ni_ = nullptr;
   NocFaultModel* fault_model_ = nullptr;
 

@@ -4,7 +4,7 @@
 
 namespace apiary {
 
-uint32_t ActiveSchedule::Add(Clocked* block, Cycle now, bool defer_first_tick) {
+uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -20,7 +20,7 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now, bool defer_first_tick) {
   // A block registered from inside a Tick() must not tick this cycle (the
   // reference loop's count snapshot excluded it); one registered from an event
   // callback runs this cycle (the snapshot was taken after events).
-  s.no_tick_before = (ticking_ || defer_first_tick) ? now + 1 : 0;
+  s.no_tick_before = ticking_ ? now + 1 : 0;
   s.state = State::kActive;
   s.policy = block->SchedulingPolicy();
   block->BindWakeSink(this, slot);
@@ -269,7 +269,8 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
   active_.resize(kept);
 
   // 3. Re-admit boundary-poll blocks whose external inputs arrived since the
-  // last boundary (shard-phase enqueues, link flips — no wake path).
+  // last boundary (enqueues from other blocks' ticks or harness code, link
+  // flips — no wake path).
   for (const uint32_t slot : polled_) {
     Slot& s = slots_[slot];
     if (s.state == State::kParked && s.block->NextActivity(now) <= now) {

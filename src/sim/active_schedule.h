@@ -15,7 +15,8 @@
 //   * the timer wheel (the block's own declared deadline),
 //   * Clocked::RequestWake()/WakeHint (input delivered by another block),
 //   * a per-boundary re-poll (SchedPolicy::kBoundaryPoll, for blocks whose
-//     inputs arrive outside any schedule-visible wake path),
+//     inputs arrive outside any schedule-visible wake path: harness-side
+//     submissions, enqueues from other blocks' ticks, link flips),
 // and SchedPolicy::kEveryCycle opts a block out entirely (ticked on every
 // executed cycle, exactly as the reference loop would).
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
@@ -42,10 +43,7 @@ class ActiveSchedule final : public WakeSink {
   // the block's first tick is deferred to the next cycle, matching the reference
   // loop's count snapshot (blocks registered mid-tick start next cycle, while
   // blocks registered by event callbacks — before the loop — tick same-cycle).
-  // `defer_first_tick` forces the next-cycle start regardless (the parallel
-  // engine classifies new blocks at the top of the next cycle, so even
-  // event-registered blocks start one cycle later there).
-  uint32_t Add(Clocked* block, Cycle now, bool defer_first_tick = false);
+  uint32_t Add(Clocked* block, Cycle now);
 
   // Removes a block; its slot id is recycled (generation-checked, so stale
   // wheel entries can never alias the new tenant).
@@ -78,12 +76,11 @@ class ActiveSchedule final : public WakeSink {
   Cycle EarliestWork(Cycle now) const;
 
   // Conservatively re-activates every block and drops all wheel state. Used
-  // when blocks migrate between schedules (parallel engine rebinding) and
-  // when skipping is re-enabled mid-run with stale state.
+  // after event callbacks (opaque input to any block) and when skipping is
+  // re-enabled mid-run with stale state.
   void RebuildAllActive();
 
   size_t size() const { return live_count_; }
-  bool ticking() const { return ticking_; }
 
   // Executed-cycle breakdown (monotonic).
   uint64_t ticked_blocks() const { return ticked_blocks_; }

@@ -41,10 +41,13 @@ class Clocked {
   //                   every executed cycle exactly as before active sets;
   //                   NextActivity still bounds skips.
   //   kBoundaryPoll — quiescent ticks are no-ops, but NextActivity depends on
-  //                   state mutated outside any schedule-visible wake path
-  //                   (e.g. enqueues from shard-phase service ticks, where a
-  //                   cross-thread wake would race). Re-polled at every
-  //                   executed-cycle boundary instead of parked on the wheel.
+  //                   state that other code mutates without calling
+  //                   RequestWake (MAC TX enqueues and link flips, PCIe and
+  //                   RawQueue submissions from harness code, memory
+  //                   enqueues from service ticks, NI injections into the
+  //                   mesh, the tenant attackers' campaign flag).
+  //                   Re-polled at every executed-cycle boundary instead of
+  //                   parked on the wheel, so no such input is missed.
   enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1, kBoundaryPoll = 2 };
   [[nodiscard]] virtual SchedPolicy SchedulingPolicy() const { return SchedPolicy::kActiveSet; }
 
@@ -76,15 +79,6 @@ class Clocked {
   // observer would hold) and delta-add per-cycle accumulators.
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
-  // Spatial-partition home for the sharded parallel engine
-  // (src/sim/parallel/parallel_simulator.h): the mesh tile whose shard must
-  // tick this block when the board is decomposed into domains. Blocks that
-  // are anchored to one tile (tiles themselves, and with them their monitor
-  // and accelerator) return that tile id; everything else keeps the default
-  // kInvalidTile and is ticked serially in the root phase of every executed
-  // cycle, before the shard phases run.
-  [[nodiscard]] virtual TileId PartitionHome() const { return kInvalidTile; }
-
   // Human-readable name for tracing and debug dumps.
   virtual std::string DebugName() const { return "clocked"; }
 
@@ -97,9 +91,7 @@ class Clocked {
   // Callable from const methods (a const query that flips cached state, e.g.
   // a link-lock poll, still ends quiescence). Always safe to call: waking an
   // already-active or genuinely idle block is a no-op tick at worst, never a
-  // behavior change. Must only be called from the thread that owns this
-  // block's schedule (same shard, or the coordinator while workers are
-  // parked) — see DESIGN.md for the full contract.
+  // behavior change. See DESIGN.md for the full contract.
   void RequestWake() const {
     if (wake_sink_ != nullptr) {
       wake_sink_->Wake(wake_slot_);
@@ -108,8 +100,8 @@ class Clocked {
 
   // Tells the schedule this block's SchedulingPolicy() answer changed (a
   // tile's policy follows the accelerator loaded onto it). Call after any
-  // mutation that can change the answer; same threading rules as
-  // RequestWake(). Conservatively re-activates the block.
+  // mutation that can change the answer. Conservatively re-activates the
+  // block.
   void RequestPolicyRefresh() const {
     if (wake_sink_ != nullptr) {
       wake_sink_->RefreshPolicy(wake_slot_);

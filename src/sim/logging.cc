@@ -2,7 +2,7 @@
 
 #include <cstdio>
 
-#include "src/sim/parallel/thread_domain.h"
+#include "src/sim/thread_domain.h"
 #include "src/sim/sim_context.h"
 
 namespace apiary {

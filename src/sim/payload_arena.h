@@ -2,8 +2,8 @@
 // tier.
 //
 // Historically this was a process-wide Meyers static inside payload_buf.cc.
-// That made every payload allocation a write to shared state — exactly the
-// kind of hidden global the sharded engine (ROADMAP item 1) cannot tolerate.
+// That made every payload allocation a write to shared state — a hidden
+// global that two simulators in one process would both write.
 // The arena is now an explicit object: each SimContext owns one, so every
 // simulation domain recycles chunks privately, and a process fallback arena
 // (annotated APIARY-SHARED) serves code running outside any domain.

@@ -1,6 +1,6 @@
 #include "src/sim/payload_buf.h"
 
-#include "src/sim/parallel/thread_domain.h"
+#include "src/sim/thread_domain.h"
 #include "src/sim/sim_context.h"
 
 namespace apiary {

@@ -14,7 +14,7 @@
 // pass a payload through the wire stack without copying it.
 //
 // Domain confinement: the backing arena is the *current thread's installed
-// SimContext* arena (src/sim/parallel/thread_domain.h), falling back to the
+// SimContext* arena (src/sim/thread_domain.h), falling back to the
 // process arena outside any domain. A buf records its birth arena and
 // always releases back to it, so chunks never migrate between domains and
 // two Simulators on two threads share no allocator state.

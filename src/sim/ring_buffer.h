@@ -13,14 +13,9 @@
 //
 // Ownership contract: RingBuffer is a SINGLE-OWNER queue — producer and
 // consumer are the same simulation domain, so there is no synchronization
-// and no atomics (apiary-sync-discipline bans them at this layer). The
-// cross-domain variant — exactly one producer thread, exactly one consumer
-// thread, acquire/release index publication — is SpscRing in
-// src/sim/parallel/spsc_ring.h, which documents the full SPSC memory-order
-// argument; the sharded engine uses it for boundary flit handoff and this
-// class for everything intra-shard. Debug builds enforce the structural
-// half of the contract here: Init() exactly once, capacity never exceeded,
-// never pop from empty (the asserts below).
+// and no atomics (apiary-sync-discipline bans them at this layer). Debug
+// builds enforce the structural half of the contract: Init() exactly once,
+// capacity never exceeded, never pop from empty (the asserts below).
 #ifndef SRC_SIM_RING_BUFFER_H_
 #define SRC_SIM_RING_BUFFER_H_
 

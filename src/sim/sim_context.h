@@ -3,14 +3,14 @@
 // Everything a simulation domain allocates or observes in its hot path —
 // payload chunks, packet pools, trace sinks — hangs off this object instead
 // of process globals. One Simulator owns one SimContext; the Simulator
-// installs it as the current thread's domain (src/sim/parallel/
-// thread_domain.h) for the duration of Run()/RunUntil(), and test harnesses
-// install it around construction when they build boards off the run path.
+// installs it as the current thread's domain (src/sim/thread_domain.h) for
+// the duration of Run()/RunUntil(), and test harnesses install it around
+// construction when they build boards off the run path.
 //
-// This is the confinement boundary that makes ROADMAP item 1 (one worker
-// thread per spatial domain) a mechanical decomposition: two Simulators on
-// two threads share no mutable state, which the two-thread TSan smoke
-// harness (tests/parallel_smoke_test.cc) proves on every CI run.
+// This is the confinement boundary that lets one process run several
+// simulators: two Simulators on two threads share no mutable state, which
+// the two-thread TSan smoke harness (tests/parallel_smoke_test.cc) proves on
+// every CI run.
 //
 // Layering note: sim is the root layer, so SimContext cannot name types
 // from noc/core (PacketPool lives in noc). Higher layers attach their
@@ -51,8 +51,8 @@ class SimContext {
   void set_slot(int id, void* value, SlotDtor dtor);
 
   // Per-domain log sink. When set, log lines emitted while this context is
-  // installed go here instead of the process-wide sink — each domain of a
-  // threaded run captures its own byte-exact trace.
+  // installed go here instead of the process-wide sink — each simulator
+  // of a multi-simulator process captures its own byte-exact trace.
   void SetLogSink(LogSink sink, void* user);
   LogSink log_sink() const { return log_sink_; }
   void* log_sink_user() const { return log_sink_user_; }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/sim/parallel/thread_domain.h"
+#include "src/sim/thread_domain.h"
 
 namespace apiary {
 
@@ -11,8 +11,7 @@ void Simulator::Register(Clocked* block) {
   // The schedule is kept bound under the reference engine too: wake calls
   // stay counted, and re-enabling skipping mid-run only needs a conservative
   // rebuild.
-  const uint32_t slot = sched_.Add(block, now_, defer_new_blocks_);
-  slot_refs_.push_back(SlotRef{&sched_, slot});
+  slots_.push_back(sched_.Add(block, now_));
 }
 
 void Simulator::Unregister(Clocked* block) { pending_removals_.push_back(block); }
@@ -21,7 +20,7 @@ void Simulator::ApplyPendingRemovals() {
   if (pending_removals_.empty()) {
     return;
   }
-  // Single-pass lockstep compaction of blocks_ and slot_refs_: sort the
+  // Single-pass lockstep compaction of blocks_ and slots_: sort the
   // removal set once and binary-search it per block. Sorting also makes
   // double-unregister of the same block harmless (each surviving element is
   // visited once).
@@ -29,15 +28,15 @@ void Simulator::ApplyPendingRemovals() {
   size_t kept = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
     if (std::binary_search(pending_removals_.begin(), pending_removals_.end(), blocks_[i])) {
-      slot_refs_[i].sched->Remove(slot_refs_[i].slot);
+      sched_.Remove(slots_[i]);
     } else {
       blocks_[kept] = blocks_[i];
-      slot_refs_[kept] = slot_refs_[i];
+      slots_[kept] = slots_[i];
       ++kept;
     }
   }
   blocks_.resize(kept);
-  slot_refs_.resize(kept);
+  slots_.resize(kept);
   pending_removals_.clear();
 }
 

@@ -97,29 +97,12 @@ class Simulator {
   // scheduler actually did. `ticked_blocks / (executed_cycles * block_count)`
   // is the observed active fraction.
   uint64_t executed_cycles() const { return executed_cycles_; }
-  uint64_t ticked_blocks() const {
-    return reference_ticked_blocks_ + extra_ticked_blocks_ + sched_.ticked_blocks();
-  }
-  uint64_t wheel_wakes() const { return extra_wheel_wakes_ + sched_.wheel_wakes(); }
-  uint64_t wake_calls() const { return extra_wake_calls_ + sched_.wake_calls(); }
+  uint64_t ticked_blocks() const { return reference_ticked_blocks_ + sched_.ticked_blocks(); }
+  uint64_t wheel_wakes() const { return sched_.wheel_wakes(); }
+  uint64_t wake_calls() const { return sched_.wake_calls(); }
   size_t block_count() const { return blocks_.size(); }
 
  private:
-  // The sharded engine drives this simulator's clock, blocks, and event
-  // queue directly (root phase + per-shard phases instead of Step()); it
-  // moves shard-homed blocks between this simulator's root schedule and its
-  // per-shard schedules, and reuses JumpTo/ApplyPendingRemovals so skip and
-  // removal semantics stay byte-identical with the serial path.
-  friend class ParallelSimulator;
-
-  // Where a registered block currently lives: its schedule (the root
-  // schedule, or a shard schedule under the parallel engine) and its stable
-  // slot id there. Indexed in lockstep with blocks_.
-  struct SlotRef {
-    ActiveSchedule* sched = nullptr;
-    uint32_t slot = 0;
-  };
-
   void Step();
   // Fast-forwards now_ to the earliest cycle in (now_, limit] that any block
   // or event needs, when every block is quiescent. No-op when some block is
@@ -135,22 +118,12 @@ class Simulator {
   double frequency_mhz_;
   Cycle now_ = 0;
   bool skip_enabled_ = true;
-  // Set while a parallel engine drives this simulator: new registrations
-  // start ticking next cycle even when made from an event callback (the
-  // engine classifies them at the top of the next cycle, unlike Step()'s
-  // same-cycle pickup).
-  bool defer_new_blocks_ = false;
   uint64_t skipped_cycles_ = 0;
   uint64_t skips_ = 0;
   uint64_t executed_cycles_ = 0;
   uint64_t reference_ticked_blocks_ = 0;  // Ticks issued by the reference engine.
-  // Contributions from schedules this simulator does not own (the parallel
-  // engine folds its shard schedules in at the end of each run).
-  uint64_t extra_ticked_blocks_ = 0;
-  uint64_t extra_wheel_wakes_ = 0;
-  uint64_t extra_wake_calls_ = 0;
   std::vector<Clocked*> blocks_;
-  std::vector<SlotRef> slot_refs_;  // Lockstep with blocks_.
+  std::vector<uint32_t> slots_;  // Each block's sched_ slot; lockstep with blocks_.
   std::vector<Clocked*> pending_removals_;
   ActiveSchedule sched_;
   EventQueue events_;

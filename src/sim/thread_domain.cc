@@ -1,9 +1,9 @@
-#include "src/sim/parallel/thread_domain.h"
+#include "src/sim/thread_domain.h"
 
 namespace apiary {
 namespace {
 
-// The confinement mechanism itself: each worker thread sees only its own
+// The confinement mechanism itself: each thread sees only its own
 // installed context, so domain-local state never crosses threads.
 // APIARY-SHARED(thread): per-thread current-domain pointer; thread_local by design.
 thread_local SimContext* t_current = nullptr;

@@ -1,17 +1,19 @@
 // ThreadDomain: which simulation domain the current thread belongs to.
 //
-// This directory (src/sim/parallel/) is the one place in the tree allowed
-// to hold synchronization and thread-affine state — apiary-sync-discipline
-// enforces it. The rest of the simulator stays single-threaded code that
-// merely *asks* for its current domain; the sharded engine (ROADMAP item 1)
-// will pin one SimContext per worker thread through this same API.
+// These two files (src/sim/thread_domain.{h,cc}) are the one place in the
+// tree allowed to hold synchronization and thread-affine state —
+// apiary-sync-discipline enforces it. The rest of the simulator stays
+// single-threaded code that merely *asks* for its current domain: each
+// Simulator owns one SimContext, and a process may run several simulators
+// (one per thread, or interleaved on one), so pools, arenas and log sinks
+// are found through the installed context, never through a global.
 //
 // Install is scoped and nestable: Simulator::Run()/RunUntil() install the
 // simulator's own context automatically, and threaded harnesses (e.g.
 // tests/parallel_smoke_test.cc) install one around an entire build+run so
 // construction-time allocations land in the right domain too.
-#ifndef SRC_SIM_PARALLEL_THREAD_DOMAIN_H_
-#define SRC_SIM_PARALLEL_THREAD_DOMAIN_H_
+#ifndef SRC_SIM_THREAD_DOMAIN_H_
+#define SRC_SIM_THREAD_DOMAIN_H_
 
 namespace apiary {
 
@@ -38,4 +40,4 @@ class ThreadDomain {
 
 }  // namespace apiary
 
-#endif  // SRC_SIM_PARALLEL_THREAD_DOMAIN_H_
+#endif  // SRC_SIM_THREAD_DOMAIN_H_

@@ -11,7 +11,6 @@
 //     before the window exists);
 //   * Undeploy of a tile on the corridor (engine_differential_test covers
 //     the board-level variant; here the NoC observables stay identical);
-//   * shard-cut truncation under the parallel engine;
 //   * crossing traffic entering the corridor zone;
 //   * a new injection on the corridor's source tile (queue-order preserving);
 //   * weighted-arbitration contention (the 8:1 share must not move).
@@ -27,8 +26,6 @@
 #include "src/noc/mesh.h"
 #include "src/noc/packet.h"
 #include "src/noc/packet_pool.h"
-#include "src/sim/parallel/parallel_simulator.h"
-#include "src/sim/parallel/thread_domain.h"
 #include "src/sim/payload_arena.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -382,54 +379,6 @@ TEST(ExpressTest, WeightReconfigMidCorridorMatchesBaseline) {
   EXPECT_EQ(stats.materializations, 1u);
 }
 
-// Shard-cut truncation: under a 2-shard partition a corridor covers only its
-// shard-interior prefix, self-materializes at the cut, and the flits cross
-// the BoundaryLink cycle-accurately. Byte-identical at 1 and 2 threads.
-TEST(ExpressTest, ShardCutTruncationMatchesBaseline) {
-  ExpressStats stats;
-  auto run = [&stats](bool express, uint32_t threads) {
-    Simulator sim;
-    Mesh mesh(MeshConfig{8, 8, 8, 64});
-    mesh.SetExpressEnabled(express);
-    sim.Register(&mesh);
-    ParallelSimulator psim(&sim, &mesh, ParallelConfig{2, threads});
-    EXPECT_EQ(psim.shards(), 2u);
-    // West half -> east half along row 3: truncates at the x=3|4 cut.
-    {
-      // Packet and payload must be born in the owning shard's domain.
-      ThreadDomain::ScopedInstall install(psim.shard_context(0));
-      EXPECT_TRUE(mesh.ni(24).Inject(
-          MakePacket(24, 31, 300, 1, Vc::kRequest, mesh.ni(24).pool()), 0));
-    }
-    psim.Run(2'000);
-    if (express) {
-      stats = mesh.AggregateExpressStats();
-    }
-    MeshObservables r;
-    r.end_cycle = sim.now();
-    r.skipped_cycles = sim.skipped_cycles();
-    r.flits_routed = mesh.TotalFlitsRouted();
-    r.counters = mesh.AggregateCounters().ToString();
-    r.latency = mesh.AggregateLatency().Summary();
-    while (auto p = mesh.ni(31).Retrieve()) {
-      r.deliveries += std::to_string(p->packet_id) + ':' +
-                      std::to_string(p->payload.size()) + '\n';
-    }
-    return r;
-  };
-  const MeshObservables on1 = run(true, 1);
-  const MeshObservables off1 = run(false, 1);
-  const MeshObservables on2 = run(true, 2);
-  EXPECT_TRUE(on1 == off1) << on1.counters << "\nvs\n" << off1.counters;
-  EXPECT_TRUE(on1 == on2);
-  EXPECT_NE(on1.deliveries.find("1:300"), std::string::npos);
-  EXPECT_EQ(stats.launches, 1u);
-  EXPECT_EQ(stats.materializations, 1u);  // The truncated self-materialize.
-  EXPECT_EQ(stats.delivered, 0u);
-}
-
-// Toggling express off mid-run materializes everything; observables still
-// match a run that never used express.
 TEST(ExpressTest, DisableMidRunMaterializesInFlightCorridors) {
   auto run = [](bool express) {
     Simulator sim;

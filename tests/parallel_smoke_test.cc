@@ -19,7 +19,7 @@
 #include "src/accel/probe.h"
 #include "src/core/service_ids.h"
 #include "src/sim/logging.h"
-#include "src/sim/parallel/thread_domain.h"
+#include "src/sim/thread_domain.h"
 #include "src/sim/sim_context.h"
 #include "tests/test_util.h"
 

@@ -1,12 +1,8 @@
-// Unit tests for the two queue primitives on the flit hot path:
-// RingBuffer (single-owner, intra-shard) and SpscRing (cross-shard handoff).
+// Unit tests for RingBuffer, the single-owner queue on the flit hot path.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <thread>
-#include <vector>
 
-#include "src/sim/parallel/spsc_ring.h"
 #include "src/sim/ring_buffer.h"
 
 namespace apiary {
@@ -58,76 +54,6 @@ TEST(RingBufferTest, ClearReleasesEverything) {
   ring.clear();
   EXPECT_TRUE(ring.empty());
   EXPECT_EQ(value.use_count(), 1);
-}
-
-TEST(SpscRingTest, SingleThreadedFifoAndBounds) {
-  SpscRing<int, 4> ring;
-  EXPECT_TRUE(ring.EmptyApprox());
-  int out = 0;
-  EXPECT_FALSE(ring.Pop(&out));  // Empty.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.Push(i));
-  }
-  EXPECT_FALSE(ring.Push(99));  // Full.
-  EXPECT_EQ(ring.SizeApprox(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.Pop(&out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.Pop(&out));
-  // Indices are monotonic (they wrapped the mask); FIFO must survive reuse.
-  for (int i = 100; i < 110; ++i) {
-    EXPECT_TRUE(ring.Push(i));
-    ASSERT_TRUE(ring.Pop(&out));
-    EXPECT_EQ(out, i);
-  }
-}
-
-TEST(SpscRingTest, CrossThreadHandoffDeliversEverythingInOrder) {
-  // One producer thread, one consumer thread (this one), full/empty
-  // backpressure exercised by the tiny capacity. Run under TSan in the
-  // sanitize CI job, this is the memory-ordering proof for the boundary
-  // handoff path.
-  constexpr int kItems = 50000;
-  SpscRing<int, 8> ring;
-  std::thread producer([&ring] {
-    for (int i = 0; i < kItems;) {
-      if (ring.Push(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();  // Full: wait for the consumer.
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kItems) {
-    int out = -1;
-    if (ring.Pop(&out)) {
-      ASSERT_EQ(out, expected);
-      ++expected;
-    } else {
-      std::this_thread::yield();  // Empty: wait for the producer.
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.EmptyApprox());
-}
-
-TEST(SpscRingTest, ResetOwnersAllowsHandover) {
-  // A ring may change owner threads between runs, as long as both sides are
-  // quiescent across the handover (the engine's workers are joined before
-  // DisablePartition). ResetOwners forgets the debug-mode role bindings.
-  SpscRing<int, 4> ring;
-  std::thread first([&ring] { ASSERT_TRUE(ring.Push(1)); });
-  first.join();
-  ring.ResetOwners();
-  std::thread second([&ring] { ASSERT_TRUE(ring.Push(2)); });
-  second.join();
-  int out = 0;
-  ASSERT_TRUE(ring.Pop(&out));
-  EXPECT_EQ(out, 1);
-  ASSERT_TRUE(ring.Pop(&out));
-  EXPECT_EQ(out, 2);
 }
 
 }  // namespace

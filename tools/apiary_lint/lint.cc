@@ -455,10 +455,10 @@ LintConfig DefaultConfig() {
   // every survivor carries its own audit trail.
   config.global_state_exempt_prefixes = {};
 
-  // Domain confinement: these layers hold the per-domain simulation state
-  // that ROADMAP item 1 shards across worker threads. A raw pointer or
-  // reference member crossing between them is an edge a sharded run would
-  // race on unless it rides one of the registered channel types below.
+  // Domain confinement: these layers hold the per-simulator state that
+  // hangs off one SimContext. A raw pointer or reference member crossing
+  // between them is an edge that could tie one simulator's state to
+  // another's unless it rides one of the registered channel types below.
   config.confined_layers = {"sim", "noc", "core"};
   // Sanctioned crossing points: the simulator substrate every block is
   // built on, the per-domain context, the NI injection surface, intrusive
@@ -467,9 +467,10 @@ LintConfig DefaultConfig() {
                                       "NetworkInterface", "PacketRef", "PacketPool",
                                       "PayloadArena", "Rng"};
 
-  // Sync discipline: every synchronization primitive in simulator code
-  // lives in the one reviewed home, src/sim/parallel/. Ad-hoc mutexes and
-  // atomics elsewhere are how "thread-safe enough" state sneaks back in.
+  // Sync discipline: the only thread-affine state in simulator code is the
+  // current-domain pointer in src/sim/thread_domain.{h,cc}. Each simulator
+  // owns one SimContext and a process may run several simulators, so
+  // ad-hoc mutexes and atomics elsewhere are how shared state sneaks back in.
   config.banned_sync_identifiers = {
       "std::mutex", "std::recursive_mutex", "std::timed_mutex",
       "std::recursive_timed_mutex", "std::shared_mutex", "std::shared_timed_mutex",
@@ -481,7 +482,7 @@ LintConfig DefaultConfig() {
       "std::lock_guard", "std::unique_lock", "std::scoped_lock", "std::shared_lock",
       "std::call_once", "std::once_flag", "std::counting_semaphore",
       "std::binary_semaphore", "std::latch", "std::barrier", "thread_local"};
-  config.sync_allowed_prefixes = {"src/sim/parallel/"};
+  config.sync_allowed_prefixes = {"src/sim/thread_domain."};
 
   // Wake path: what counts as a visible wake integration. Firing or handing
   // out a wake handle proves input delivery ends quiescence; overriding
@@ -969,9 +970,9 @@ void CheckGlobalState(const SourceFile& file, const LintConfig& config,
     }
     findings->push_back(
         {file.path, lineno, "apiary-global-state",
-         what + " is process-global mutable state a sharded simulation would race "
-                "on; make it domain-local (SimContext) or annotate the declaration "
-                "with // APIARY-SHARED(<domain>): <reason>"});
+         what + " is process-global mutable state that every simulator in the "
+                "process shares; make it domain-local (SimContext) or annotate the "
+                "declaration with // APIARY-SHARED(<domain>): <reason>"});
   };
 
   // Evaluates one flushed statement. `other_depth` counts enclosing braces
@@ -1103,13 +1104,12 @@ void CheckSyncDiscipline(const SourceFile& file, const LintConfig& config,
       if (!FindIdentifier(line, ident).empty()) {
         findings->push_back(
             {file.path, lineno, "apiary-sync-discipline",
-             ident + " is ad-hoc synchronization; every primitive lives in the "
-                     "reviewed " +
+             ident + " is ad-hoc synchronization; thread-affine state lives only in " +
                  (config.sync_allowed_prefixes.empty()
-                      ? std::string("parallel home")
-                      : config.sync_allowed_prefixes.front()) +
-                 " so the sharded engine (ROADMAP item 1) has one concurrency "
-                 "surface to audit"});
+                      ? std::string("the thread-domain home")
+                      : config.sync_allowed_prefixes.front() + "*") +
+                 ", because each simulator owns one SimContext and a process may "
+                 "run several simulators"});
       }
     }
   }
@@ -1279,7 +1279,7 @@ void CheckDomainConfinement(const std::vector<SourceFile>& files, const LintConf
                "member '" + member + "' holds a raw pointer/reference to " + type +
                    " (" + owner + "-owned) from src/" + layer + "/ — cross-domain "
                    "state must ride PacketRef, a capability handle, or a registered "
-                   "channel type so domains stay shardable (ROADMAP item 1)"});
+                   "channel type so each simulator's domain stays self-contained"});
         }
       }
     }

@@ -23,7 +23,7 @@
 //                          sim/noc/core domain boundary except through
 //                          registered channel types
 //   apiary-sync-discipline ad-hoc std::mutex/std::atomic/thread_local are
-//                          banned under src/ outside src/sim/parallel/
+//                          banned under src/ outside src/sim/thread_domain.*
 //   apiary-wake-path       a NextActivity() that can declare kNoActivity
 //                          ("idle until external input") must show its wake
 //                          path or name its waker with APIARY-WAKE
@@ -51,7 +51,7 @@
 //   // APIARY-SHARED(<domain>): <reason>
 // where <domain> names the sharing scope (e.g. "process") and <reason> says
 // why the state cannot be domain-local. The annotation is the audit trail
-// that makes ROADMAP item 1's domain decomposition mechanical.
+// for every piece of state two simulators in one process would share.
 //
 // Implementation: a hand-rolled lexer strips comments and string/char
 // literals (so commented-out code never fires) and records NOLINT markers,
@@ -174,9 +174,9 @@ struct LintConfig {
   std::vector<std::string> global_state_exempt_prefixes;
 
   // --- apiary-domain-confinement ---
-  // The layers whose types form sharding domains: a raw pointer/reference
-  // member to one of these types from a *different* layer is a cross-domain
-  // edge that threads would race on.
+  // The layers whose types hang off one simulator's domain: a raw
+  // pointer/reference member to one of these types from a *different* layer
+  // is a cross-domain edge.
   std::vector<std::string> confined_layers;
   // Registered channel/handle types that are the sanctioned way to cross a
   // domain boundary (the NI injection surface, the simulator substrate, the
@@ -221,13 +221,13 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
 // Shared-state analysis (DESIGN.md "Domain confinement"): under src/, any
 // non-const namespace-scope global, function-local static mutable (Meyers
 // singleton included), or mutable static data member is process-shared
-// state that a sharded simulation would race on. Survivors must carry an
+// state that every simulator in the process would share. Survivors must carry an
 // // APIARY-SHARED(<domain>): <reason> annotation on or above the line.
 void CheckGlobalState(const SourceFile& file, const LintConfig& config,
                       std::vector<Finding>* findings);
 // Synchronization discipline: ad-hoc std::mutex/std::atomic/thread_local
-// under src/ is banned outside the allow-listed src/sim/parallel/ home, so
-// every synchronization primitive in the tree is in one reviewed place.
+// under src/ is banned outside the allow-listed src/sim/thread_domain.{h,cc},
+// so the tree's one piece of thread-affine state is in one reviewed place.
 void CheckSyncDiscipline(const SourceFile& file, const LintConfig& config,
                          std::vector<Finding>* findings);
 // Suppression hygiene: a NOLINT/NOLINTNEXTLINE list naming an apiary-*
@@ -258,8 +258,8 @@ void CheckWakePath(const std::vector<SourceFile>& files, const LintConfig& confi
 // from definitions, then flags raw pointer/reference *members* whose pointee
 // type lives in a different confined layer (sim/noc/core) than the declaring
 // file. Cross-domain state must ride PacketRef, capability handles, or a
-// registered channel type — that discipline is what makes the mesh
-// decomposable into per-thread domains (ROADMAP item 1).
+// registered channel type — that discipline keeps each simulator's state
+// reachable only from its own domain.
 void CheckDomainConfinement(const std::vector<SourceFile>& files, const LintConfig& config,
                             std::vector<Finding>* findings);
 

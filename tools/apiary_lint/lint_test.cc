@@ -433,10 +433,10 @@ TEST(HotPath, ExpressConfigureIsTheSanctionedSizingPoint) {
 }
 
 TEST(HotPath, ExpressDisciplineLimitedToExpressFiles) {
-  // The same assign in mesh.cc is partition setup, not corridor state.
+  // The same assign in mesh.cc is mesh setup, not corridor state.
   EXPECT_TRUE(LintOne("src/noc/mesh.cc",
-                      "void Mesh::EnablePartition(uint32_t n) {\n"
-                      "  shard_express_.assign(n, ExpressLane{});\n"
+                      "void Mesh::Resize(uint32_t n) {\n"
+                      "  live_.assign(n, LiveWord{});\n"
                       "}\n")
                   .empty());
 }
@@ -691,24 +691,27 @@ TEST(SyncDiscipline, FlagsAdHocPrimitivesUnderSrc) {
   EXPECT_EQ(sync_findings, 3);
 }
 
-TEST(SyncDiscipline, AllowsTheParallelHome) {
-  EXPECT_FALSE(HasCheck(
-      LintOne("src/sim/parallel/work_queue.cc",
-              "class WorkQueue {\n  std::mutex mu_;\n};\n"),
-      "apiary-sync-discipline"));
+TEST(SyncDiscipline, AllowsTheThreadDomainHome) {
+  // The current-domain pointer is the one piece of thread-affine state.
+  const std::string domain = "thread_local SimContext* t_current = nullptr;\n";
+  EXPECT_FALSE(
+      HasCheck(LintOne("src/sim/thread_domain.cc", domain), "apiary-sync-discipline"));
+  EXPECT_FALSE(HasCheck(LintOne("src/sim/thread_domain.h", "class ThreadDomain {\n};\n"),
+                        "apiary-sync-discipline"));
+  EXPECT_TRUE(HasCheck(LintOne("src/sim/logging.cc", domain), "apiary-sync-discipline"));
 }
 
-TEST(SyncDiscipline, AllowsTheSpscRingIdiomInTheParallelHome) {
-  // The shipping boundary-handoff ring: atomic indices published with
-  // acquire/release plus a thread-id ownership assert. All of it is the
-  // reviewed-parallel-home's business, none of it may leak elsewhere.
+TEST(SyncDiscipline, FlagsTheSpscRingIdiomEverywhereUnderSrc) {
+  // A lock-free handoff ring: atomic indices published with acquire/release
+  // plus a thread-id ownership assert. No directory under src/ may hold it,
+  // including the old parallel-engine home.
   const std::string ring =
       "class SpscRing {\n"
       "  std::atomic<uint32_t> head_{0};\n"
       "  std::atomic<uint32_t> tail_{0};\n"
       "  std::thread::id producer_{};\n"
       "};\n";
-  EXPECT_FALSE(
+  EXPECT_TRUE(
       HasCheck(LintOne("src/sim/parallel/spsc_ring.h", ring), "apiary-sync-discipline"));
   EXPECT_TRUE(HasCheck(LintOne("src/noc/spsc_ring.h", ring), "apiary-sync-discipline"));
 }

@@ -1,4 +1,4 @@
-// Bad: process-global mutable state a sharded simulation would race on.
+// Bad: process-global mutable state that every simulator in the process shares.
 namespace apiary {
 
 int g_counter = 0;

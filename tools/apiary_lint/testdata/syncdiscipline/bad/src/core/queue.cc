@@ -1,4 +1,4 @@
-// Bad: ad-hoc synchronization outside src/sim/parallel/.
+// Bad: ad-hoc synchronization outside src/sim/thread_domain.*.
 #include <atomic>
 #include <mutex>
 

@@ -5,7 +5,7 @@ Usage:
   bench_diff.py --baseline-dir . --current-dir bench_out BENCH_b1.json ...
 
 For every named file, rows are joined on their identifying fields (config,
-scenario, period, threads, active_pct) and the key throughput fields —
+scenario, period, active_pct) and the key throughput fields —
 anything named *mcycles_per_sec, speedup, or express_hits — are compared
 against the baseline. A throughput drop beyond --tolerance (default 30%,
 smoke runs on shared CI hardware are noisy), a corridor hit count
@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-ID_FIELDS = ("config", "scenario", "period", "threads", "active_pct")
+ID_FIELDS = ("config", "scenario", "period", "active_pct")
 
 
 def row_key(row):
