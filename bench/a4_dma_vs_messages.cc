@@ -70,9 +70,8 @@ Result RunMessages(uint32_t total) {
     PutU32(read.payload, chunk);
     probe->EnqueueSend(read, to_mem, src);
     size_t want = probe->received.size() + 1;
-    if (!bb.sim.RunUntil([&] { return probe->received.size() >= want; }, 1'000'000)) {
-      break;
-    }
+    auto replied = [&] { return probe->received.size() >= want; };
+    RunUntilOrExit(bb.sim, replied, 1'000'000, "memory-service read reply");
     // ...then write it to dst.
     Message write;
     write.opcode = kOpMemWrite;
@@ -81,9 +80,7 @@ Result RunMessages(uint32_t total) {
     write.payload.insert(write.payload.end(), data.begin(), data.end());
     probe->EnqueueSend(write, to_mem, dst);
     want = probe->received.size() + 1;
-    if (!bb.sim.RunUntil([&] { return probe->received.size() >= want; }, 1'000'000)) {
-      break;
-    }
+    RunUntilOrExit(bb.sim, replied, 1'000'000, "memory-service write reply");
     moved += chunk;
   }
   const double cycles = static_cast<double>(bb.sim.now() - start);

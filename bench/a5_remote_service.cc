@@ -41,7 +41,8 @@ double RunLocal() {
     const size_t want = probe->received.size() + 1;
     const Cycle start = bb.sim.now();
     probe->EnqueueSend(msg, cap);
-    bb.sim.RunUntil([&] { return probe->received.size() >= want; }, 100000);
+    auto replied = [&] { return probe->received.size() >= want; };
+    RunUntilOrExit(bb.sim, replied, 100000, "same-board reply");
     total += bb.sim.now() - start;
   }
   return static_cast<double>(total) / kCalls;
@@ -57,8 +58,7 @@ double RunRemote() {
   ApiaryOs os_b(board_b);
   // Registered after the boards (tiles first, fabric last) so frame arrival
   // is visible to service tiles on the next cycle — the same order TestBoard
-  // and BenchBoard use, which the network service's boundary-poll scheduling
-  // reproduces exactly.
+  // and BenchBoard use.
   sim.Register(&net);
   for (ApiaryOs* os : {&os_a, &os_b}) {
     Board& b = os == &os_a ? board_a : board_b;
@@ -98,7 +98,8 @@ double RunRemote() {
     const size_t want = probe->received.size() + 1;
     const Cycle start = sim.now();
     probe->EnqueueSend(call, cap);
-    sim.RunUntil([&] { return probe->received.size() >= want; }, 500000);
+    auto replied = [&] { return probe->received.size() >= want; };
+    RunUntilOrExit(sim, replied, 500000, "peer-board reply");
     total += sim.now() - start;
   }
   return static_cast<double>(total) / kCalls;
@@ -115,14 +116,16 @@ double RunHostCpu() {
   constexpr Cycle kHostService = 500;  // Syscall + handler (~2us).
   uint64_t total = 0;
   for (int i = 0; i < kCalls; ++i) {
+    bool landed = false;
     bool done = false;
     const Cycle start = sim.now();
-    up.Submit(64 + 53, [&](Cycle) {
-      sim.ScheduleAfter(kHostService, [&](Cycle) {
-        down.Submit(64 + 53, [&](Cycle) { done = true; });
-      });
-    });
-    sim.RunUntil([&] { return done; }, 1'000'000);
+    up.Submit(64 + 53, [&](Cycle) { landed = true; });
+    RunUntilOrExit(sim, [&] { return landed; }, 1'000'000, "host request");
+    // The request landed on the cycle before now; the response leaves
+    // kHostService cycles after landing.
+    sim.Run(kHostService - 1);
+    down.Submit(64 + 53, [&](Cycle) { done = true; });
+    RunUntilOrExit(sim, [&] { return done; }, 1'000'000, "host response");
     total += sim.now() - start;
   }
   return static_cast<double>(total) / kCalls;

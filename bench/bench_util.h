@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -187,6 +188,19 @@ inline bool HasFlag(int argc, char** argv, const std::string& flag) {
     }
   }
   return false;
+}
+
+// Runs `sim` until `pred` holds. A latency measurement whose message never
+// arrives is a broken run, not a data point: print what timed out and exit
+// nonzero instead of averaging the timeout into the table.
+inline void RunUntilOrExit(Simulator& sim, const std::function<bool()>& pred, Cycle max_cycles,
+                           const char* what) {
+  if (!sim.RunUntil(pred, max_cycles)) {
+    std::fprintf(stderr, "FAIL: %s did not arrive within %llu cycles (cycle %llu)\n", what,
+                 static_cast<unsigned long long>(max_cycles),
+                 static_cast<unsigned long long>(sim.now()));
+    std::exit(1);
+  }
 }
 
 }  // namespace apiary

@@ -91,7 +91,7 @@ double MeasureRawRtt() {
     ping->payload.assign(85, 1);  // Same wire bytes as the monitored run.
     const Cycle start = sim.now();
     mesh.ni(1).Inject(ping, sim.now());
-    sim.RunUntil([&] { return mesh.ni(0).HasDeliverable(); }, 10000);
+    RunUntilOrExit(sim, [&] { return mesh.ni(0).HasDeliverable(); }, 10000, "raw ping");
     mesh.ni(0).Retrieve();
     PacketRef pong(new NocPacket());
     pong->src = 0;
@@ -99,7 +99,7 @@ double MeasureRawRtt() {
     pong->vc = Vc::kResponse;
     pong->payload.assign(85, 1);
     mesh.ni(0).Inject(pong, sim.now());
-    sim.RunUntil([&] { return mesh.ni(1).HasDeliverable(); }, 10000);
+    RunUntilOrExit(sim, [&] { return mesh.ni(1).HasDeliverable(); }, 10000, "raw pong");
     mesh.ni(1).Retrieve();
     total += sim.now() - start;
     ++count;

@@ -7,7 +7,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "src/accel/echo.h"
+#include "src/accel/accel_opcodes.h"
+#include "src/accel/probe.h"
 #include "src/baseline/raw_queue.h"
 #include "src/fpga/pcie.h"
 #include "src/stats/table.h"
@@ -27,7 +28,7 @@ double RawQueueOneWay(uint32_t bytes) {
   for (int i = 0; i < kMessages; ++i) {
     const Cycle start = sim.now();
     q.Push(PayloadBuf(bytes, 1), sim.now());
-    sim.RunUntil([&] { return q.Pop(sim.now()).has_value(); }, 100000);
+    RunUntilOrExit(sim, [&] { return q.Pop(sim.now()).has_value(); }, 100000, "raw queue message");
     total += sim.now() - start;
   }
   return static_cast<double>(total) / kMessages;
@@ -58,10 +59,12 @@ double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
   ServiceId svc = 0;
   bb.os.Deploy(app, std::unique_ptr<Accelerator>(sink), &svc, dst_opts);
 
-  // Drive the monitor directly from the harness for cycle-exact timestamps.
+  // The sender is a probe accelerator: it ticks every cycle, so a message
+  // queued between runs is sent through its monitor on the next cycle.
   DeployOptions src_opts;
   src_opts.tile = 0;
-  const TileId st = bb.os.Deploy(app, std::make_unique<EchoAccelerator>(0), nullptr, src_opts);
+  auto* probe = new ProbeAccelerator();
+  const TileId st = bb.os.Deploy(app, std::unique_ptr<Accelerator>(probe), nullptr, src_opts);
   const CapRef cap = bb.os.GrantSendToService(st, svc);
   bb.sim.Run(3);
 
@@ -72,8 +75,8 @@ double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
     msg.payload.assign(bytes, 1);
     const uint64_t before = sink->received;
     const Cycle start = bb.sim.now();
-    bb.os.monitor(st).Send(std::move(msg), cap);
-    bb.sim.RunUntil([&] { return sink->received > before; }, 100000);
+    probe->EnqueueSend(std::move(msg), cap);
+    RunUntilOrExit(bb.sim, [&] { return sink->received > before; }, 100000, "apiary message");
     total += sink->last_arrival - start;
   }
   return static_cast<double>(total) / kMessages;
@@ -92,13 +95,15 @@ double HostedOneWay(uint32_t bytes) {
   uint64_t total = 0;
   for (int i = 0; i < kMessages; ++i) {
     const Cycle start = sim.now();
+    bool landed = false;
     bool arrived = false;
-    up.Submit(bytes, [&, bytes](Cycle) {
-      sim.ScheduleAfter(kHostSoftwareCycles, [&, bytes](Cycle) {
-        down.Submit(bytes, [&](Cycle) { arrived = true; });
-      });
-    });
-    sim.RunUntil([&] { return arrived; }, 1'000'000);
+    up.Submit(bytes, [&](Cycle) { landed = true; });
+    RunUntilOrExit(sim, [&] { return landed; }, 1'000'000, "hosted up-transfer");
+    // The up-transfer landed on the cycle before now; host software then
+    // forwards it kHostSoftwareCycles after landing.
+    sim.Run(kHostSoftwareCycles - 1);
+    down.Submit(bytes, [&](Cycle) { arrived = true; });
+    RunUntilOrExit(sim, [&] { return arrived; }, 1'000'000, "hosted down-transfer");
     total += sim.now() - start;
   }
   return static_cast<double>(total) / kMessages;

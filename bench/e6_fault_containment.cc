@@ -184,7 +184,8 @@ Row RunWildWrite(bool isolated) {
     get.payload = MakeKvGetPayload(KvKeyForIndex(i));
     probe->EnqueueSend(get, cap);
     const size_t want = probe->received.size() + 1;
-    bb.sim.RunUntil([&] { return probe->received.size() >= want; }, 200000);
+    auto replied = [&] { return probe->received.size() >= want; };
+    RunUntilOrExit(bb.sim, replied, 200000, "integrity-audit reply");
     const Message& reply = probe->received.back();
     if (reply.status != MsgStatus::kOk || reply.payload != KvValueForIndex(i, 64)) {
       ++corrupted;

@@ -25,7 +25,8 @@ class RawQueue : public Clocked {
   RawQueue(uint32_t width_bytes = kFlitBytes, uint32_t depth_entries = 64)
       : width_bytes_(width_bytes), depth_entries_(depth_entries) {}
 
-  // Pushes a message's bytes into the queue. Returns false when full.
+  // Pushes a message's bytes into the queue and wakes it. Returns false
+  // when full.
   bool Push(PayloadBuf payload, Cycle now);
 
   // Pops the next fully transferred message, if any.
@@ -43,11 +44,6 @@ class RawQueue : public Clocked {
     return at > now ? at : now;
   }
   std::string DebugName() const override { return "raw_queue"; }
-  // Pushes come straight from harness/baseline code with no wake path;
-  // boundary-polled so a new front entry is seen at the next boundary.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint64_t pushed() const { return pushed_; }
   uint64_t popped() const { return popped_; }
@@ -77,6 +73,7 @@ inline bool RawQueue::Push(PayloadBuf payload, Cycle now) {
   channel_free_at_ = start + transfer;
   entries_.push_back(Entry{channel_free_at_ + 1, std::move(payload)});
   ++pushed_;
+  RequestWake();
   return true;
 }
 

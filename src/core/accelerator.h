@@ -35,6 +35,11 @@ struct SendResult {
 
 // The portable interface an accelerator sees. Implemented by the monitor;
 // identical on every tile and every board (the paper's portability goal).
+// Call it only from the owning tile's callbacks (OnBoot, OnMessage, Tick):
+// the monitor's clock is a cached copy that stands still while the tile is
+// parked, so a call from outside stamps a stale cycle, and nothing wakes
+// the tile to flush what it queued. Harness code drives a tile through an
+// accelerator instead (e.g. ProbeAccelerator::EnqueueSend).
 class TileApi {
  public:
   virtual ~TileApi() = default;
@@ -95,8 +100,8 @@ class Accelerator {
   // Quiescence hook mirroring Clocked::NextActivity, forwarded by the tile:
   // the earliest future cycle this accelerator's Tick() matters again, a
   // value <= now for "active every cycle" (the safe default), or
-  // kNoActivity (~Cycle{0}) when it only reacts to messages. Re-polled at
-  // every executed cycle, so message arrival re-arms the tile automatically.
+  // kNoActivity (~Cycle{0}) when it only reacts to messages. Message
+  // arrival re-arms the tile through its NI's sink wake.
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const { return now; }
 
   // Mirrors Clocked::OnFastForward: the simulator jumped to `resume_cycle`;
@@ -105,10 +110,9 @@ class Accelerator {
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
   // Mirrors Clocked::SchedulingPolicy, forwarded by the owning tile: an
-  // accelerator whose NextActivity reads state mutated outside any
-  // schedule-visible wake path (e.g. a campaign flag flipped by a separate
-  // driver block) returns kBoundaryPoll so its tile is re-polled at every
-  // executed-cycle boundary instead of parked.
+  // accelerator that must tick on every executed cycle whatever it declares
+  // returns kEveryCycle. Everything else honors the wake contract: whoever
+  // changes what this accelerator's NextActivity reads wakes its tile.
   [[nodiscard]] virtual Clocked::SchedPolicy SchedulingPolicy() const {
     return Clocked::SchedPolicy::kActiveSet;
   }

@@ -41,9 +41,9 @@ class Tile : public Clocked {
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   void OnFastForward(Cycle resume_cycle) override;
-  // The tile's policy follows the loaded accelerator (a campaign-flag
-  // attacker needs boundary polling; most logic honors the full wake
-  // contract). Swap points call RequestPolicyRefresh().
+  // The tile's policy follows the loaded accelerator (most logic honors the
+  // full wake contract; a per-cycle one opts out with kEveryCycle). Swap
+  // points call RequestPolicyRefresh().
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return accel_ != nullptr ? accel_->SchedulingPolicy() : SchedPolicy::kActiveSet;
   }

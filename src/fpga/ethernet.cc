@@ -72,6 +72,7 @@ void EthernetMacBase::OnFrame(EthFrame frame, Cycle now) {
   counters_.Add("mac.rx_frames");
   counters_.Add("mac.rx_bytes", frame.payload.size());
   rx_queue_.push_back(std::move(frame));
+  rx_wake_.Wake();
 }
 
 bool EthernetMacBase::QueueTx(EthFrame frame) {
@@ -84,6 +85,7 @@ bool EthernetMacBase::QueueTx(EthFrame frame) {
   counters_.Add("mac.tx_frames");
   counters_.Add("mac.tx_bytes", frame.payload.size());
   tx_queue_.push_back(std::move(frame));
+  RequestWake();
   return true;
 }
 
@@ -130,6 +132,7 @@ void EthMac10G::ReleaseCoreReset(Cycle now) {
 bool EthMac10G::RxBlockLock(Cycle now) const {
   if (released_ && !locked_ && now >= release_cycle_ + kLockCycles) {
     locked_ = true;
+    RequestWake();  // Link up: queued TX frames can launch.
   }
   return locked_;
 }
@@ -151,6 +154,7 @@ void EthMac100G::InitCmac(Cycle now) {
 bool EthMac100G::RxAligned(Cycle now) const {
   if (init_done_ && !aligned_ && now >= init_cycle_ + kAlignCycles) {
     aligned_ = true;
+    RequestWake();  // Link up: queued TX frames can launch.
   }
   return aligned_;
 }

@@ -108,9 +108,10 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
   void Tick(Cycle now) override;
   // TX is the MAC's only tick-driven work: sleep until the in-flight frame
   // finishes serializing, stay awake while queued frames can launch. A
-  // queued frame behind a down link makes no progress cycle-to-cycle (the
-  // bring-up pollers re-arm the MAC by flipping the link during an executed
-  // cycle), and RX is entirely caller-driven.
+  // queued frame behind a down link makes no progress cycle-to-cycle, and
+  // RX is entirely caller-driven. Every TX enqueue wakes the MAC, and so
+  // does every link-up flip, including those inside the const bring-up
+  // polls (RxBlockLock, RxAligned).
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (tx_in_flight_) {
       return tx_busy_until_ > now ? tx_busy_until_ : now;
@@ -121,23 +122,25 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
     return kNoActivity;
   }
   std::string DebugName() const override { return "eth_mac"; }
-  // TX enqueues come from service ticks and link state flips inside const
-  // bring-up polls (mutable locked_/aligned_) — neither is a schedule-visible
-  // wake path, so the MAC is re-polled at every executed-cycle boundary.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
+
+  // Wake channel for the consumer of received frames (the tile hosting the
+  // network service): fired whenever a frame lands in the RX FIFO, the same
+  // way an NI's sink wake fires on packet delivery.
+  void SetRxWake(WakeHint hint) { rx_wake_ = hint; }
 
   uint32_t address() const { return address_; }
   double link_gbps() const { return link_gbps_; }
   const CounterSet& counters() const { return counters_; }
   virtual uint32_t LogicCellCost() const = 0;
+  // Link state as the last bring-up poll left it. Never polls, so it is
+  // safe inside a NextActivity declaration (the polls flip state and wake
+  // the MAC, which a declaration must not do).
+  virtual bool link_up() const = 0;
 
  protected:
   bool QueueTx(EthFrame frame);
   bool RxAvailable() const { return !rx_queue_.empty(); }
   EthFrame PopRx();
-  virtual bool link_up() const = 0;
 
   CounterSet counters_;
 
@@ -153,6 +156,7 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
   bool tx_in_flight_ = false;
   EthFrame tx_current_;
   std::deque<EthFrame> rx_queue_;
+  WakeHint rx_wake_;
 };
 
 // "Xilinx 10G-style" MAC: must go through an explicit two-step reset
@@ -166,6 +170,7 @@ class EthMac10G : public EthernetMacBase {
   // Step 2: release it; the core locks after kLockCycles.
   void ReleaseCoreReset(Cycle now);
   bool RxBlockLock(Cycle now) const;
+  bool link_up() const override { return locked_; }
 
   // TX/RX in this core's idiom.
   bool TxFrame(EthFrame frame, Cycle now);
@@ -177,8 +182,6 @@ class EthMac10G : public EthernetMacBase {
 
  private:
   static constexpr Cycle kLockCycles = 500;
-
-  bool link_up() const override { return locked_; }
 
   bool reset_asserted_ = false;
   bool released_ = false;
@@ -195,7 +198,11 @@ class EthMac100G : public EthernetMacBase {
 
   void InitCmac(Cycle now);
   bool RxAligned(Cycle now) const;
-  void EnableTxFlowControl() { flow_control_enabled_ = true; }
+  bool link_up() const override { return aligned_ && flow_control_enabled_; }
+  void EnableTxFlowControl() {
+    flow_control_enabled_ = true;
+    RequestWake();  // The link may have just come up.
+  }
 
   bool EnqueueTxSegment(EthFrame frame, Cycle now);
   bool HasRxSegment() const { return RxAvailable(); }
@@ -206,8 +213,6 @@ class EthMac100G : public EthernetMacBase {
 
  private:
   static constexpr Cycle kAlignCycles = 2000;
-
-  bool link_up() const override { return aligned_ && flow_control_enabled_; }
 
   bool init_done_ = false;
   mutable bool aligned_ = false;

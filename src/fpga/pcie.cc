@@ -13,6 +13,7 @@ bool PcieEndpoint::Submit(uint64_t bytes, Completion done) {
   counters_.Add("pcie.transfers");
   counters_.Add("pcie.bytes", bytes);
   queue_.push_back(Transfer{bytes, std::move(done), false, 0});
+  RequestWake();
   return true;
 }
 

@@ -32,7 +32,9 @@ class PcieEndpoint : public Clocked {
   explicit PcieEndpoint(PcieConfig config) : config_(config) {}
 
   // Submits a transfer of `bytes`; `done` fires when it lands on the other
-  // side. Returns false when the submission queue is full.
+  // side. Returns false when the submission queue is full. Wakes the
+  // endpoint, so a submission from harness code between runs launches on
+  // the next executed cycle.
   bool Submit(uint64_t bytes, Completion done);
 
   void Tick(Cycle now) override;
@@ -49,12 +51,6 @@ class PcieEndpoint : public Clocked {
     return queue_.front().complete_at > now ? queue_.front().complete_at : now;
   }
   std::string DebugName() const override { return "pcie"; }
-  // Submissions arrive from host/baseline code and DMA ticks with no wake
-  // path of their own, so the endpoint is re-polled fresh at every
-  // executed-cycle boundary instead of parked.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   const CounterSet& counters() const { return counters_; }
   const PcieConfig& config() const { return config_; }

@@ -21,8 +21,12 @@ bool MemoryController::SubmitRead(uint64_t addr, std::span<uint8_t> out,
       done(now);
     }
   };
-  return dram_.Enqueue(addr, static_cast<uint32_t>(out.size()), /*is_write=*/false,
-                       std::move(copy_then_done));
+  if (!dram_.Enqueue(addr, static_cast<uint32_t>(out.size()), /*is_write=*/false,
+                     std::move(copy_then_done))) {
+    return false;
+  }
+  RequestWake();
+  return true;
 }
 
 bool MemoryController::SubmitWrite(uint64_t addr, std::span<const uint8_t> data,
@@ -31,8 +35,12 @@ bool MemoryController::SubmitWrite(uint64_t addr, std::span<const uint8_t> data,
     return false;
   }
   std::memcpy(store_.data() + addr, data.data(), data.size());
-  return dram_.Enqueue(addr, static_cast<uint32_t>(data.size()), /*is_write=*/true,
-                       std::move(done));
+  if (!dram_.Enqueue(addr, static_cast<uint32_t>(data.size()), /*is_write=*/true,
+                     std::move(done))) {
+    return false;
+  }
+  RequestWake();
+  return true;
 }
 
 void MemoryController::DebugWrite(uint64_t addr, std::span<const uint8_t> data) {

@@ -20,6 +20,7 @@ class MemoryController : public Clocked, public MemoryBackend {
 
   // Asynchronous read: `out` must stay alive until `done` runs. Returns
   // false on backpressure (bank queue full); the caller retries next cycle.
+  // Both submits wake the controller (callers are service ticks).
   bool SubmitRead(uint64_t addr, std::span<uint8_t> out,
                   std::function<void(Cycle)> done) override;
 
@@ -41,16 +42,9 @@ class MemoryController : public Clocked, public MemoryBackend {
     return dram_.NextActivity(now);
   }
   std::string DebugName() const override { return "memctl"; }
-  // Requests are enqueued by memory-service ticks, which do not call
-  // RequestWake on the controller — so re-poll at every executed-cycle
-  // boundary instead of parking on the wheel.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint64_t capacity() const override { return store_.size(); }
   const CounterSet& counters() const { return dram_.counters(); }
-  DramChannel& dram() { return dram_; }
 
  private:
   bool InBounds(uint64_t addr, uint64_t len) const {

@@ -62,7 +62,7 @@ Mesh::Mesh(MeshConfig config, SimContext* context)
   }
   for (uint32_t t = 0; t < n; ++t) {
     routers_[t]->SetLiveWord(&live_[t / 64].fresh_routers);
-    nis_[t]->SetLiveWord(&live_[t / 64].fresh_nis);
+    nis_[t]->SetLiveWord(&live_[t / 64].fresh_nis, WakeHint(this));
   }
   express_.Configure(this, n);
 }
@@ -138,7 +138,9 @@ Cycle Mesh::NextActivity(Cycle now) const {
 }
 
 void Mesh::SetFaultModel(NocFaultModel* model) {
-  // Corridors were planned against the old model's quiet declaration.
+  // Corridors were planned against the old model's quiet declaration, and
+  // the new model may have per-cycle work on an empty fabric
+  // (MaterializeExpress wakes the mesh for it).
   MaterializeExpress();
   fault_model_ = model;
   for (auto& r : routers_) {
@@ -167,7 +169,13 @@ void Mesh::SetExpressEnabled(bool enabled) {
   }
 }
 
-void Mesh::MaterializeExpress() { express_.MaterializeAll(); }
+void Mesh::MaterializeExpress() {
+  express_.MaterializeAll();
+  // Every caller is about to change what the mesh must do: a fault window
+  // opening (an open stall window is per-cycle work even on an empty
+  // fabric), a new fault model, or an arbitration reconfiguration.
+  RequestWake();
+}
 
 void Mesh::ExpressTickTop(Cycle now) {
   express_.RunCompletions(now);

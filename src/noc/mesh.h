@@ -43,16 +43,11 @@ class Mesh : public Clocked {
   void Tick(Cycle now) override;
   // Quiescent when no router buffers a flit, no NI has flits queued for
   // injection, and the installed fault model (if any) has no per-cycle mesh
-  // work (open stall windows). Monitors re-arm the mesh by enqueuing into an
-  // NI during an executed cycle; the next boundary poll sees the flits. The
-  // busy check tests a few live-set words: they are exact after every tick.
+  // work (open stall windows). Every NI injection wakes the mesh (monitor
+  // ticks and harness code alike), and so does every fault-model change
+  // (SetFaultModel, and window opens through MaterializeExpress). The busy
+  // check tests a few live-set words: they are exact after every tick.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // The busy sets are mutated by NI injections from monitor ticks, which do
-  // not call RequestWake on the mesh — so it is re-polled fresh at every
-  // executed-cycle boundary instead.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
   std::string DebugName() const override { return "mesh"; }
 
   uint32_t width() const { return config_.width; }
@@ -85,8 +80,8 @@ class Mesh : public Clocked {
   void SetExpressEnabled(bool enabled);
   bool express_enabled() const { return express_enabled_; }
   // Converts every in-flight corridor back to buffered flits at the current
-  // state boundary. Called by FaultInjector::Fire before a NoC window opens,
-  // and by every reconfiguration entry point.
+  // state boundary, and wakes the mesh. Called by FaultInjector::Fire before
+  // a NoC window opens, and by every reconfiguration entry point.
   void MaterializeExpress();
   // Express lane statistics (launches, deliveries, materializations).
   ExpressStats AggregateExpressStats() const { return express_.stats(); }

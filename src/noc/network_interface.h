@@ -77,11 +77,13 @@ class NetworkInterface {
 
   // Live-set publication (Mesh active sweep): every queued packet ORs this
   // tile's bit (tile % 64) into `word`, the mesh's fresh-NI bitset word
-  // covering this tile, so the mesh sweeps only NIs with pending injections.
-  // Idempotent; the mesh clears the bit when the queues drain.
-  void SetLiveWord(uint64_t* word) {
+  // covering this tile, so the mesh sweeps only NIs with pending injections,
+  // and fires `mesh_wake`, so a parked mesh resumes the cycle reference tick
+  // order dictates. Idempotent; the mesh clears the bit when the queues drain.
+  void SetLiveWord(uint64_t* word, WakeHint mesh_wake) {
     live_word_ = word;
     live_bit_ = uint64_t{1} << (tile_ % 64);
+    mesh_wake_ = mesh_wake;
   }
 
   // Wake channel for the consumer of delivered packets (the tile above this
@@ -112,11 +114,12 @@ class NetworkInterface {
   // materialization, and replays the round-robin pointer (express.h).
   friend class ExpressLane;
 
-  // Marks this NI busy in the mesh's fresh live bits.
+  // Marks this NI busy in the mesh's fresh live bits and wakes the mesh.
   void PublishLive() {
     if (live_word_ != nullptr) {
       *live_word_ |= live_bit_;
     }
+    mesh_wake_.Wake();
   }
 
   TileId tile_;
@@ -131,10 +134,12 @@ class NetworkInterface {
   // never touches the heap after wiring.
   std::array<RingBuffer<Flit>, kNumVcs> inject_queues_;
   int inject_rr_ = 0;
-  // This tile's word and bit in the owning mesh's fresh-NI bitset, and the
-  // delivery-side wake handle.
+  // This tile's word and bit in the owning mesh's fresh-NI bitset, the
+  // injection-side wake handle (the mesh) and the delivery-side one (the
+  // tile).
   uint64_t* live_word_ = nullptr;
   uint64_t live_bit_ = 0;
+  WakeHint mesh_wake_;
   WakeHint sink_wake_;
   std::deque<PacketRef> delivered_;
   // Typed counters behind counters().

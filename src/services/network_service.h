@@ -30,13 +30,19 @@ class MacAdapter {
   // Drives the device-specific initialization sequence; called every cycle
   // until Ready() holds.
   virtual void Bringup(Cycle now) = 0;
+  // Polls the link (a poll may bring it up, waking the MAC): call from Tick.
   virtual bool Ready(Cycle now) const = 0;
+  // The link state the last poll left, without polling: the quiescence
+  // query behind the network service's NextActivity.
+  virtual bool LinkUp() const = 0;
 
   virtual bool TrySend(EthFrame frame, Cycle now) = 0;
   virtual std::optional<EthFrame> TryRecv() = 0;
   // Frames waiting in the RX FIFO — the quiescence query behind the network
   // service's NextActivity; must not dequeue or mutate.
   virtual bool HasRx() const = 0;
+  // Routes the MAC's RX-arrival wake to the consumer of received frames.
+  virtual void SetRxWake(WakeHint hint) = 0;
   virtual double link_gbps() const = 0;
 };
 
@@ -47,9 +53,11 @@ class Mac10GAdapter : public MacAdapter {
 
   void Bringup(Cycle now) override;
   bool Ready(Cycle now) const override { return mac_->RxBlockLock(now); }
+  bool LinkUp() const override { return mac_->link_up(); }
   bool TrySend(EthFrame frame, Cycle now) override { return mac_->TxFrame(std::move(frame), now); }
   std::optional<EthFrame> TryRecv() override;
   bool HasRx() const override { return mac_->RxFrameValid(); }
+  void SetRxWake(WakeHint hint) override { mac_->SetRxWake(hint); }
   double link_gbps() const override { return 10.0; }
 
  private:
@@ -65,11 +73,13 @@ class Mac100GAdapter : public MacAdapter {
 
   void Bringup(Cycle now) override;
   bool Ready(Cycle now) const override { return mac_->RxAligned(now) && flow_control_on_; }
+  bool LinkUp() const override { return mac_->link_up(); }
   bool TrySend(EthFrame frame, Cycle now) override {
     return mac_->EnqueueTxSegment(std::move(frame), now);
   }
   std::optional<EthFrame> TryRecv() override;
   bool HasRx() const override { return mac_->HasRxSegment(); }
+  void SetRxWake(WakeHint hint) override { mac_->SetRxWake(hint); }
   double link_gbps() const override { return 100.0; }
 
  private:
@@ -97,25 +107,20 @@ class NetworkService : public Accelerator {
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
-  // Active while bringing the link up (Ready is time-dependent and polled
-  // per cycle), while any backlog or RX frame is pending, and always in
-  // reliable mode (the ARQ transport's timers advance every cycle).
+  // Active while bringing the link up (Tick polls Ready every cycle until
+  // the link is up), while any backlog or RX frame is pending, and always in
+  // reliable mode (the ARQ transport's timers advance every cycle). HasRx()
+  // flips when the external fabric delivers into the MAC's RX FIFO; OnBoot
+  // routes the MAC's RX wake to this tile, so a parked service is woken the
+  // cycle reference tick order dictates.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    if (!mac_->Ready(now) || reliable_) {
+    if (!mac_->LinkUp() || reliable_) {
       return now;
     }
     if (!tx_backlog_.empty() || !inbound_backlog_.empty() || mac_->HasRx()) {
       return now;
     }
     return kNoActivity;
-  }
-  // HasRx() flips when the external fabric delivers into the MAC's RX FIFO —
-  // a mutation outside this tile with no wake path into it. Boundary polling
-  // re-reads the declaration at every executed-cycle boundary, so a frame
-  // delivered at cycle T is served at T+1: exactly when a tick-everything
-  // run serves it, since the fabric is registered after the board's tiles.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "network_service"; }

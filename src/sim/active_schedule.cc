@@ -1,6 +1,7 @@
 #include "src/sim/active_schedule.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace apiary {
 
@@ -18,8 +19,8 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   s.order = next_order_++;
   s.deadline = 0;
   // A block registered from inside a Tick() must not tick this cycle (the
-  // reference loop's count snapshot excluded it); one registered from an event
-  // callback runs this cycle (the snapshot was taken after events).
+  // reference loop's count snapshot excluded it); one registered between
+  // runs ticks on the next executed cycle.
   s.no_tick_before = ticking_ ? now + 1 : 0;
   s.state = State::kActive;
   s.policy = block->SchedulingPolicy();
@@ -27,8 +28,6 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   ++live_count_;
   if (s.policy == Clocked::SchedPolicy::kEveryCycle) {
     pinned_.push_back(slot);
-  } else if (s.policy == Clocked::SchedPolicy::kBoundaryPoll) {
-    polled_.push_back(slot);
   }
   InsertActive(slot);
   return slot;
@@ -57,13 +56,8 @@ void ActiveSchedule::Remove(uint32_t slot) {
   } else if (s.state == State::kTimed && !s.timed_far) {
     --near_timed_;
   }
-  auto erase_from = [slot](std::vector<uint32_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-  };
   if (s.policy == Clocked::SchedPolicy::kEveryCycle) {
-    erase_from(pinned_);
-  } else if (s.policy == Clocked::SchedPolicy::kBoundaryPoll) {
-    erase_from(polled_);
+    pinned_.erase(std::remove(pinned_.begin(), pinned_.end(), slot), pinned_.end());
   }
   s.block->BindWakeSink(nullptr, 0);
   s.block = nullptr;
@@ -104,6 +98,9 @@ void ActiveSchedule::Activate(uint32_t slot) {
 }
 
 void ActiveSchedule::Wake(uint32_t slot) {
+  // Declarations are pure: a wake from inside NextActivity would shift
+  // active_ under AdvanceBoundary's in-place compaction.
+  assert(!polling_ && "NextActivity must not wake a block");
   ++wake_calls_;
   if (slot >= slots_.size()) {
     return;
@@ -125,35 +122,17 @@ void ActiveSchedule::RefreshPolicy(uint32_t slot) {
     return;
   }
   // Pull the block into the active list first (under its old policy, so
-  // transient accounting stays consistent), then swap list membership.
+  // transient accounting stays consistent), then swap pinned membership.
   if (s.state != State::kActive) {
     Activate(slot);
   }
-  auto erase_from = [slot](std::vector<uint32_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-  };
-  switch (s.policy) {
-    case Clocked::SchedPolicy::kActiveSet:
-      --transient_active_;
-      break;
-    case Clocked::SchedPolicy::kEveryCycle:
-      erase_from(pinned_);
-      break;
-    case Clocked::SchedPolicy::kBoundaryPoll:
-      erase_from(polled_);
-      break;
-  }
   s.policy = next;
-  switch (next) {
-    case Clocked::SchedPolicy::kActiveSet:
-      ++transient_active_;
-      break;
-    case Clocked::SchedPolicy::kEveryCycle:
-      pinned_.push_back(slot);
-      break;
-    case Clocked::SchedPolicy::kBoundaryPoll:
-      polled_.push_back(slot);
-      break;
+  if (next == Clocked::SchedPolicy::kEveryCycle) {
+    --transient_active_;
+    pinned_.push_back(slot);
+  } else {
+    ++transient_active_;
+    pinned_.erase(std::remove(pinned_.begin(), pinned_.end(), slot), pinned_.end());
   }
 }
 
@@ -239,9 +218,9 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
   }
 
   // 2. Re-poll the active list and park the quiescent: declared-future blocks
-  // go to the wheel, idle-until-input blocks park on their wake channel, and
-  // boundary-poll blocks park bare (they are re-polled here every boundary).
+  // go to the wheel, idle-until-input blocks park on their wake channel.
   // Pinned (kEveryCycle) blocks stay without being polled.
+  polling_ = true;
   size_t kept = 0;
   for (size_t i = 0; i < active_.size(); ++i) {
     const uint32_t slot = active_[i];
@@ -255,28 +234,15 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
       active_[kept++] = slot;
       continue;
     }
-    if (s.policy == Clocked::SchedPolicy::kActiveSet) {
-      --transient_active_;
-      if (next == kNoActivity) {
-        s.state = State::kParked;
-      } else {
-        ScheduleTimed(slot, now, next);
-      }
+    --transient_active_;
+    if (next == kNoActivity) {
+      s.state = State::kParked;
     } else {
-      s.state = State::kParked;  // kBoundaryPoll: never wheeled, re-polled below.
+      ScheduleTimed(slot, now, next);
     }
   }
   active_.resize(kept);
-
-  // 3. Re-admit boundary-poll blocks whose external inputs arrived since the
-  // last boundary (enqueues from other blocks' ticks or harness code, link
-  // flips — no wake path).
-  for (const uint32_t slot : polled_) {
-    Slot& s = slots_[slot];
-    if (s.state == State::kParked && s.block->NextActivity(now) <= now) {
-      Activate(slot);
-    }
-  }
+  polling_ = false;
 
   last_boundary_ = now;
 }
@@ -287,13 +253,6 @@ Cycle ActiveSchedule::EarliestWork(Cycle now) const {
   }
   Cycle earliest = kNoActivity;
   for (const uint32_t slot : pinned_) {
-    const Cycle next = slots_[slot].block->NextActivity(now);
-    if (next <= now) {
-      return now;
-    }
-    earliest = std::min(earliest, next);
-  }
-  for (const uint32_t slot : polled_) {
     const Cycle next = slots_[slot].block->NextActivity(now);
     if (next <= now) {
       return now;

@@ -7,16 +7,14 @@
 // Clocked::NextActivity, making an executed cycle O(active + woken) and the
 // skip-decision poll O(1) when any block is busy.
 //
-// Correctness rests on the PR 4 quiescence contract: Tick() of a quiescent
+// Correctness rests on the quiescence contract: Tick() of a quiescent
 // block is a no-op (including its trace), so conservatively ticking a block
 // is always byte-safe — only a *missed* tick (a late wake) can change
 // behavior. Every transition out of parked quiescence therefore goes through
-// one of:
+// exactly one of two channels:
 //   * the timer wheel (the block's own declared deadline),
-//   * Clocked::RequestWake()/WakeHint (input delivered by another block),
-//   * a per-boundary re-poll (SchedPolicy::kBoundaryPoll, for blocks whose
-//     inputs arrive outside any schedule-visible wake path: harness-side
-//     submissions, enqueues from other blocks' ticks, link flips),
+//   * Clocked::RequestWake()/WakeHint (input delivered by another block's
+//     tick, a const link poll, or harness code between runs),
 // and SchedPolicy::kEveryCycle opts a block out entirely (ticked on every
 // executed cycle, exactly as the reference loop would).
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
@@ -42,7 +40,7 @@ class ActiveSchedule final : public WakeSink {
   // a spurious tick is a no-op). When called while ExecuteTicks is running,
   // the block's first tick is deferred to the next cycle, matching the reference
   // loop's count snapshot (blocks registered mid-tick start next cycle, while
-  // blocks registered by event callbacks — before the loop — tick same-cycle).
+  // blocks registered between runs tick on the next executed cycle).
   uint32_t Add(Clocked* block, Cycle now);
 
   // Removes a block; its slot id is recycled (generation-checked, so stale
@@ -50,10 +48,12 @@ class ActiveSchedule final : public WakeSink {
   void Remove(uint32_t slot);
 
   // WakeSink: ends `slot`'s parked quiescence. Insertion keeps registration
-  // order; a wake issued mid-ExecuteTicks by an *earlier*-order block is
-  // deferred to next cycle (the reference loop had already ticked the sleeper
-  // this cycle), while one from a *later*-order block ticks this cycle (the
-  // reference loop had not reached the sleeper yet) — byte-identical visibility.
+  // order; a wake issued mid-ExecuteTicks for a sleeper *earlier* in order
+  // than the waker is deferred to next cycle (the reference loop had already
+  // ticked the sleeper this cycle), while one for a sleeper *later* in order
+  // ticks this cycle (the reference loop had not reached it yet) —
+  // byte-identical visibility. A wake between runs ticks on the next
+  // executed cycle.
   void Wake(uint32_t slot) override;
 
   // WakeSink: re-reads the block's SchedulingPolicy() (a tile's policy
@@ -66,18 +66,17 @@ class ActiveSchedule final : public WakeSink {
 
   // Establishes the active set for cycle `now` (call after advancing the
   // clock, including across skip jumps): pops due timer-wheel entries, then
-  // re-polls active and boundary-poll blocks, parking the quiescent ones.
+  // re-polls the active blocks, parking the quiescent ones.
   void AdvanceBoundary(Cycle now);
 
   // The earliest cycle >= `now` at which this schedule needs an executed
   // cycle: `now` itself while any block is active (O(1) when a kActiveSet
-  // block is busy), else the earliest wheel deadline / pinned / boundary-poll
-  // declaration; kNoActivity when fully idle. Pure (safe to call repeatedly).
+  // block is busy), else the earliest wheel deadline or pinned declaration;
+  // kNoActivity when fully idle. Pure (safe to call repeatedly).
   Cycle EarliestWork(Cycle now) const;
 
   // Conservatively re-activates every block and drops all wheel state. Used
-  // after event callbacks (opaque input to any block) and when skipping is
-  // re-enabled mid-run with stale state.
+  // when skipping is re-enabled mid-run with stale state.
   void RebuildAllActive();
 
   size_t size() const { return live_count_; }
@@ -130,9 +129,8 @@ class ActiveSchedule final : public WakeSink {
   std::vector<uint32_t> active_;
   // Number of active_ entries with kActiveSet policy: the O(1) busy signal.
   size_t transient_active_ = 0;
-  // kEveryCycle / kBoundaryPoll membership (small; polled for skip targets).
+  // kEveryCycle membership (small; polled for skip targets).
   std::vector<uint32_t> pinned_;
-  std::vector<uint32_t> polled_;
 
   // Bucketed wheel for near deadlines (< now + kWheelBuckets) and an
   // unsorted far list (with a cached lower bound) for the rest. Entries are
@@ -151,6 +149,8 @@ class ActiveSchedule final : public WakeSink {
 
   bool ticking_ = false;
   size_t cursor_ = 0;
+  // Set while AdvanceBoundary re-polls declarations (which must not wake).
+  bool polling_ = false;
 
   uint64_t ticked_blocks_ = 0;
   uint64_t wheel_wakes_ = 0;

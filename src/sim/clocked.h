@@ -40,15 +40,10 @@ class Clocked {
   //                   compensated only across *skipped* windows). Ticked on
   //                   every executed cycle exactly as before active sets;
   //                   NextActivity still bounds skips.
-  //   kBoundaryPoll — quiescent ticks are no-ops, but NextActivity depends on
-  //                   state that other code mutates without calling
-  //                   RequestWake (MAC TX enqueues and link flips, PCIe and
-  //                   RawQueue submissions from harness code, memory
-  //                   enqueues from service ticks, NI injections into the
-  //                   mesh, the tenant attackers' campaign flag).
-  //                   Re-polled at every executed-cycle boundary instead of
-  //                   parked on the wheel, so no such input is missed.
-  enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1, kBoundaryPoll = 2 };
+  // There is no third way back from parking: whoever mutates a parked
+  // block's input — another block's tick, a const link poll, harness code
+  // between runs — calls RequestWake()/WakeHint.
+  enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1 };
   [[nodiscard]] virtual SchedPolicy SchedulingPolicy() const { return SchedPolicy::kActiveSet; }
 
   // Advance one cycle. `now` is the cycle being executed.
@@ -61,12 +56,13 @@ class Clocked {
   //                         no-op given no external input,
   //   - kNoActivity       : idle until external input arrives.
   // The declaration must be *pure*: absent this block's own Tick() and
-  // external input, repeated polls return the same answer. The active-set
-  // scheduler parks on it; a block whose quiescence ends early (input
-  // arrives) must be woken via RequestWake()/WakeHint by whoever delivered
-  // the input. Declaring a cycle too late breaks simulations (missed work);
-  // when in doubt, return `now`. The default keeps unported blocks
-  // cycle-accurate.
+  // external input, repeated polls return the same answer, and a poll never
+  // wakes a block. The active-set scheduler parks on it; a block whose
+  // quiescence ends early (input arrives) must be woken via
+  // RequestWake()/WakeHint by whoever delivered the input, including harness
+  // code that feeds a block between runs. Declaring a cycle too late breaks
+  // simulations (missed work); when in doubt, return `now`. The default
+  // keeps unported blocks cycle-accurate.
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const {
     return now;  // Active every cycle unless the block declares otherwise.
   }
@@ -87,7 +83,8 @@ class Clocked {
   // Ends this block's parked quiescence: the schedule re-activates it for
   // the cycle dictated by reference tick order (a wake from a block earlier in
   // registration order takes effect this cycle; from a later block, next
-  // cycle — exactly when a tick-everything loop would have seen the input).
+  // cycle; from harness code between runs, the next executed cycle —
+  // exactly when a tick-everything loop would have seen the input).
   // Callable from const methods (a const query that flips cached state, e.g.
   // a link-lock poll, still ends quiescence). Always safe to call: waking an
   // already-active or genuinely idle block is a no-op tick at worst, never a

@@ -51,18 +51,11 @@ void Simulator::SetSkipEnabled(bool enabled) {
 }
 
 void Simulator::Step() {
-  const size_t events_run = events_.RunUntil(now_);
   if (skip_enabled_) {
-    if (events_run > 0) {
-      // Event callbacks are opaque: they may have delivered input to any
-      // parked block. Re-activating everything is byte-safe; events are rare
-      // (setup, arrivals, reconfiguration completions).
-      sched_.RebuildAllActive();
-    }
     sched_.ExecuteTicks(now_);
   } else {
-    // Index-based loop with a count snapshot: callbacks and ticks may
-    // register new blocks, which then start ticking on the next cycle.
+    // Index-based loop with a count snapshot: ticks may register new
+    // blocks, which then start ticking on the next cycle.
     const size_t count = blocks_.size();
     for (size_t i = 0; i < count; ++i) {
       blocks_[i]->Tick(now_);
@@ -81,22 +74,11 @@ void Simulator::SkipAhead(Cycle limit) {
   if (!skip_enabled_ || now_ >= limit) {
     return;
   }
-  // O(1) when any kActiveSet block is busy; otherwise the earliest pinned /
-  // boundary-poll declaration or live wheel deadline — the minimum of every
-  // block's NextActivity (declarations are pure), so the reference engine
-  // would execute exactly the cycles jumped over here as no-ops.
-  Cycle target = sched_.EarliestWork(now_);
-  if (target <= now_) {
-    return;
-  }
-  if (!events_.empty()) {
-    const Cycle due = events_.NextEventCycle();
-    if (due <= now_) {
-      return;  // An event is due immediately: nothing to skip.
-    }
-    target = std::min(target, due);
-  }
-  target = std::min(target, limit);
+  // O(1) when any kActiveSet block is busy; otherwise the earliest pinned
+  // declaration or live wheel deadline — the minimum of every block's
+  // NextActivity (declarations are pure), so the reference engine would
+  // execute exactly the cycles jumped over here as no-ops.
+  const Cycle target = std::min(sched_.EarliestWork(now_), limit);
   if (target <= now_) {
     return;
   }

@@ -1,5 +1,4 @@
-// The top-level simulation driver: a single global clock domain plus a
-// discrete-event queue.
+// The top-level simulation driver: a single global clock domain.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -8,7 +7,6 @@
 
 #include "src/sim/active_schedule.h"
 #include "src/sim/clocked.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/sim_context.h"
 #include "src/sim/types.h"
 
@@ -35,18 +33,12 @@ class Simulator {
   // the next cycle.
   void Unregister(Clocked* block);
 
-  // Schedules a timed callback on the event queue.
-  void ScheduleAt(Cycle when, EventQueue::Callback cb) {
-    events_.ScheduleAt(when, std::move(cb));
-  }
-  void ScheduleAfter(Cycle delay, EventQueue::Callback cb) {
-    events_.ScheduleAt(now_ + delay, std::move(cb));
-  }
-
   // Runs `cycles` additional cycles. When skipping is enabled (the default),
-  // stretches where every block is quiescent (see Clocked::NextActivity) and
-  // no event is due are fast-forwarded instead of being ticked cycle by
-  // cycle; executed cycles behave exactly as before.
+  // stretches where every block is quiescent (see Clocked::NextActivity)
+  // are fast-forwarded instead of being ticked cycle by cycle; executed
+  // cycles behave exactly as before. Harness code that feeds a block between
+  // runs wakes it (Clocked::RequestWake), so the input is seen on the first
+  // executed cycle of the next run.
   void Run(Cycle cycles);
 
   // Runs until `pred` returns true or `max_cycles` additional cycles have
@@ -105,7 +97,7 @@ class Simulator {
  private:
   void Step();
   // Fast-forwards now_ to the earliest cycle in (now_, limit] that any block
-  // or event needs, when every block is quiescent. No-op when some block is
+  // needs, when every block is quiescent. No-op when some block is
   // active or skipping is disabled.
   void SkipAhead(Cycle limit);
   // Executes the fast-forward to `target`: counters, the OnFastForward
@@ -126,7 +118,6 @@ class Simulator {
   std::vector<uint32_t> slots_;  // Each block's sched_ slot; lockstep with blocks_.
   std::vector<Clocked*> pending_removals_;
   ActiveSchedule sched_;
-  EventQueue events_;
 };
 
 }  // namespace apiary

@@ -69,11 +69,21 @@ bool AbuseDriver::PhaseActive(AttackKind kind, Cycle now, Cycle* period) const {
 
 void AbuseDriver::Tick(Cycle now) {
   now_ = now;
+  bool flipped = false;
   for (int k = 0; k < kNumAttackKinds; ++k) {
     const bool was = active_[k];
     active_[k] = PhaseActive(static_cast<AttackKind>(k), now, nullptr);
+    flipped |= active_[k] != was;
     if (active_[k] && !was) {
       counters_.Add("abuse.phases_started");
+    }
+  }
+  if (flipped) {
+    // Data-plane attackers declare activity from the flags. The driver does
+    // not know which tiles host them, so a flip wakes every tile; flips
+    // happen only at phase edges, and a spurious wake is a no-op tick.
+    for (TileId t = 0; t < os_->num_tiles(); ++t) {
+      os_->tile(t).RequestWake();
     }
   }
 
@@ -124,8 +134,10 @@ void AbuseDriver::Tick(Cycle now) {
 
 Cycle AbuseDriver::NextActivity(Cycle now) const {
   for (int k = 0; k < kNumAttackKinds; ++k) {
-    if (PhaseActive(static_cast<AttackKind>(k), now, nullptr)) {
-      return now;  // Mid-phase: poll schedulers / flags every cycle.
+    // Mid-phase: poll schedulers / flags every cycle. A flag still up after
+    // its phase ended is due too: the tick at the end cycle lowers it.
+    if (active_[k] || PhaseActive(static_cast<AttackKind>(k), now, nullptr)) {
+      return now;
     }
   }
   Cycle next = kNoActivity;

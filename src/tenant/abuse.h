@@ -7,7 +7,8 @@
 // Data-plane attackers (flit floods, capability-probe sweeps) are
 // accelerators that poll the driver's active flag through a plain bool
 // pointer, so they stay deployable like any workload while the campaign
-// remains the single source of timing. All randomness comes from the
+// remains the single source of timing; the driver wakes the board's tiles
+// whenever it flips a flag. All randomness comes from the
 // campaign seed: identical seeds replay identical attacks, byte for byte.
 #ifndef SRC_TENANT_ABUSE_H_
 #define SRC_TENANT_ABUSE_H_
@@ -72,7 +73,7 @@ class AbuseDriver : public Clocked {
   AbuseDriver(ApiaryOs* os, AbuseCampaign campaign);
 
   // Stable pointer to the attack's active flag; data-plane attacker
-  // accelerators poll it each tick.
+  // accelerators poll it each tick. Every flip wakes every tile.
   const bool* ActiveFlag(AttackKind kind) const {
     return &active_[static_cast<int>(kind)];
   }
@@ -87,8 +88,9 @@ class AbuseDriver : public Clocked {
   void ConfigureWedge(TileId tile);
 
   void Tick(Cycle now) override;
-  // While any phase is active the driver acts (or polls a scheduler) every
-  // cycle; otherwise it sleeps to the next phase start.
+  // While any phase is active (or a flag is still up at its phase's end)
+  // the driver acts (or polls a scheduler) every cycle; otherwise it sleeps
+  // to the next phase start.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "abuse_driver"; }
@@ -131,15 +133,10 @@ class FloodAttacker : public Accelerator {
     (void)api;  // Responses and bounces are ignored; the flood continues.
   }
   void Tick(TileApi& api) override;
+  // APIARY-WAKE(driver): AbuseDriver wakes the tile on every flag flip.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     return (active_ != nullptr && *active_ && victim_ != kInvalidCapRef) ? now
                                                                          : kNoActivity;
-  }
-  // The campaign flag is flipped by the driver block with no wake path into
-  // this tile — boundary-poll so the flip is seen the same cycle the reference
-  // every-block loop would have seen it.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "flood_attacker"; }
@@ -169,15 +166,12 @@ class ProbeAttacker : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // APIARY-WAKE(driver): AbuseDriver wakes the tile on every flag flip.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (active_ == nullptr || !*active_) {
       return kNoActivity;
     }
     return next_probe_ > now ? next_probe_ : now;
-  }
-  // Same as FloodAttacker: re-armed by a flag flip no wake path announces.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "probe_attacker"; }

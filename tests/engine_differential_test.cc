@@ -25,18 +25,24 @@
 // A harness that compared nothing would pass all of the above, so the last
 // test plants a missed wake and checks that the harness reports it.
 //
-// The cases form four gtest suites, and tests/CMakeLists.txt registers one
-// ctest entry per suite (skip_, seeded_, active_set_ and
-// express_differential_test), so `ctest -j` runs them side by side:
+// The cases form five gtest suites, and tests/CMakeLists.txt registers one
+// ctest entry per suite (skip_, seeded_, active_set_, express_ and
+// wake_differential_test), so `ctest -j` runs them side by side:
 //   * SeededDifferentialTest: the 8x8 workload, 3 seeds.
 //   * ExpressDifferentialTest: serial chaos and mid-corridor Undeploy.
 //   * SkipDifferentialTest: IPC valleys, the RawQueue ready cycle, and a
 //     KV store behind a network gateway (both parked between messages).
 //   * ActiveSetDifferentialTest: the planted missed wake.
+//   * WakeDifferentialTest: external input into a parked block, one case
+//     per wake path (harness PCIe and RawQueue submissions, MAC TX and
+//     link bring-up, memory submits on both backends, NI injection into a
+//     parked mesh, a stall window opening on it, network-service RX,
+//     attacker flag flips). Each records what the input did and when.
 // A new case joins one of these suites, or gets its own ctest entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -48,12 +54,14 @@
 #include "src/core/service_ids.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/mem/interleaved_memory.h"
 #include "src/services/gateway.h"
 #include "src/services/memory_service.h"
 #include "src/services/network_service.h"
 #include "src/services/supervisor.h"
 #include "src/sim/logging.h"
 #include "src/sim/random.h"
+#include "src/tenant/abuse.h"
 #include "src/tenant/tenant.h"
 #include "src/workload/client.h"
 #include "src/workload/kv_workload.h"
@@ -164,6 +172,7 @@ struct RunResult {
   uint32_t digest_a = 0;
   uint32_t digest_b = 0;
   std::string host_client;  // External client host: counts and latency.
+  std::string external;     // Cycles at which external input completed.
   std::string trace;  // The full debug trace.
 
   // Engine-dependent: asserted per engine, never compared across engines.
@@ -208,6 +217,7 @@ std::string Transcript(const RunResult& r) {
   out << "digest_a: " << r.digest_a << '\n';
   out << "digest_b: " << r.digest_b << '\n';
   out << "host_client: " << r.host_client << '\n';
+  out << "external: " << r.external << '\n';
   out << "trace:\n" << r.trace;
   return out.str();
 }
@@ -618,6 +628,336 @@ TEST(SkipDifferentialTest, RawQueueReadyCycleIsAnActivityBoundary) {
     return sim.now();
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+// ---------------------------------------------------------------------------
+// External input into a parked block: one case per wake path.
+// ---------------------------------------------------------------------------
+
+// Each case lets the target block park through an idle valley, hands it
+// input, and logs the cycle the input completed (RunUntil's stop cycle) in
+// RunResult::external. A late wake moves a logged cycle; a missed one never
+// completes.
+constexpr Cycle kValley = 3'000;
+
+// Runs until `pred` holds and appends the stop cycle to `r->external`.
+void RunAndLog(TestBoard& tb, const std::function<bool()>& pred, RunResult* r) {
+  EXPECT_TRUE(tb.sim.RunUntil(pred, 200'000)) << "external input never completed";
+  r->external += std::to_string(tb.sim.now()) + ' ';
+}
+
+// Runs `scenario` under both engines and requires identical transcripts;
+// the optimized engine must have skipped the valleys.
+template <typename Scenario>
+void ExpectEnginesMatch(const std::string& name, const TestBoardOptions& options,
+                        Scenario scenario) {
+  const RunResult want = RunScenario(kReference, options, scenario);
+  const RunResult got = RunScenario(kOptimized, options, scenario);
+  EXPECT_EQ(Mismatch(name, kReference, want, kOptimized, got), "");
+  EXPECT_FALSE(want.external.empty());
+  EXPECT_GT(got.skipped_cycles, 0u);
+  EXPECT_EQ(want.skipped_cycles, 0u);
+}
+
+// Sends a script of messages, each at its scheduled cycle, and logs the
+// cycle and shape of every message it receives. Parks on the timer wheel
+// between sends and on kNoActivity once the script is done, so every
+// delivery to it is a wake into a parked tile.
+class ScriptedSender : public Accelerator {
+ public:
+  void Add(Cycle at, Message msg, CapRef endpoint, CapRef mem = kInvalidCapRef) {
+    script_.push_back(Step{at, std::move(msg), endpoint, mem});
+  }
+
+  void Tick(TileApi& api) override {
+    while (next_ < script_.size() && script_[next_].at <= api.now()) {
+      Step& step = script_[next_++];
+      const SendResult sent = api.Send(std::move(step.msg), step.endpoint, step.mem);
+      log += "send@" + std::to_string(api.now());
+      log += ":" + std::to_string(static_cast<int>(sent.status)) + ' ';
+    }
+  }
+  void OnMessage(const Message& msg, TileApi& api) override {
+    log += "recv@" + std::to_string(api.now()) + ":" + std::to_string(msg.opcode);
+    log += "/" + std::to_string(static_cast<int>(msg.status));
+    log += "/" + std::to_string(msg.payload.size()) + "B ";
+    ++received;
+  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    if (next_ >= script_.size()) {
+      return kNoActivity;
+    }
+    return std::max(script_[next_].at, now);
+  }
+  std::string name() const override { return "scripted_sender"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+  std::string log;
+  size_t received = 0;
+
+ private:
+  struct Step {
+    Cycle at;
+    Message msg;
+    CapRef endpoint;
+    CapRef mem;
+  };
+  std::vector<Step> script_;
+  size_t next_ = 0;
+};
+
+// Deploys a ScriptedSender as a new app on any free tile.
+ScriptedSender* DeploySender(TestBoard& tb, const char* app, TileId* tile,
+                             ServiceId* svc = nullptr) {
+  auto* sender = new ScriptedSender();
+  *tile = tb.os.Deploy(tb.os.CreateApp(app), std::unique_ptr<Accelerator>(sender), svc);
+  return sender;
+}
+
+// Records every frame that reaches it from the external fabric.
+class FrameRecorder : public ExternalEndpoint {
+ public:
+  void OnFrame(EthFrame frame, Cycle now) override {
+    log += std::to_string(frame.payload.size()) + "B@" + std::to_string(now) + ' ';
+  }
+  std::string log;
+};
+
+// Harness code submits to the board's PCIe endpoint between runs.
+TEST(WakeDifferentialTest, HarnessPcieSubmitMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    PcieEndpoint& pcie = *tb.board.pcie();
+    for (uint64_t bytes : {64u, 1'000u, 4'096u}) {
+      tb.sim.Run(kValley);
+      bool done = false;
+      auto landed = [&](Cycle at) {
+        done = true;
+        r->external += "landed@" + std::to_string(at) + ' ';
+      };
+      ASSERT_TRUE(pcie.Submit(bytes, landed));
+      RunAndLog(tb, [&] { return done; }, r);
+    }
+  };
+  TestBoardOptions options;
+  options.with_pcie = true;
+  ExpectEnginesMatch("harness pcie submit", options, scenario);
+}
+
+// Harness code pushes into a raw queue between runs.
+TEST(WakeDifferentialTest, HarnessRawQueuePushMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    RawQueue q(/*width_bytes=*/8, /*depth_entries=*/4);
+    tb.sim.Register(&q);
+    for (size_t bytes : {8u, 64u, 512u}) {
+      tb.sim.Run(kValley);
+      ASSERT_TRUE(q.Push(PayloadBuf(bytes, 0xab), tb.sim.now()));
+      RunAndLog(tb, [&] { return q.Pop(tb.sim.now()).has_value(); }, r);
+    }
+  };
+  ExpectEnginesMatch("harness raw queue push", TestBoardOptions{}, scenario);
+}
+
+// A sender pushes frames out through the network service: the first while
+// the MAC link is still coming up (it waits in the service's backlog until
+// the service's bring-up poll brings the link up), the next ones into a
+// parked MAC. Then a burst is queued in the MAC and the harness drops the
+// link under it: the queued frames leave only if the poll that brings the
+// link back up wakes the parked MAC.
+TEST(WakeDifferentialTest, MacTxAndLinkBringupMatch) {
+  for (const MacKind mac : {MacKind::k10G, MacKind::k100G}) {
+    auto scenario = [mac](TestBoard& tb, auto&, RunResult* r) {
+      std::unique_ptr<MacAdapter> adapter;
+      EthernetMacBase* eth = nullptr;
+      if (mac == MacKind::k10G) {
+        adapter = std::make_unique<Mac10GAdapter>(tb.board.mac10g());
+        eth = tb.board.mac10g();
+      } else {
+        adapter = std::make_unique<Mac100GAdapter>(tb.board.mac100g());
+        eth = tb.board.mac100g();
+      }
+      auto service = std::make_unique<NetworkService>(&tb.os, std::move(adapter));
+      const TileId nt = tb.os.DeployService(kNetworkService, std::move(service));
+      FrameRecorder recorder;
+      const uint32_t address = tb.net.RegisterEndpoint(&recorder);
+      TileId st = kInvalidTile;
+      ScriptedSender* sender = DeploySender(tb, "tx", &st);
+      const CapRef cap = tb.os.GrantSendToService(st, kNetworkService);
+      auto net_send = [&](Cycle at, size_t bytes, uint8_t fill) {
+        Message send;
+        send.opcode = kOpNetSend;
+        PutU32(send.payload, address);
+        send.payload.insert(send.payload.end(), bytes, fill);
+        sender->Add(at, std::move(send), cap);
+      };
+      for (uint32_t i = 0; i < 4; ++i) {
+        net_send(10 + i * kValley, 64 + 100 * i, static_cast<uint8_t>(i));
+      }
+      constexpr uint64_t kBurst = 3;
+      for (uint32_t i = 0; i < kBurst; ++i) {
+        net_send(4 * kValley, 1'400, static_cast<uint8_t>(0x80 + i));
+      }
+      RunAndLog(tb, [&] { return eth->counters().Get("mac.tx_frames") >= 4 + kBurst; }, r);
+      if (mac == MacKind::k10G) {
+        tb.board.mac10g()->AssertCoreReset();
+        tb.board.mac10g()->ReleaseCoreReset(tb.sim.now());
+      } else {
+        tb.board.mac100g()->InitCmac(tb.sim.now());
+      }
+      // The link state is the parked network service's input.
+      tb.os.tile(nt).RequestWake();
+      tb.sim.Run(2 * kValley);
+      r->external += sender->log + "| " + recorder.log;
+    };
+    TestBoardOptions options;
+    options.mac = mac;
+    ExpectEnginesMatch(mac == MacKind::k10G ? "mac tx 10G" : "mac tx 100G", options, scenario);
+  }
+}
+
+// A sender round-trips writes and reads through the memory service, with
+// idle valleys between requests, on the board's DRAM controller and on an
+// interleaved HBM-style backend registered after the tiles.
+TEST(WakeDifferentialTest, MemorySubmitsFromAServiceTileMatch) {
+  for (const bool interleaved : {false, true}) {
+    auto scenario = [interleaved](TestBoard& tb, auto&, RunResult* r) {
+      std::unique_ptr<InterleavedMemory> hbm;
+      MemoryBackend* memory = &tb.board.memory();
+      if (interleaved) {
+        DramConfig channel;
+        channel.capacity_bytes = 16ull << 20;  // 4 x 16 MiB = the board's 64 MiB.
+        hbm = std::make_unique<InterleavedMemory>(channel, /*channels=*/4);
+        tb.sim.Register(hbm.get());
+        memory = hbm.get();
+      }
+      tb.os.DeployService(kMemoryService, std::make_unique<MemoryService>(&tb.os, memory));
+      TileId st = kInvalidTile;
+      ScriptedSender* sender = DeploySender(tb, "mem", &st);
+      const CapRef to_mem = tb.os.GrantSendToService(st, kMemoryService);
+      const CapRef seg = *tb.os.GrantMemory(st, 64 << 10, kRightRead | kRightWrite);
+      Cycle at = kValley;
+      for (uint32_t i = 0; i < 3; ++i) {
+        const uint64_t offset = static_cast<uint64_t>(i) * 12'288;  // Crosses stripes.
+        Message write;
+        write.opcode = kOpMemWrite;
+        PutU64(write.payload, offset);
+        write.payload.insert(write.payload.end(), 6'000, static_cast<uint8_t>(0x40 + i));
+        sender->Add(at, std::move(write), to_mem, seg);
+        at += kValley;
+        Message read;
+        read.opcode = kOpMemRead;
+        PutU64(read.payload, offset);
+        PutU32(read.payload, 6'000);
+        sender->Add(at, std::move(read), to_mem, seg);
+        at += kValley;
+      }
+      tb.sim.Run(at + kValley);
+      EXPECT_EQ(sender->received, 6u);
+      r->external = sender->log;
+    };
+    const char* name = interleaved ? "memory submits (hbm)" : "memory submits (dram)";
+    ExpectEnginesMatch(name, TestBoardOptions{}, scenario);
+  }
+}
+
+// A sender sends single messages across the board with idle valleys in
+// between: each one is injected by its monitor into a parked mesh.
+TEST(WakeDifferentialTest, NiInjectionIntoAParkedMeshMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    const AppId app = tb.os.CreateApp("inject");
+    ServiceId svc = 0;
+    DeployOptions far;
+    far.tile = 15;
+    tb.os.Deploy(app, std::make_unique<EchoAccelerator>(4), &svc, far);
+    auto* sender = new ScriptedSender();
+    DeployOptions near;
+    near.tile = 0;
+    const TileId st = tb.os.Deploy(app, std::unique_ptr<Accelerator>(sender), nullptr, near);
+    const CapRef cap = tb.os.GrantSendToService(st, svc);
+    Cycle at = kValley;
+    for (size_t bytes : {8u, 256u, 2'048u}) {
+      Message msg;
+      msg.opcode = kOpEcho;
+      msg.payload.assign(bytes, 7);
+      sender->Add(at, std::move(msg), cap);
+      at += kValley;
+    }
+    tb.sim.Run(at);
+    EXPECT_EQ(sender->received, 3u);
+    r->external = sender->log;
+  };
+  ExpectEnginesMatch("ni injection", TestBoardOptions{}, scenario);
+}
+
+// A router-stall window opens and closes on an idle board: an open window
+// charges router.fault_stalled_cycles on every cycle, so opening it must
+// wake the parked mesh.
+TEST(WakeDifferentialTest, StallWindowOnAParkedMeshMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    FaultPlan plan;
+    plan.RouterStall(kValley, 500, /*router=*/5).RouterStall(3 * kValley, 200, /*router=*/10);
+    FaultInjector injector(plan, FaultHooks{.os = &tb.os, .mesh = &tb.board.mesh()});
+    tb.sim.Run(5 * kValley);
+    r->injector_counters = injector.counters().ToString();
+    r->external = injector.TraceString();
+  };
+  ExpectEnginesMatch("stall window", TestBoardOptions{}, scenario);
+}
+
+// Harness code sends frames over the external fabric to the board; the
+// network service delivers each into a registered, parked sender tile.
+TEST(WakeDifferentialTest, NetworkServiceRxMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    auto adapter = std::make_unique<Mac100GAdapter>(tb.board.mac100g());
+    auto service = std::make_unique<NetworkService>(&tb.os, std::move(adapter));
+    tb.os.DeployService(kNetworkService, std::move(service));
+    TileId st = kInvalidTile;
+    ServiceId svc = 0;
+    ScriptedSender* sender = DeploySender(tb, "rx", &st, &svc);
+    Message reg;
+    reg.opcode = kOpNetRegister;
+    sender->Add(10, std::move(reg), tb.os.GrantSendToService(st, kNetworkService));
+    for (size_t i = 0; i < 3; ++i) {
+      tb.sim.Run(kValley);
+      EthFrame frame;
+      frame.dst_endpoint = tb.board.mac100g()->address();
+      PutU32(frame.payload, svc);
+      frame.payload.insert(frame.payload.end(), 32 + 200 * i, static_cast<uint8_t>(i));
+      tb.net.Send(std::move(frame), tb.sim.now());
+      RunAndLog(tb, [&] { return sender->received >= i + 2; }, r);
+    }
+    r->external += sender->log;
+  };
+  ExpectEnginesMatch("network service rx", TestBoardOptions{}, scenario);
+}
+
+// A seeded campaign flips the flood and probe attackers' flags on and off;
+// both attackers sit parked on kNoActivity between phases.
+TEST(WakeDifferentialTest, AttackerFlagFlipMatches) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    const AppId victim_app = tb.os.CreateApp("victim");
+    ServiceId svc = 0;
+    tb.os.Deploy(victim_app, std::make_unique<EchoAccelerator>(2), &svc);
+    AbuseCampaign campaign(/*seed=*/3);
+    campaign.FlitFlood(2'000, 300).CapProbe(5'000, 600).FlitFlood(9'000, 200);
+    AbuseDriver driver(&tb.os, campaign);
+    const AppId attacker_app = tb.os.CreateApp("attacker");
+    auto* flooder = new FloodAttacker(driver.ActiveFlag(AttackKind::kFlitFlood), 128);
+    const TileId ft = tb.os.Deploy(attacker_app, std::unique_ptr<Accelerator>(flooder));
+    flooder->SetVictim(tb.os.GrantSendToService(ft, svc));
+    auto* prober = new ProbeAttacker(driver.ActiveFlag(AttackKind::kCapProbe), 16, 50);
+    tb.os.Deploy(attacker_app, std::unique_ptr<Accelerator>(prober));
+    tb.sim.Run(12'000);
+    EXPECT_GT(flooder->sent(), 0u);
+    EXPECT_GT(prober->attempts(), 0u);
+    r->external = "flood sent=" + std::to_string(flooder->sent());
+    r->external += " rate_limited=" + std::to_string(flooder->rate_limited());
+    r->external += " backpressured=" + std::to_string(flooder->backpressured());
+    r->external += " probe attempts=" + std::to_string(prober->attempts());
+    r->external += " denied=" + std::to_string(prober->denied());
+    r->external += " leaked=" + std::to_string(prober->leaked());
+    r->external += " driver " + driver.counters().ToString();
+  };
+  ExpectEnginesMatch("attacker flag flip", TestBoardOptions{}, scenario);
 }
 
 // ---------------------------------------------------------------------------

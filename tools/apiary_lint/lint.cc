@@ -486,8 +486,9 @@ LintConfig DefaultConfig() {
 
   // Wake path: what counts as a visible wake integration. Firing or handing
   // out a wake handle proves input delivery ends quiescence; overriding
-  // SchedulingPolicy proves the block opted out of parking entirely
-  // (kEveryCycle / kBoundaryPoll are re-polled, never parked).
+  // SchedulingPolicy proves the block opted out of parking entirely (the
+  // only other policy is kEveryCycle: ticked every executed cycle, never
+  // parked).
   config.wake_evidence = {"RequestWake(", "RequestPolicyRefresh(", "WakeHint", ".Wake(",
                           "SchedulingPolicy("};
   return config;

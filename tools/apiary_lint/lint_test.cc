@@ -778,7 +778,7 @@ TEST(WakePath, SchedulingPolicyOptOutClears) {
   std::string src = kParkedQueue;
   src.insert(src.find("void Tick"),
              "SchedPolicy SchedulingPolicy() const override {\n"
-             "    return SchedPolicy::kBoundaryPoll;\n"
+             "    return SchedPolicy::kEveryCycle;\n"
              "  }\n  ");
   EXPECT_FALSE(HasCheck(LintOne("src/noc/rx.h", src), "apiary-wake-path"));
 }
