@@ -36,9 +36,8 @@ struct SendResult {
 // The portable interface an accelerator sees. Implemented by the monitor;
 // identical on every tile and every board (the paper's portability goal).
 // Call it only from the owning tile's callbacks (OnBoot, OnMessage, Tick):
-// the monitor's clock is a cached copy that stands still while the tile is
-// parked, so a call from outside stamps a stale cycle, and nothing wakes
-// the tile to flush what it queued. Harness code drives a tile through an
+// a send queued from outside sits in the monitor's outbox with nothing to
+// wake the parked tile and flush it. Harness code drives a tile through an
 // accelerator instead (e.g. ProbeAccelerator::EnqueueSend).
 class TileApi {
  public:
@@ -104,9 +103,9 @@ class Accelerator {
   // arrival re-arms the tile through its NI's sink wake.
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const { return now; }
 
-  // Mirrors Clocked::OnFastForward: the simulator jumped to `resume_cycle`;
-  // bring any cached clocks / per-cycle accumulators to the state a
-  // cycle-by-cycle run would have produced.
+  // No caller: the simulator's clock is the only clock, so nothing is
+  // brought forward across a skipped window. Kept only because
+  // perfbench/trace.h overrides it.
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
   // Mirrors Clocked::SchedulingPolicy, forwarded by the owning tile: an

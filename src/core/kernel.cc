@@ -31,7 +31,7 @@ ApiaryOs::ApiaryOs(Board& board, MonitorConfig monitor_config)
   }
   tiles_.reserve(n);
   for (TileId t = 0; t < n; ++t) {
-    tiles_.push_back(std::make_unique<Tile>(t, &board.mesh().ni(t), monitor_config_,
+    tiles_.push_back(std::make_unique<Tile>(&board.sim(), t, &board.mesh().ni(t), monitor_config_,
                                             board.config().partial_reconfig_cycles));
     board.sim().Register(tiles_.back().get());
   }
@@ -74,7 +74,7 @@ TileId ApiaryOs::DeployInternal(AppId app, ServiceId service,
   }
   tiles_[t]->set_fault_policy(options.fault_policy);
   tiles_[t]->monitor().SetIdentity(app, service);
-  tiles_[t]->Configure(std::move(accel), options.immediate, sim().now());
+  tiles_[t]->Configure(std::move(accel), options.immediate);
   service_registry_[service] = t;
   if (app != kInvalidApp) {
     apps_[app].tiles.push_back(t);
@@ -119,7 +119,7 @@ bool ApiaryOs::Reconfigure(TileId tile, std::unique_ptr<Accelerator> accel, bool
   // revoke every capability and free the tile's kernel-owned segments. The
   // kernel (or Supervisor) re-grants from the grant log after boot.
   ReleaseTileGrants(tile);
-  tiles_[tile]->Configure(std::move(accel), immediate, sim().now());
+  tiles_[tile]->Configure(std::move(accel), immediate);
   return true;
 }
 
@@ -173,7 +173,7 @@ bool ApiaryOs::Undeploy(TileId tile, bool immediate) {
   // occupant cannot draw against (or bill to) the old tenant.
   tiles_[tile]->monitor().SetSharedLimiter(nullptr);
   tiles_[tile]->monitor().SetArbClass(0);
-  tiles_[tile]->Configure(nullptr, immediate, sim().now());
+  tiles_[tile]->Configure(nullptr, immediate);
   return true;
 }
 

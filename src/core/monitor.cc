@@ -5,8 +5,9 @@
 
 namespace apiary {
 
-Monitor::Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config)
-    : tile_(tile),
+Monitor::Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni, MonitorConfig config)
+    : sim_(sim),
+      tile_(tile),
       ni_(ni),
       config_(config),
       cap_table_(config.cap_entries),
@@ -79,7 +80,7 @@ void Monitor::RaiseFault(const std::string& reason) {
 
 void Monitor::Trace(TraceEvent event, TileId peer, ServiceId service, uint16_t opcode,
                     MsgStatus status) {
-  trace_.Record(TraceRecord{now_, event, tile_, peer, service, opcode, status});
+  trace_.Record(TraceRecord{sim_->now(), event, tile_, peer, service, opcode, status});
 }
 
 CapRef Monitor::LookupService(ServiceId service) {
@@ -90,7 +91,7 @@ bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile) {
   if (outbox_.size() >= config_.outbox_messages) {
     return false;
   }
-  outbox_.push_back(Outbound{now_ + config_.send_pipeline_cycles, dst_tile, msg});
+  outbox_.push_back(Outbound{sim_->now() + config_.send_pipeline_cycles, dst_tile, msg});
   return true;
 }
 
@@ -181,16 +182,17 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   }
   // Check both budgets before consuming either, so a denial never leaves a
   // partial charge against the per-tile or tenant-shared bucket.
-  const bool shared_ok = shared_limiter_ == nullptr || shared_limiter_->WouldAllow(now_, flits);
-  if (!limiter_.WouldAllow(now_, flits) || !shared_ok) {
+  const Cycle now = sim_->now();
+  const bool shared_ok = shared_limiter_ == nullptr || shared_limiter_->WouldAllow(now, flits);
+  if (!limiter_.WouldAllow(now, flits) || !shared_ok) {
     counters_.Add("monitor.send_rate_limited");
     Trace(TraceEvent::kDenySend, dst_tile, msg.dst_service, msg.opcode,
           MsgStatus::kRateLimited);
     return SendResult{MsgStatus::kRateLimited};
   }
-  limiter_.TryConsume(now_, flits);
+  limiter_.TryConsume(now, flits);
   if (shared_limiter_ != nullptr) {
-    shared_limiter_->TryConsume(now_, flits);
+    shared_limiter_->TryConsume(now, flits);
   }
   if (!EnqueuePacket(msg, dst_tile)) {
     counters_.Add("monitor.send_backpressure");
@@ -205,7 +207,8 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
 }
 
 void Monitor::FlushOutbox() {
-  while (!outbox_.empty() && outbox_.front().ready_at <= now_) {
+  const Cycle now = sim_->now();
+  while (!outbox_.empty() && outbox_.front().ready_at <= now) {
     Outbound& out = outbox_.front();
     const Vc vc = out.msg.kind == MsgKind::kResponse ? Vc::kResponse : Vc::kRequest;
     // Pre-check injection space: serialization consumes the message (the
@@ -223,7 +226,7 @@ void Monitor::FlushOutbox() {
     packet->vc = vc;
     packet->arb_class = arb_class_;
     SerializeMessageInto(std::move(out.msg), *packet);
-    (void)ni_->Inject(std::move(packet), now_);  // Cannot fail: space checked above.
+    (void)ni_->Inject(std::move(packet), now);  // Cannot fail: space checked above.
     counters_.Add("monitor.flits_sent", flits);
     outbox_.pop_front();
   }
@@ -262,8 +265,7 @@ void Monitor::DeliverIncoming(Message msg) {
   inbox_.push_back(std::move(msg));
 }
 
-void Monitor::BeginCycle(Cycle now) {
-  now_ = now;
+void Monitor::BeginCycle() {
   while (true) {
     PacketRef packet = ni_->Retrieve();
     if (packet == nullptr) {

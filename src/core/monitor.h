@@ -26,6 +26,7 @@
 #include "src/noc/network_interface.h"
 #include "src/noc/rate_limiter.h"
 #include "src/sim/clocked.h"
+#include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 
@@ -48,7 +49,8 @@ struct MonitorConfig {
 
 class Monitor : public TileApi {
  public:
-  Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config);
+  // `sim` is the board's simulator: its now() is the monitor's clock.
+  Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni, MonitorConfig config);
 
   // ------------------------------------------------------------------
   // Trusted (kernel-side) configuration interface.
@@ -86,8 +88,8 @@ class Monitor : public TileApi {
   // ------------------------------------------------------------------
   // Per-cycle processing, driven by the owning Tile.
   // ------------------------------------------------------------------
-  // Updates the monitor's clock, drains the NI, applies incoming policy.
-  void BeginCycle(Cycle now);
+  // Drains the NI and applies incoming policy.
+  void BeginCycle();
   // Moves pipeline-ready outbound messages into the NI.
   void FlushOutbox();
 
@@ -106,12 +108,6 @@ class Monitor : public TileApi {
     return kNoActivity;
   }
 
-  // The owning Tile fast-forwarded: advance the cached clock to the value
-  // the last pre-resume BeginCycle would have left (resume - 1), so
-  // external callers (kernel Configure, event callbacks) observe the same
-  // timestamps as a cycle-by-cycle run.
-  void OnFastForward(Cycle resume_cycle) { now_ = resume_cycle - 1; }
-
   // Delivered-but-unconsumed messages awaiting the accelerator's Receive().
   bool HasPendingInbox() const { return !inbox_.empty(); }
 
@@ -124,7 +120,7 @@ class Monitor : public TileApi {
   using TileApi::Reply;
   std::optional<Message> Receive() override;
   CapRef LookupService(ServiceId service) override;
-  Cycle now() const override { return now_; }
+  Cycle now() const override { return sim_->now(); }
   TileId tile() const override { return tile_; }
   AppId app() const override { return app_; }
   ServiceId service() const override { return service_; }
@@ -149,10 +145,10 @@ class Monitor : public TileApi {
   void Trace(TraceEvent event, TileId peer, ServiceId service, uint16_t opcode,
              MsgStatus status);
 
+  const Simulator* sim_;
   TileId tile_;
   NetworkInterface* ni_;
   MonitorConfig config_;
-  Cycle now_ = 0;
 
   AppId app_ = kInvalidApp;
   ServiceId service_ = kInvalidService;

@@ -4,8 +4,9 @@
 
 namespace apiary {
 
-Tile::Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles)
-    : id_(id), monitor_(id, ni, config), reconfig_cycles_(reconfig_cycles) {
+Tile::Tile(const Simulator* sim, TileId id, NetworkInterface* ni, MonitorConfig config,
+           Cycle reconfig_cycles)
+    : id_(id), monitor_(sim, id, ni, config), reconfig_cycles_(reconfig_cycles) {
   // Packets landing in the NI's delivery queue are this tile's input: route
   // the NI's delivery-side wake here so a parked tile resumes the cycle the
   // reference every-block loop would have drained the packet.
@@ -21,14 +22,14 @@ std::string Tile::DebugName() const {
   return "tile" + std::to_string(id_) + (accel_ ? ":" + accel_->name() : ":empty");
 }
 
-void Tile::Configure(std::unique_ptr<Accelerator> accel, bool immediate, Cycle now) {
+void Tile::Configure(std::unique_ptr<Accelerator> accel, bool immediate) {
   pending_accel_ = std::move(accel);
   reconfiguring_ = true;
   booted_ = false;
   if (immediate) {
     reconfig_done_at_ = 0;  // Completes on the next tick.
   } else {
-    reconfig_done_at_ = now + reconfig_cycles_;
+    reconfig_done_at_ = monitor_.now() + reconfig_cycles_;
   }
   // External input (the kernel's reconfiguration plane): a vacant tile may
   // be parked idle, and a busy one may be parked past the new done-at.
@@ -88,19 +89,8 @@ Cycle Tile::NextActivity(Cycle now) const {
   return next;
 }
 
-void Tile::OnFastForward(Cycle resume_cycle) {
-  monitor_.OnFastForward(resume_cycle);
-  // Only an accelerator that would actually have been ticked observes the
-  // jump; gated slots (wedged, stopped, mid-reconfiguration) stay untouched,
-  // exactly as in a cycle-by-cycle run.
-  if (accel_ != nullptr && booted_ && !reconfiguring_ && !seu_wedged_ &&
-      monitor_.fault_state() == TileFaultState::kHealthy) {
-    accel_->OnFastForward(resume_cycle);
-  }
-}
-
 void Tile::Tick(Cycle now) {
-  monitor_.BeginCycle(now);
+  monitor_.BeginCycle();
 
   if (reconfiguring_ && now >= reconfig_done_at_) {
     reconfiguring_ = false;

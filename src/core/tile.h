@@ -21,13 +21,14 @@ enum class FaultPolicy : uint8_t {
 
 class Tile : public Clocked {
  public:
-  Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles);
+  // `sim` is the board's simulator; the tile's monitor reads its clock.
+  Tile(const Simulator* sim, TileId id, NetworkInterface* ni, MonitorConfig config,
+       Cycle reconfig_cycles);
 
   // Loads `accel` into the slot. Takes `reconfig_cycles` of partial
-  // reconfiguration — counted from `now`, the caller's current cycle (a
-  // parked tile's own cached clock can be arbitrarily stale) — before the
+  // reconfiguration, counted from the simulator's current cycle, before the
   // accelerator boots; pass `immediate` for time-zero board bring-up.
-  void Configure(std::unique_ptr<Accelerator> accel, bool immediate, Cycle now);
+  void Configure(std::unique_ptr<Accelerator> accel, bool immediate);
 
   // Swaps the current (preemptible) accelerator's context out and loads a
   // replacement, transferring saved state if the replacement wants it.
@@ -40,7 +41,6 @@ class Tile : public Clocked {
   // itself declares idleness. Wedged/stopped slots contribute nothing: their
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  void OnFastForward(Cycle resume_cycle) override;
   // The tile's policy follows the loaded accelerator (most logic honors the
   // full wake contract; a per-cycle one opts out with kEveryCycle). Swap
   // points call RequestPolicyRefresh().

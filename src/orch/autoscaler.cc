@@ -20,9 +20,9 @@ Autoscaler::Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app
       scheduler_(scheduler),
       config_(config) {
   target_ = config_.min_replicas;
-  // Anchor the integral clock at creation time so a fast-forward before the
-  // first tick does not back-fill region-cycles for cycles that predate us.
-  now_ = os_->sim().now();
+  // Anchor the integral at creation so the first tick does not back-fill
+  // region-cycles for cycles that predate us.
+  last_tick_ = os_->sim().now() - 1;
   os_->sim().Register(this);
 }
 
@@ -39,6 +39,16 @@ void Autoscaler::AdoptReplica(ServiceId service, TileId tile, CapRef endpoint) {
 void Autoscaler::SetBounds(uint32_t min_replicas, uint32_t max_replicas) {
   config_.min_replicas = min_replicas;
   config_.max_replicas = std::max(min_replicas, max_replicas);
+}
+
+uint64_t Autoscaler::replica_tile_cycles() const {
+  // Cycles after the last tick were skipped (or are being executed): the
+  // membership has not changed since, so they cost the current set.
+  const Cycle now = os_->sim().now();
+  if (now - 1 <= last_tick_) {
+    return tile_cycles_;
+  }
+  return tile_cycles_ + (now - 1 - last_tick_) * replicas_.size();
 }
 
 uint32_t Autoscaler::live_replicas() const {
@@ -60,10 +70,11 @@ void Autoscaler::PushMembership() {
 }
 
 void Autoscaler::Tick(Cycle now) {
-  now_ = now;
   // Every replica-owned region costs a region-cycle whether it is serving,
-  // loading, or draining — the honest provisioning cost.
-  tile_cycles_ += replicas_.size();
+  // loading, or draining — the honest provisioning cost. The cycles since
+  // the last tick were skipped, with the same membership.
+  tile_cycles_ += (now - last_tick_) * replicas_.size();
+  last_tick_ = now;
   if (config_.poll_period != 0 && now % config_.poll_period == 0) {
     Poll();
   }
@@ -72,7 +83,8 @@ void Autoscaler::Tick(Cycle now) {
 void Autoscaler::Poll() {
   // Always consume the window so each poll sees only its own interval.
   const Histogram window = lb_->TakeWindowLatency();
-  const uint64_t queue_sum = lb_->outstanding_cycle_sum(now_);
+  const Cycle now = os_->sim().now();
+  const uint64_t queue_sum = lb_->outstanding_cycle_sum(now);
   const uint64_t queue_delta = queue_sum - last_queue_sum_;
   last_queue_sum_ = queue_sum;
 
@@ -139,7 +151,7 @@ void Autoscaler::Poll() {
   }
   down_streak_ = want_down ? down_streak_ + 1 : 0;
   if (down_streak_ >= config_.down_stable_polls && live > config_.min_replicas &&
-      now_ - last_scale_at_ >= config_.cooldown_cycles) {
+      now - last_scale_at_ >= config_.cooldown_cycles) {
     down_streak_ = 0;
     ScaleDown();
   }
@@ -166,7 +178,7 @@ void Autoscaler::ScaleUp() {
   }
   placer_->Reserve(tile);
   op_pending_ = true;
-  last_scale_at_ = now_;
+  last_scale_at_ = os_->sim().now();
   target_ = live_replicas() + 1;
   Replica r;
   r.tile = tile;
@@ -210,7 +222,7 @@ void Autoscaler::ScaleDown() {
   Replica& victim = *it;
   victim.state = ReplicaState::kDraining;
   op_pending_ = true;
-  last_scale_at_ = now_;
+  last_scale_at_ = os_->sim().now();
   target_ = live_replicas();
   // Out of the rotation immediately: no new work lands on a draining
   // replica, while its in-flight requests finish through the recorded

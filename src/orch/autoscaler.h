@@ -92,7 +92,7 @@ class Autoscaler : public Clocked {
 
   void Tick(Cycle now) override;
   // The control loop only acts at poll multiples; the region-cycle integral
-  // (the other per-tick effect) is reconstructed exactly on fast-forward
+  // (the other per-tick effect) covers skipped windows at the next tick
   // because replica membership can only change on executed cycles.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (config_.poll_period == 0) {
@@ -101,14 +101,11 @@ class Autoscaler : public Clocked {
     const Cycle rem = now % config_.poll_period;
     return rem == 0 ? now : now + (config_.poll_period - rem);
   }
-  void OnFastForward(Cycle resume_cycle) override {
-    tile_cycles_ += (resume_cycle - 1 - now_) * replicas_.size();
-    now_ = resume_cycle - 1;
-  }
   std::string DebugName() const override { return "autoscaler"; }
-  // The region-cycle integral accrues on every executed cycle (OnFastForward
-  // compensates only skipped windows), so the block is pinned: parking it
-  // between poll multiples would silently stop the meter.
+  // The region-cycle integral is folded in on every executed cycle: replica
+  // membership changes on executed cycles (scheduler callbacks), so a tick
+  // skipped while parked would charge the new membership for cycles the old
+  // one ran. Pinned, never parked.
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kEveryCycle;
   }
@@ -118,9 +115,10 @@ class Autoscaler : public Clocked {
   uint64_t scale_ups() const { return scale_ups_; }
   uint64_t scale_downs() const { return scale_downs_; }
   // Tile-cycles consumed by the replica set (live + loading + draining
-  // regions each cost one region-cycle per cycle): the provisioning-cost
-  // metric the A10 experiment compares against static deployments.
-  uint64_t replica_tile_cycles() const { return tile_cycles_; }
+  // regions each cost one region-cycle per cycle), through the cycle before
+  // the simulator's now(): the provisioning-cost metric the A10 experiment
+  // compares against static deployments.
+  uint64_t replica_tile_cycles() const;
   const CounterSet& counters() const { return counters_; }
   const AutoscalerConfig& config() const { return config_; }
 
@@ -157,8 +155,8 @@ class Autoscaler : public Clocked {
   uint64_t last_queue_sum_ = 0;
   uint64_t scale_ups_ = 0;
   uint64_t scale_downs_ = 0;
-  uint64_t tile_cycles_ = 0;
-  Cycle now_ = 0;
+  uint64_t tile_cycles_ = 0;  // Region-cycles through last_tick_.
+  Cycle last_tick_ = 0;       // Creation - 1 until the first tick.
   CounterSet counters_;
 };
 

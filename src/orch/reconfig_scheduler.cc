@@ -19,7 +19,6 @@ void ReconfigScheduler::ScheduleLoad(TileId tile, AccelFactory factory,
   job.tile = tile;
   job.factory = std::move(factory);
   job.on_load = std::move(done);
-  job.queued_at = now_;
   jobs_.push_back(std::move(job));
   counters_.Add("orch.loads_queued");
   // New work for an idle (parked) scheduler; callers are root-phase blocks.
@@ -33,7 +32,6 @@ void ReconfigScheduler::ScheduleTeardown(TileId tile, std::function<bool()> drai
   job.tile = tile;
   job.drained = std::move(drained);
   job.on_teardown = std::move(done);
-  job.queued_at = now_;
   jobs_.push_back(std::move(job));
   counters_.Add("orch.teardowns_queued");
   RequestWake();
@@ -88,7 +86,7 @@ void ReconfigScheduler::StartNext(Cycle now) {
   Active a;
   a.job = std::move(jobs_.front());
   jobs_.pop_front();
-  a.job.queued_at = now;  // Drain deadline runs from reaching the head.
+  a.job.head_at = now;  // Drain deadline runs from reaching the head.
   active_ = std::move(a);
 }
 
@@ -111,7 +109,6 @@ void ReconfigScheduler::FinishActive(bool ok) {
 }
 
 void ReconfigScheduler::Tick(Cycle now) {
-  now_ = now;
   StartNext(now);
   if (!active_.has_value()) {
     return;
@@ -139,7 +136,7 @@ void ReconfigScheduler::Tick(Cycle now) {
     // drain_cycles so responses clear the NoC, and force the teardown if it
     // never holds by the deadline (a stuck requester must not pin a region).
     if (job.drain_ok_since == kInvalidCycle) {
-      const bool deadline = now - job.queued_at > config_.drain_deadline_cycles;
+      const bool deadline = now - job.head_at > config_.drain_deadline_cycles;
       if (!job.drained || job.drained()) {
         job.drain_ok_since = now;
       } else if (deadline) {

@@ -65,7 +65,6 @@ class ReconfigScheduler : public Clocked {
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     return busy() ? now : kNoActivity;
   }
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "reconfig_scheduler"; }
 
   size_t queue_depth() const { return jobs_.size(); }
@@ -95,7 +94,7 @@ class ReconfigScheduler : public Clocked {
     LoadCallback on_load;                 // kLoad only.
     std::function<bool()> drained;        // kTeardown only.
     TeardownCallback on_teardown;         // kTeardown only.
-    Cycle queued_at = 0;
+    Cycle head_at = 0;                    // Cycle the job reached the head.
     Cycle drain_ok_since = kInvalidCycle; // First cycle `drained` held.
   };
   // Job currently holding (or waiting to hold) the ICAP.
@@ -121,7 +120,6 @@ class ReconfigScheduler : public Clocked {
   ReconfigSchedulerConfig config_;
   std::deque<Job> jobs_;
   std::optional<Active> active_;
-  Cycle now_ = 0;
   uint32_t quota_loads_per_window_ = 0;  // 0 = unlimited.
   Cycle quota_window_cycles_ = 0;
   Cycle quota_window_index_ = 0;

@@ -75,14 +75,15 @@ void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
     return;  // Already recovering (or quarantined) — one fault, one recovery.
   }
   counters_.Add("supervisor.faults_detected");
-  m.fault_detected_at = now_;
+  const Cycle now = os_->sim().now();
+  m.fault_detected_at = now;
   // Contain first: the tile may still be half-alive (watchdog path).
   os_->FailStop(tile, reason);
   APIARY_LOG(kInfo) << "supervisor: tile " << tile << " faulted (" << reason << ")";
 
   // Crash-loop accounting over a sliding-ish window.
-  if (now_ - m.window_start > config_.crash_loop_window) {
-    m.window_start = now_;
+  if (now - m.window_start > config_.crash_loop_window) {
+    m.window_start = now;
     m.recent_faults = 0;
   }
   ++m.recent_faults;
@@ -125,7 +126,7 @@ void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
     }
   }
 
-  BeginRecovery(tile, m, now_);
+  BeginRecovery(tile, m, now);
 }
 
 void Supervisor::BeginRecovery(TileId tile, Managed& m, Cycle now) {
@@ -178,7 +179,6 @@ Cycle Supervisor::NextActivity(Cycle now) const {
 }
 
 void Supervisor::Tick(Cycle now) {
-  now_ = now;
   // Poll for tiles that fail-stopped themselves (crash faults surface this
   // way; wedges arrive via the MgmtService watchdog instead).
   if (now % config_.poll_period == 0) {

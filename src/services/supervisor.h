@@ -83,14 +83,10 @@ class Supervisor : public Clocked {
   // cycles, and the supervisor (registered after the tiles) observes the
   // completed tile in that same cycle — exactly as in a cycle-by-cycle run.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // Keeps the cached clock at resume-1 so externally driven faults
-  // (MgmtService watchdog -> OnTileFault) stamp identical detection times.
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "supervisor"; }
-  // Tick caches the clock that externally driven fault reports (OnTileFault
-  // from watchdog ticks) stamp into detection times, and the quoted
-  // same-cycle observation of reconfig completions depends on executing
-  // every cycle — pinned, never parked. NextActivity still bounds skips.
+  // The same-cycle observation of reconfig completions quoted above depends
+  // on executing every cycle — pinned, never parked. NextActivity still
+  // bounds skips.
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kEveryCycle;
   }
@@ -130,7 +126,6 @@ class Supervisor : public Clocked {
   SupervisorConfig config_;
   std::map<TileId, Managed> managed_;
   std::map<ServiceId, TileId> standbys_;
-  Cycle now_ = 0;
   CounterSet counters_;
   Histogram recovery_cycles_;
 };

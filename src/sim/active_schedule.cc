@@ -288,30 +288,4 @@ Cycle ActiveSchedule::EarliestWork(Cycle now) const {
   return earliest;
 }
 
-void ActiveSchedule::RebuildAllActive() {
-  for (auto& bucket : buckets_) {
-    bucket.clear();
-  }
-  far_.clear();
-  far_min_ = kNoActivity;
-  wheel_min_ = kNoActivity;
-  near_timed_ = 0;
-  active_.clear();
-  transient_active_ = 0;
-  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    Slot& s = slots_[slot];
-    if (s.state == State::kFree) {
-      continue;
-    }
-    s.state = State::kActive;
-    active_.push_back(slot);
-    if (s.policy == Clocked::SchedPolicy::kActiveSet) {
-      ++transient_active_;
-    }
-  }
-  std::sort(active_.begin(), active_.end(), [this](uint32_t a, uint32_t b) {
-    return slots_[a].order < slots_[b].order;
-  });
-}
-
 }  // namespace apiary

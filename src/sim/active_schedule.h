@@ -75,10 +75,6 @@ class ActiveSchedule final : public WakeSink {
   // kNoActivity when fully idle. Pure (safe to call repeatedly).
   Cycle EarliestWork(Cycle now) const;
 
-  // Conservatively re-activates every block and drops all wheel state. Used
-  // when skipping is re-enabled mid-run with stale state.
-  void RebuildAllActive();
-
   size_t size() const { return live_count_; }
 
   // Executed-cycle breakdown (monotonic).

@@ -23,7 +23,9 @@ class WakeSink {
 // A Clocked object models a synchronous hardware block: it is ticked once per
 // simulated clock cycle. The simulator ticks all registered objects in
 // registration order; blocks that need two-phase (compute/commit) semantics
-// implement it internally by latching outputs.
+// implement it internally by latching outputs. The simulator's now() is the
+// only clock: code that needs the cycle outside Tick() reads it there, so no
+// block keeps a copy that a skipped window could leave stale.
 class Clocked {
  public:
   virtual ~Clocked() = default;
@@ -35,9 +37,9 @@ class Clocked {
   //                   quiescence is announced through RequestWake()/WakeHint.
   //                   The scheduler parks the block and wakes it from the
   //                   timer wheel or a wake call.
-  //   kEveryCycle   — Tick() does per-executed-cycle work by design (cached
-  //                   clocks used by external callers, per-cycle integrals
-  //                   compensated only across *skipped* windows). Ticked on
+  //   kEveryCycle   — Tick() does per-executed-cycle work by design (a
+  //                   same-cycle observation of other blocks' state, an
+  //                   integral folded in at every executed cycle). Ticked on
   //                   every executed cycle exactly as before active sets;
   //                   NextActivity still bounds skips.
   // There is no third way back from parking: whoever mutates a parked
@@ -66,14 +68,6 @@ class Clocked {
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const {
     return now;  // Active every cycle unless the block declares otherwise.
   }
-
-  // Called on *every* registered block when the simulator fast-forwards from
-  // the current cycle to `resume_cycle` (the next cycle that will actually
-  // execute). Implementations must leave the block in exactly the state that
-  // ticking through cycles [now, resume_cycle) would have produced — e.g.
-  // advance cached clocks to resume_cycle - 1 (the value a serial pre-tick
-  // observer would hold) and delta-add per-cycle accumulators.
-  virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
   // Human-readable name for tracing and debug dumps.
   virtual std::string DebugName() const { return "clocked"; }

@@ -1,6 +1,7 @@
 #include "src/sim/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/sim/thread_domain.h"
 
@@ -8,10 +9,9 @@ namespace apiary {
 
 void Simulator::Register(Clocked* block) {
   blocks_.push_back(block);
-  // The schedule is kept bound under the reference engine too: wake calls
-  // stay counted, and re-enabling skipping mid-run only needs a conservative
-  // rebuild.
-  slots_.push_back(sched_.Add(block, now_));
+  // The schedule is kept bound under the reference engine too, so wake
+  // calls stay counted.
+  slots_.push_back(sched_.Add(block, clock_));
 }
 
 void Simulator::Unregister(Clocked* block) { pending_removals_.push_back(block); }
@@ -41,69 +41,57 @@ void Simulator::ApplyPendingRemovals() {
 }
 
 void Simulator::SetSkipEnabled(bool enabled) {
-  if (enabled && !skip_enabled_) {
-    // Wheel and parked state went stale while the reference loop ran;
-    // conservatively re-activate everything (spurious ticks are no-ops) and
-    // let the next boundary re-park the quiescent.
-    sched_.RebuildAllActive();
-  }
+  // The schedule is only advanced under the optimized engine, so switching
+  // to it after cycles ran would start from stale parked state.
+  assert(executed_cycles_ == 0);
   skip_enabled_ = enabled;
 }
 
 void Simulator::Step() {
   if (skip_enabled_) {
-    sched_.ExecuteTicks(now_);
+    sched_.ExecuteTicks(clock_);
   } else {
     // Index-based loop with a count snapshot: ticks may register new
     // blocks, which then start ticking on the next cycle.
     const size_t count = blocks_.size();
     for (size_t i = 0; i < count; ++i) {
-      blocks_[i]->Tick(now_);
+      blocks_[i]->Tick(clock_);
     }
     reference_ticked_blocks_ += count;
   }
   ApplyPendingRemovals();
-  ++now_;
+  ++clock_;
   ++executed_cycles_;
   if (skip_enabled_) {
-    sched_.AdvanceBoundary(now_);
+    sched_.AdvanceBoundary(clock_);
   }
 }
 
 void Simulator::SkipAhead(Cycle limit) {
-  if (!skip_enabled_ || now_ >= limit) {
+  if (!skip_enabled_ || clock_ >= limit) {
     return;
   }
   // O(1) when any kActiveSet block is busy; otherwise the earliest pinned
   // declaration or live wheel deadline — the minimum of every block's
   // NextActivity (declarations are pure), so the reference engine would
   // execute exactly the cycles jumped over here as no-ops.
-  const Cycle target = std::min(sched_.EarliestWork(now_), limit);
-  if (target <= now_) {
+  const Cycle target = std::min(sched_.EarliestWork(clock_), limit);
+  if (target <= clock_) {
     return;
   }
-  JumpTo(target);
-}
-
-void Simulator::JumpTo(Cycle target) {
-  skipped_cycles_ += target - now_;
+  skipped_cycles_ += target - clock_;
   ++skips_;
-  // Every block observes the jump, so cached clocks and per-cycle
-  // accumulators stay exactly as a cycle-by-cycle run would leave them.
-  for (Clocked* block : blocks_) {
-    block->OnFastForward(target);
-  }
-  now_ = target;
+  clock_ = target;
   // Deadlines landing exactly on the jump target are due now.
-  sched_.AdvanceBoundary(now_);
+  sched_.AdvanceBoundary(clock_);
 }
 
 void Simulator::Run(Cycle cycles) {
   // Everything this run allocates or logs belongs to this simulator's
   // domain (nested installs of the same context are harmless no-ops).
   ThreadDomain::ScopedInstall install(&context_);
-  const Cycle end = now_ + cycles;
-  while (now_ < end) {
+  const Cycle end = clock_ + cycles;
+  while (clock_ < end) {
     Step();
     SkipAhead(end);
   }
@@ -111,14 +99,14 @@ void Simulator::Run(Cycle cycles) {
 
 bool Simulator::RunUntil(const std::function<bool()>& pred, Cycle max_cycles) {
   ThreadDomain::ScopedInstall install(&context_);
-  const Cycle end = now_ + max_cycles;
-  while (now_ < end) {
+  const Cycle end = clock_ + max_cycles;
+  while (clock_ < end) {
     if (pred()) {
       return true;
     }
     Step();
     // Re-check at the fresh boundary BEFORE skipping: if the executed cycle
-    // satisfied the predicate, now_ must stay here (the cycle count callers
+    // satisfied the predicate, clock_ must stay here (the cycle count callers
     // observe), not at the far side of a jump.
     if (pred()) {
       return true;

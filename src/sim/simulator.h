@@ -56,7 +56,7 @@ class Simulator {
   // the old every-cycle evaluation.
   bool RunUntil(const std::function<bool()>& pred, Cycle max_cycles);
 
-  Cycle now() const { return now_; }
+  Cycle now() const { return clock_; }
   double frequency_mhz() const { return frequency_mhz_; }
 
   // This simulator's domain context: the home of every pool/arena its
@@ -71,13 +71,12 @@ class Simulator {
     return static_cast<double>(cycles) * 1000.0 / frequency_mhz_;
   }
 
-  // Selects the engine. Enabled (the default) is the optimized engine:
-  // quiescent stretches are fast-forwarded and executed cycles tick only the
-  // active set. Disabled (`--no-skip`) is the reference engine: every cycle
-  // is executed and every block is ticked in registration order. Seeded runs
-  // are byte-identical either way (tests/engine_differential_test.cc).
-  // Re-enabling mid-run conservatively re-activates every block (spurious
-  // ticks of quiescent blocks are no-ops).
+  // Selects the engine; call before the first cycle runs. Enabled (the
+  // default) is the optimized engine: quiescent stretches are fast-forwarded
+  // and executed cycles tick only the active set. Disabled (`--no-skip`) is
+  // the reference engine: every cycle is executed and every block is ticked
+  // in registration order. Seeded runs are byte-identical either way
+  // (tests/engine_differential_test.cc).
   void SetSkipEnabled(bool enabled);
   bool skip_enabled() const { return skip_enabled_; }
 
@@ -96,19 +95,15 @@ class Simulator {
 
  private:
   void Step();
-  // Fast-forwards now_ to the earliest cycle in (now_, limit] that any block
-  // needs, when every block is quiescent. No-op when some block is
+  // Fast-forwards the clock to the earliest cycle in (now, limit] that any
+  // block needs, when every block is quiescent. No-op when some block is
   // active or skipping is disabled.
   void SkipAhead(Cycle limit);
-  // Executes the fast-forward to `target`: counters, the OnFastForward
-  // broadcast over every block in registration order, the clock, and the
-  // post-jump boundary re-establishment.
-  void JumpTo(Cycle target);
   void ApplyPendingRemovals();
 
   SimContext context_;
   double frequency_mhz_;
-  Cycle now_ = 0;
+  Cycle clock_ = 0;  // The board's only clock (see Clocked).
   bool skip_enabled_ = true;
   uint64_t skipped_cycles_ = 0;
   uint64_t skips_ = 0;

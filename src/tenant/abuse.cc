@@ -68,7 +68,6 @@ bool AbuseDriver::PhaseActive(AttackKind kind, Cycle now, Cycle* period) const {
 }
 
 void AbuseDriver::Tick(Cycle now) {
-  now_ = now;
   bool flipped = false;
   for (int k = 0; k < kNumAttackKinds; ++k) {
     const bool was = active_[k];

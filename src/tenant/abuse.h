@@ -92,7 +92,6 @@ class AbuseDriver : public Clocked {
   // the driver acts (or polls a scheduler) every cycle; otherwise it sleeps
   // to the next phase start.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "abuse_driver"; }
 
   const CounterSet& counters() const { return counters_; }
@@ -114,7 +113,6 @@ class AbuseDriver : public Clocked {
   TileId wedge_tile_ = kInvalidTile;
   Cycle next_wedge_ = 0;
 
-  Cycle now_ = 0;
   CounterSet counters_;
 };
 

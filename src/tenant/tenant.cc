@@ -255,7 +255,6 @@ void TenantManager::Escalate(TenantId id, TenantState& t) {
 }
 
 void TenantManager::Tick(Cycle now) {
-  now_ = now;
   if (now == 0 || now % meter_period_ != 0) {
     return;
   }

@@ -144,7 +144,6 @@ class TenantManager : public Clocked {
   // boundary cycles executed (never skipped), which is what makes records
   // identical across skip and no-skip runs.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "tenant_manager"; }
 
   const CounterSet& counters() const { return counters_; }
@@ -181,7 +180,6 @@ class TenantManager : public Clocked {
 
   ApiaryOs* os_;
   Cycle meter_period_;
-  Cycle now_ = 0;
   TenantId next_tenant_ = 1;
   std::map<TenantId, TenantState> tenants_;
   std::map<AppId, TenantId> app_owner_;

@@ -71,9 +71,9 @@ TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
   cfg.inbox_messages = 4;
   TestBoard tb;  // Default board, but we build a custom kernel below.
   // Use the board's mesh directly with a custom-config monitor.
-  Monitor monitor(0, &tb.board.mesh().ni(0), cfg);
+  Monitor monitor(&tb.sim, 0, &tb.board.mesh().ni(0), cfg);
   monitor.AllowSender(1);
-  monitor.BeginCycle(0);
+  monitor.BeginCycle();
   for (int i = 0; i < 6; ++i) {
     Message msg;
     msg.kind = MsgKind::kRequest;
@@ -85,7 +85,7 @@ TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
     packet->flit_count = ComputeFlitCount(*packet);
     tb.board.mesh().ni(0).EjectFlit(Flit{packet, packet->flit_count - 1}, 0);
   }
-  monitor.BeginCycle(1);
+  monitor.BeginCycle();
   EXPECT_EQ(monitor.counters().Get("monitor.delivered"), 4u);
   EXPECT_EQ(monitor.counters().Get("monitor.inbox_overflow"), 2u);
   EXPECT_EQ(monitor.counters().Get("monitor.error_bounces"), 2u);

@@ -37,7 +37,8 @@
 //     per wake path (harness PCIe and RawQueue submissions, MAC TX and
 //     link bring-up, memory submits on both backends, NI injection into a
 //     parked mesh, a stall window opening on it, network-service RX,
-//     attacker flag flips). Each records what the input did and when.
+//     attacker flag flips, a fail-stop of a parked wedged tile). Each
+//     records what the input did and when.
 // A new case joins one of these suites, or gets its own ctest entry.
 #include <gtest/gtest.h>
 
@@ -958,6 +959,99 @@ TEST(WakeDifferentialTest, AttackerFlagFlipMatches) {
     r->external += " driver " + driver.counters().ToString();
   };
   ExpectEnginesMatch("attacker flag flip", TestBoardOptions{}, scenario);
+}
+
+// Fail-stops `victim` through the kernel at cycle `at`: the fault plane
+// reaching another tile from a block earlier in registration order, as the
+// management service's watchdog does through the supervisor.
+class FailStopper : public Accelerator {
+ public:
+  FailStopper(ApiaryOs* os, TileId victim, Cycle at) : os_(os), victim_(victim), at_(at) {}
+
+  void Tick(TileApi& api) override {
+    if (!done_ && api.now() >= at_) {
+      os_->FailStop(victim_, "watchdog");
+      done_ = true;
+    }
+  }
+  void OnMessage(const Message&, TileApi&) override {}
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return done_ ? kNoActivity : std::max(at_, now);
+  }
+  std::string name() const override { return "fail_stopper"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+ private:
+  ApiaryOs* os_;
+  TileId victim_;
+  Cycle at_;
+  bool done_ = false;
+};
+
+// Active on every cycle before `until`, then idle: keeps the board's clock
+// running while another tile sits parked, so that tile's last tick falls
+// behind the cycle being executed.
+class Spinner : public Accelerator {
+ public:
+  explicit Spinner(Cycle until) : until_(until) {}
+
+  void OnMessage(const Message&, TileApi&) override {}
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return now < until_ ? now : kNoActivity;
+  }
+  std::string name() const override { return "spinner"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+ private:
+  Cycle until_;
+};
+
+// A sender keeps requesting a wedged service whose tile parks between
+// deliveries, with its unanswered requests piling up in the inbox. The
+// tile is then fail-stopped between two deliveries, while the board is
+// busy: once from a tile earlier in registration order, once from harness
+// code between runs. The drain bounces every queued request, and later
+// requests are bounced on arrival; the sender logs when each error lands.
+constexpr Cycle kFailStopAt = 2'150;  // Mid-way between two deliveries.
+
+TEST(WakeDifferentialTest, FailStopOfAParkedWedgedTileMatches) {
+  for (const bool from_harness : {false, true}) {
+    auto scenario = [from_harness](TestBoard& tb, auto&, RunResult* r) {
+      const AppId app = tb.os.CreateApp("failstop");
+      auto on = [](TileId tile) {
+        DeployOptions options;
+        options.tile = tile;
+        return options;
+      };
+      ServiceId svc = 0;
+      const TileId vt = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(2), &svc, on(10));
+      if (!from_harness) {
+        tb.os.Deploy(app, std::make_unique<FailStopper>(&tb.os, vt, kFailStopAt), nullptr, on(0));
+      }
+      auto* sender = new ScriptedSender();
+      const TileId st = tb.os.Deploy(app, std::unique_ptr<Accelerator>(sender), nullptr, on(1));
+      tb.os.Deploy(app, std::make_unique<Spinner>(2 * kFailStopAt), nullptr, on(2));
+      const CapRef cap = tb.os.GrantSendToService(st, svc);
+      for (Cycle at = 100; at < 4 * kFailStopAt; at += 200) {
+        Message msg;
+        msg.opcode = kOpEcho;
+        msg.payload.assign(16, 3);
+        sender->Add(at, std::move(msg), cap);
+      }
+      // Booting clears a wedge, so the upset lands after bring-up.
+      tb.sim.Run(50);
+      tb.os.tile(vt).InjectSeuWedge();
+      if (from_harness) {
+        tb.sim.Run(kFailStopAt - 50);
+        tb.os.FailStop(vt, "harness");
+      }
+      tb.sim.Run(5 * kFailStopAt - tb.sim.now());
+      EXPECT_GT(tb.os.monitor(vt).counters().Get("monitor.drained_inbox"), 0u);
+      r->external = sender->log;
+    };
+    ExpectEnginesMatch(from_harness ? "fail-stop from harness" : "fail-stop from a tile",
+                       TestBoardOptions{}, scenario);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -483,6 +483,33 @@ TEST(AutoscalerTest, IdenticalRunsAreDeterministic) {
   EXPECT_GE(std::get<1>(a), 1u);  // ...and back down.
 }
 
+// The region-cycle integral is the same whether idle stretches are skipped
+// or ticked, including a run that ends inside a skipped window.
+TEST(AutoscalerTest, RegionCyclesMatchWithAndWithoutSkipping) {
+  auto run_once = [](bool skip) {
+    TestBoard tb(OrchOptions());
+    tb.sim.SetSkipEnabled(skip);
+    ElasticFixture fx(tb, 1, FastUtilizationConfig(), 200);
+    const TileId ft =
+        tb.os.Deploy(fx.app, std::make_unique<Flooder>(fx.lb_svc, /*period=*/100));
+    (void)tb.os.GrantSendToService(ft, fx.lb_svc);
+    tb.sim.Run(60'000);
+    // The flooder never parks; removing it lets the board go idle.
+    EXPECT_TRUE(tb.os.Undeploy(ft, /*immediate=*/true));
+    tb.sim.Run(100'500);  // Ends half-way between two polls.
+    return std::make_tuple(fx.autoscaler->replica_tile_cycles(), fx.autoscaler->scale_ups(),
+                           fx.autoscaler->scale_downs(), tb.sim.skipped_cycles());
+  };
+  const auto ref = run_once(false);
+  const auto opt = run_once(true);
+  EXPECT_EQ(std::get<0>(ref), std::get<0>(opt));
+  EXPECT_EQ(std::get<1>(ref), std::get<1>(opt));
+  EXPECT_EQ(std::get<2>(ref), std::get<2>(opt));
+  EXPECT_GE(std::get<1>(ref), 1u);
+  EXPECT_EQ(std::get<3>(ref), 0u);
+  EXPECT_GT(std::get<3>(opt), 0u);
+}
+
 // ------------------------------------------------------------------
 // Control plane: OrchService and the balancer's stats export.
 // ------------------------------------------------------------------
