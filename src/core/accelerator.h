@@ -108,10 +108,10 @@ class Accelerator {
   // perfbench/trace.h overrides it.
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
-  // Mirrors Clocked::SchedulingPolicy, forwarded by the owning tile: an
-  // accelerator that must tick on every executed cycle whatever it declares
-  // returns kEveryCycle. Everything else honors the wake contract: whoever
-  // changes what this accelerator's NextActivity reads wakes its tile.
+  // No reader: a tile's scheduling policy is fixed at registration, before
+  // any accelerator is loaded, so every accelerator honors the wake contract
+  // (whoever changes what its NextActivity reads wakes its tile). Kept only
+  // because perfbench/trace.h overrides it.
   [[nodiscard]] virtual Clocked::SchedPolicy SchedulingPolicy() const {
     return Clocked::SchedPolicy::kActiveSet;
   }

@@ -138,7 +138,7 @@ bool ApiaryOs::Undeploy(TileId tile, bool immediate) {
     return false;
   }
   ReleaseTileGrants(tile);
-  // Unregister every logical service hosted here, revoking the client
+  // Drop every logical service hosted here from the registry, revoking the client
   // capabilities that still name this tile so no sender keeps a route to the
   // vacated region.
   std::vector<ServiceId> hosted;

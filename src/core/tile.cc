@@ -50,9 +50,7 @@ bool Tile::PreemptSwap(std::unique_ptr<Accelerator> replacement) {
   }
   monitor_.Restart();
   // The replacement boots with fresh state and may need to run immediately
-  // even if the preempted context had declared a long quiet stretch; its
-  // policy may differ from the preempted context's too.
-  RequestPolicyRefresh();
+  // even if the preempted context had declared a long quiet stretch.
   RequestWake();
   return true;
 }
@@ -98,8 +96,6 @@ void Tile::Tick(Cycle now) {
     monitor_.Restart();
     booted_ = false;
     seu_wedged_ = false;  // Reconfiguration rewrites the upset logic.
-    // The slot's contents changed; the scheduling policy follows them.
-    RequestPolicyRefresh();
   }
 
   if (accel_ != nullptr && !reconfiguring_ && !seu_wedged_ &&

@@ -41,12 +41,6 @@ class Tile : public Clocked {
   // itself declares idleness. Wedged/stopped slots contribute nothing: their
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // The tile's policy follows the loaded accelerator (most logic honors the
-  // full wake contract; a per-cycle one opts out with kEveryCycle). Swap
-  // points call RequestPolicyRefresh().
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return accel_ != nullptr ? accel_->SchedulingPolicy() : SchedPolicy::kActiveSet;
-  }
   std::string DebugName() const override;
 
   Monitor& monitor() { return monitor_; }

@@ -19,14 +19,8 @@ void ForEachTile(const Set& set, uint64_t Set::value_type::*bits, F&& f) {
 }
 }  // namespace
 
-Mesh::Mesh(MeshConfig config, SimContext* context)
+Mesh::Mesh(MeshConfig config)
     : config_(config), live_((config.width * config.height + 63) / 64) {
-  if (context != nullptr) {
-    pool_ = &PacketPool::ForContext(*context);
-  } else {
-    owned_pool_ = std::make_unique<PacketPool>();
-    pool_ = owned_pool_.get();
-  }
   const uint32_t n = num_tiles();
   routers_.reserve(n);
   nis_.reserve(n);
@@ -39,7 +33,7 @@ Mesh::Mesh(MeshConfig config, SimContext* context)
   for (uint32_t t = 0; t < n; ++t) {
     nis_.push_back(std::make_unique<NetworkInterface>(t, routers_[t].get(),
                                                       config_.ni_inject_queue_flits,
-                                                      config_.force_single_vc, pool_));
+                                                      config_.force_single_vc, &pool_));
     routers_[t]->SetLocalInterface(nis_[t].get());
   }
   // Wire up the grid.

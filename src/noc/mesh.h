@@ -17,7 +17,6 @@
 #include "src/noc/packet_pool.h"
 #include "src/noc/router.h"
 #include "src/sim/clocked.h"
-#include "src/sim/sim_context.h"
 
 namespace apiary {
 
@@ -34,11 +33,9 @@ struct MeshConfig {
 
 class Mesh : public Clocked {
  public:
-  // `context` selects the packet pool: the domain-local pool of the owning
-  // simulator's SimContext when given (the Board constructor path), or a
-  // mesh-private pool when null (standalone meshes in tests/benches).
-  // Either way there is no process-wide pool to contend on.
-  explicit Mesh(MeshConfig config, SimContext* context = nullptr);
+  // The mesh owns the pool its packets are drawn from, so there is no
+  // process-wide pool to contend on.
+  explicit Mesh(MeshConfig config);
 
   void Tick(Cycle now) override;
   // Quiescent when no router buffers a flit, no NI has flits queued for
@@ -60,8 +57,8 @@ class Mesh : public Clocked {
 
   // The pool every packet injected into this mesh is drawn from (monitors
   // reach it through their NI).
-  PacketPool& pool() { return *pool_; }
-  const PacketPool& pool() const { return *pool_; }
+  PacketPool& pool() { return pool_; }
+  const PacketPool& pool() const { return pool_; }
 
   // Installs (or clears, with nullptr) the fault model on every router.
   void SetFaultModel(NocFaultModel* model);
@@ -100,9 +97,9 @@ class Mesh : public Clocked {
   uint64_t LogicCellCost() const;
 
   // The pool's ledger (benches read it at the end of a run).
-  PacketPoolStats AggregatePoolStats() const { return pool_->stats(); }
+  PacketPoolStats AggregatePoolStats() const { return pool_.stats(); }
   // Zeroes the pool's ledger (bench warmup boundary).
-  void ResetPoolStats() { pool_->ResetStats(); }
+  void ResetPoolStats() { pool_.ResetStats(); }
 
  private:
   // The mesh's busy subset, as bitsets over tile ids: bit t lives in word
@@ -136,8 +133,9 @@ class Mesh : public Clocked {
   void CompactDead();
 
   MeshConfig config_;
-  std::unique_ptr<PacketPool> owned_pool_;  // Set only for standalone meshes.
-  PacketPool* pool_;                        // Context slot pool or owned_pool_.
+  // Declared before every packet holder (routers, NIs, express_), so it is
+  // destroyed after them, when no packet is live.
+  PacketPool pool_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   NocFaultModel* fault_model_ = nullptr;

@@ -46,10 +46,6 @@ PacketRef PacketPool::Acquire() {
     free_.pop_back();
     stats_.free_size = static_cast<uint32_t>(free_.size());
     ++stats_.pool_hits;
-  } else if (max_packets_ != 0 && stats_.live >= max_packets_) {
-    ++stats_.exhausted_fallbacks;
-    ++stats_.heap_allocs;
-    return PacketRef(new NocPacket);  // Over cap: degrade, don't fail.
   } else {
     ++stats_.heap_allocs;
     packet = new NocPacket;
@@ -77,20 +73,6 @@ void PacketPool::ResetStats() {
   stats_.live = live;
   stats_.high_water = live;
   stats_.free_size = free_size;
-}
-
-PacketPool& PacketPool::ForContext(SimContext& context) {
-  // The context destroys slot contents before retiring its arena, so the
-  // freelist packets' payload chunks always have somewhere to go — the
-  // ordering guarantee the old process-wide Meyers singleton needed a
-  // construction-order trick for.
-  void* existing = context.slot(SimContext::kSlotPacketPool);
-  if (existing == nullptr) {
-    context.set_slot(SimContext::kSlotPacketPool, new PacketPool,
-                     [](void* pool) { delete static_cast<PacketPool*>(pool); });
-    existing = context.slot(SimContext::kSlotPacketPool);
-  }
-  return *static_cast<PacketPool*>(existing);
 }
 
 }  // namespace apiary

@@ -10,10 +10,9 @@
 //     free and therefore no way for a dropped/corrupted/mid-flight packet
 //     to leak — the chaos campaigns in tests/packet_pool_test.cc verify
 //     the acquire/release balance end-to-end.
-//   * An optional max_packets cap bounds pool growth; past it, Acquire()
-//     falls back to plain heap packets (pool == nullptr) that delete on
-//     release, so overload degrades to the old allocation behavior instead
-//     of failing.
+//   * The pool grows to the traffic's natural high-water mark (bounded by
+//     router buffers + NI queues + delivery queues). Packets built outside
+//     any pool (pool == nullptr, e.g. by tests) delete on release.
 //
 // Determinism: recycling changes packet *addresses* only. Every
 // simulation-visible field is reset on release, so a recycled packet is
@@ -25,28 +24,24 @@
 #include <vector>
 
 #include "src/noc/packet.h"
-#include "src/sim/sim_context.h"
 
 namespace apiary {
 
 // Exported to bench/b2_hot_path: allocations/message and the reuse ratio
 // come straight from these.
 struct PacketPoolStats {
-  uint64_t acquires = 0;             // Total Acquire() calls.
-  uint64_t pool_hits = 0;            // Served from the freelist.
-  uint64_t heap_allocs = 0;          // Fell through to operator new.
-  uint64_t releases = 0;             // Pooled packets returned.
-  uint64_t exhausted_fallbacks = 0;  // Cap hit: unpooled heap packet.
-  uint32_t live = 0;                 // Pooled packets currently out.
-  uint32_t high_water = 0;           // Max simultaneous live.
-  uint32_t free_size = 0;            // Packets parked in the freelist.
+  uint64_t acquires = 0;     // Total Acquire() calls.
+  uint64_t pool_hits = 0;    // Served from the freelist.
+  uint64_t heap_allocs = 0;  // Fell through to operator new.
+  uint64_t releases = 0;     // Pooled packets returned.
+  uint32_t live = 0;         // Pooled packets currently out.
+  uint32_t high_water = 0;   // Max simultaneous live.
+  uint32_t free_size = 0;    // Packets parked in the freelist.
 };
 
 class PacketPool {
  public:
-  // max_packets == 0: the pool grows to the traffic's natural high-water
-  // mark (bounded by router buffers + NI queues + delivery queues).
-  explicit PacketPool(uint32_t max_packets = 0) : max_packets_(max_packets) {}
+  PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
   ~PacketPool();
@@ -60,14 +55,7 @@ class PacketPool {
   const PacketPoolStats& stats() const { return stats_; }
   void ResetStats();
 
-  // The domain-local pool for `context`, created on first use in the
-  // context's PacketPool slot (destroyed with the context). This replaced
-  // the old process-wide Default() pool: every simulation domain now
-  // recycles packets privately, so concurrent Simulators never contend.
-  static PacketPool& ForContext(SimContext& context);
-
  private:
-  uint32_t max_packets_;
   std::vector<NocPacket*> free_;
   PacketPoolStats stats_;
 };

@@ -15,9 +15,6 @@ class WakeSink {
  public:
   virtual ~WakeSink() = default;
   virtual void Wake(uint32_t slot) = 0;
-  // The block's SchedulingPolicy() answer changed (e.g. reconfiguration
-  // loaded a per-cycle service onto a tile); re-read it.
-  virtual void RefreshPolicy(uint32_t slot) { (void)slot; }
 };
 
 // A Clocked object models a synchronous hardware block: it is ticked once per
@@ -35,8 +32,8 @@ class Clocked {
   //   kActiveSet    — honors the full quiescence contract: Tick() of a
   //                   quiescent block is a no-op, and every early end of
   //                   quiescence is announced through RequestWake()/WakeHint.
-  //                   The scheduler parks the block and wakes it from the
-  //                   timer wheel or a wake call.
+  //                   The scheduler parks the block and wakes it at its
+  //                   declared deadline or on a wake call.
   //   kEveryCycle   — Tick() does per-executed-cycle work by design (a
   //                   same-cycle observation of other blocks' state, an
   //                   integral folded in at every executed cycle). Ticked on
@@ -44,7 +41,8 @@ class Clocked {
   //                   NextActivity still bounds skips.
   // There is no third way back from parking: whoever mutates a parked
   // block's input — another block's tick, a const link poll, harness code
-  // between runs — calls RequestWake()/WakeHint.
+  // between runs — calls RequestWake()/WakeHint. The schedule reads the
+  // policy once, at registration, so the answer must not change.
   enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1 };
   [[nodiscard]] virtual SchedPolicy SchedulingPolicy() const { return SchedPolicy::kActiveSet; }
 
@@ -89,17 +87,7 @@ class Clocked {
     }
   }
 
-  // Tells the schedule this block's SchedulingPolicy() answer changed (a
-  // tile's policy follows the accelerator loaded onto it). Call after any
-  // mutation that can change the answer. Conservatively re-activates the
-  // block.
-  void RequestPolicyRefresh() const {
-    if (wake_sink_ != nullptr) {
-      wake_sink_->RefreshPolicy(wake_slot_);
-    }
-  }
-
-  // Schedule binding; called by ActiveSchedule on add/remove. Not for blocks.
+  // Schedule binding; called by ActiveSchedule on add. Not for blocks.
   void BindWakeSink(WakeSink* sink, uint32_t slot) const {
     wake_sink_ = sink;
     wake_slot_ = slot;

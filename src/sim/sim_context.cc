@@ -1,35 +1,12 @@
 #include "src/sim/sim_context.h"
 
-#include <cassert>
-
 namespace apiary {
 
 SimContext::SimContext() : arena_(new PayloadArena) {}
 
-SimContext::~SimContext() {
-  // Slots first (a PacketPool's freelist packets release payload chunks as
-  // they are deleted), then the arena, which may outlive us in drain mode
-  // if any PayloadBuf is still holding a chunk.
-  for (int id = kMaxSlots - 1; id >= 0; --id) {
-    if (slots_[id].value != nullptr && slots_[id].dtor != nullptr) {
-      slots_[id].dtor(slots_[id].value);
-      slots_[id].value = nullptr;
-    }
-  }
-  arena_->Retire();
-}
-
-void* SimContext::slot(int id) const {
-  assert(id >= 0 && id < kMaxSlots);
-  return slots_[id].value;
-}
-
-void SimContext::set_slot(int id, void* value, SlotDtor dtor) {
-  assert(id >= 0 && id < kMaxSlots);
-  assert(slots_[id].value == nullptr);  // Slots are claim-once.
-  slots_[id].value = value;
-  slots_[id].dtor = dtor;
-}
+// The arena may outlive us in drain mode if any PayloadBuf (a packet in a
+// mesh's pool included) still holds a chunk.
+SimContext::~SimContext() { arena_->Retire(); }
 
 void SimContext::SetLogSink(LogSink sink, void* user) {
   log_sink_ = sink;

@@ -8,36 +8,13 @@
 namespace apiary {
 
 void Simulator::Register(Clocked* block) {
+  // Slot ids are registration indices (the tick order), which a block added
+  // mid-tick would break under either engine.
+  assert(!ticking_ && "Register must not be called from inside a tick");
   blocks_.push_back(block);
   // The schedule is kept bound under the reference engine too, so wake
   // calls stay counted.
-  slots_.push_back(sched_.Add(block, clock_));
-}
-
-void Simulator::Unregister(Clocked* block) { pending_removals_.push_back(block); }
-
-void Simulator::ApplyPendingRemovals() {
-  if (pending_removals_.empty()) {
-    return;
-  }
-  // Single-pass lockstep compaction of blocks_ and slots_: sort the
-  // removal set once and binary-search it per block. Sorting also makes
-  // double-unregister of the same block harmless (each surviving element is
-  // visited once).
-  std::sort(pending_removals_.begin(), pending_removals_.end());
-  size_t kept = 0;
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    if (std::binary_search(pending_removals_.begin(), pending_removals_.end(), blocks_[i])) {
-      sched_.Remove(slots_[i]);
-    } else {
-      blocks_[kept] = blocks_[i];
-      slots_[kept] = slots_[i];
-      ++kept;
-    }
-  }
-  blocks_.resize(kept);
-  slots_.resize(kept);
-  pending_removals_.clear();
+  sched_.Add(block);
 }
 
 void Simulator::SetSkipEnabled(bool enabled) {
@@ -48,18 +25,16 @@ void Simulator::SetSkipEnabled(bool enabled) {
 }
 
 void Simulator::Step() {
+  ticking_ = true;
   if (skip_enabled_) {
     sched_.ExecuteTicks(clock_);
   } else {
-    // Index-based loop with a count snapshot: ticks may register new
-    // blocks, which then start ticking on the next cycle.
-    const size_t count = blocks_.size();
-    for (size_t i = 0; i < count; ++i) {
-      blocks_[i]->Tick(clock_);
+    for (Clocked* block : blocks_) {
+      block->Tick(clock_);
     }
-    reference_ticked_blocks_ += count;
+    reference_ticked_blocks_ += blocks_.size();
   }
-  ApplyPendingRemovals();
+  ticking_ = false;
   ++clock_;
   ++executed_cycles_;
   if (skip_enabled_) {
@@ -72,7 +47,7 @@ void Simulator::SkipAhead(Cycle limit) {
     return;
   }
   // O(1) when any kActiveSet block is busy; otherwise the earliest pinned
-  // declaration or live wheel deadline — the minimum of every block's
+  // declaration or live heap deadline — the minimum of every block's
   // NextActivity (declarations are pure), so the reference engine would
   // execute exactly the cycles jumped over here as no-ops.
   const Cycle target = std::min(sched_.EarliestWork(clock_), limit);

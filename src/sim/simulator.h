@@ -21,17 +21,16 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Registers a block. The simulator does not own the block; callers keep it
-  // alive for the duration of the run. With skipping enabled (the default)
-  // only blocks that are active — by declaration, timer-wheel deadline, or
-  // wake — are ticked on an executed cycle; with SetSkipEnabled(false) every
-  // block is ticked every cycle. Seeded runs are byte-identical either way.
+  // Registers a block for life: like a board's routers, monitors and tile
+  // regions, it exists until the simulator does (partial reconfiguration
+  // swaps the logic inside a tile, not the tile). Call between runs, never
+  // from inside a tick (asserted). The simulator does not own the block;
+  // callers keep it alive while the simulator runs. Blocks tick in
+  // registration order. With skipping enabled (the default) only blocks that
+  // are active — by declaration, deadline, or wake — are ticked on an
+  // executed cycle; with SetSkipEnabled(false) every block is ticked every
+  // cycle. Seeded runs are byte-identical either way.
   void Register(Clocked* block);
-
-  // Removes a previously registered block (e.g. a reconfigured-away
-  // accelerator). Safe to call during a tick; removal takes effect before
-  // the next cycle.
-  void Unregister(Clocked* block);
 
   // Runs `cycles` additional cycles. When skipping is enabled (the default),
   // stretches where every block is quiescent (see Clocked::NextActivity)
@@ -99,7 +98,6 @@ class Simulator {
   // block needs, when every block is quiescent. No-op when some block is
   // active or skipping is disabled.
   void SkipAhead(Cycle limit);
-  void ApplyPendingRemovals();
 
   SimContext context_;
   double frequency_mhz_;
@@ -109,9 +107,8 @@ class Simulator {
   uint64_t skips_ = 0;
   uint64_t executed_cycles_ = 0;
   uint64_t reference_ticked_blocks_ = 0;  // Ticks issued by the reference engine.
-  std::vector<Clocked*> blocks_;
-  std::vector<uint32_t> slots_;  // Each block's sched_ slot; lockstep with blocks_.
-  std::vector<Clocked*> pending_removals_;
+  bool ticking_ = false;                  // Inside Step()'s tick loop.
+  std::vector<Clocked*> blocks_;          // Block i holds sched_ slot i.
   ActiveSchedule sched_;
 };
 

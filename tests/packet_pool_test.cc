@@ -106,36 +106,6 @@ TEST(PacketPoolTest, SharedRefsReleaseExactlyOnce) {
   EXPECT_EQ(pool.stats().releases, 1u);
 }
 
-TEST(PacketPoolTest, ExhaustionFallsBackToUnpooledHeap) {
-  PacketPool pool(/*max_packets=*/2);
-  PacketRef a = pool.Acquire();
-  PacketRef b = pool.Acquire();
-  EXPECT_EQ(pool.stats().exhausted_fallbacks, 0u);
-
-  {
-    // Over the cap: still a usable packet, just not pool-owned.
-    PacketRef c = pool.Acquire();
-    ASSERT_TRUE(static_cast<bool>(c));
-    EXPECT_EQ(c->pool, nullptr);
-    EXPECT_EQ(pool.stats().exhausted_fallbacks, 1u);
-    EXPECT_EQ(pool.stats().live, 2u);  // Fallbacks are not pool-live.
-    c->payload.assign(64, 0x11);       // Writable like any other packet.
-  }
-  // The fallback deleted itself on last unref; pool ledger untouched.
-  EXPECT_EQ(pool.stats().releases, 0u);
-  EXPECT_EQ(pool.stats().live, 2u);
-
-  a.Reset();
-  b.Reset();
-  EXPECT_EQ(pool.stats().live, 0u);
-  EXPECT_EQ(pool.stats().free_size, 2u);
-
-  // Below the cap again the freelist serves as usual.
-  PacketRef d = pool.Acquire();
-  EXPECT_EQ(d->pool, &pool);
-  EXPECT_EQ(pool.stats().pool_hits, 1u);
-}
-
 TEST(PacketPoolTest, ResetStatsPreservesOccupancy) {
   PacketPool pool;
   PacketRef held = pool.Acquire();
@@ -155,8 +125,8 @@ TEST(PacketPoolTest, ResetStatsPreservesOccupancy) {
 TEST(PacketPoolChaosTest, CampaignLeavesLedgerBalanced) {
   {
     TestBoard tb;
-    // The pool is per-simulator domain state now: this board's mesh owns it
-    // via the sim's context, and it dies with the TestBoard below.
+    // The pool is per-mesh state: this board's mesh owns it, and it dies
+    // with the TestBoard below.
     PacketPool& pool = tb.board.mesh().pool();
     pool.ResetStats();
     const uint32_t live_before = pool.stats().live;
@@ -199,13 +169,12 @@ TEST(PacketPoolChaosTest, CampaignLeavesLedgerBalanced) {
     // Every acquired packet came back — delivered, dropped, or discarded.
     const PacketPoolStats& s = pool.stats();
     EXPECT_EQ(s.acquires, s.pool_hits + s.heap_allocs);
-    EXPECT_EQ(s.exhausted_fallbacks, 0u);  // Default pool is uncapped.
     EXPECT_EQ(s.live, live_before);
     EXPECT_EQ(s.releases, s.acquires);
     // Steady state reuses the freelist instead of the heap.
     EXPECT_GT(s.pool_hits, s.heap_allocs);
   }
-  // TestBoard destruction tears down the pool with its owning context; a
+  // TestBoard destruction tears down the pool with its owning mesh; a
   // leaked PacketRef would have shown up as live > live_before above.
 }
 

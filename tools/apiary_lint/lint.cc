@@ -489,8 +489,7 @@ LintConfig DefaultConfig() {
   // SchedulingPolicy proves the block opted out of parking entirely (the
   // only other policy is kEveryCycle: ticked every executed cycle, never
   // parked).
-  config.wake_evidence = {"RequestWake(", "RequestPolicyRefresh(", "WakeHint", ".Wake(",
-                          "SchedulingPolicy("};
+  config.wake_evidence = {"RequestWake(", "WakeHint", ".Wake(", "SchedulingPolicy("};
   return config;
 }
 
