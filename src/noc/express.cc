@@ -127,7 +127,7 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   auto& queue = ni.inject_queues_[q];
   const Flit& head = queue.front();
   if (head.index != 0) {
-    return false;  // Mid-packet: earlier flits already staged for real.
+    return false;  // Mid-packet: earlier flits already injected for real.
   }
   const uint32_t flits = head.packet->flit_count;
   if (queue.size() != flits) {
@@ -159,8 +159,9 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
       static_cast<uint32_t>(std::abs(c.dx - c.sx) + std::abs(c.dy - c.sy));
   c.hops = hops;
   // A corridor flit can transiently share an input buffer with its successor
-  // (downstream router committed before the upstream one routed), so multi-
-  // hop corridors need two slots per buffer.
+  // (the walk reaches the upstream router, which forwards the successor,
+  // before the downstream one forwards the flit), so multi-hop corridors
+  // need two slots per buffer.
   if (hops >= 1 && mesh_->config_.router_buffer_depth < 2) {
     return false;
   }
@@ -267,7 +268,7 @@ void ExpressLane::Materialize(uint32_t index) {
   const uint32_t launched = std::min(c.flits, elapsed + 1);
   NetworkInterface& src_ni = *mesh_->nis_[PathTile(c, 0)];
   NetworkInterface& dst_ni = *mesh_->nis_[PathTile(c, c.hops)];
-  // Reconstruct end-of-cycle-E state: flit i sits staged in R_(E-D-i), or
+  // Reconstruct end-of-cycle-E state: flit i arrived in R_(E-D-i) at E, or
   // has already ejected when that index passes the last router.
   for (uint32_t i = 0; i < launched; ++i) {
     const uint32_t k = elapsed - i;
@@ -278,7 +279,7 @@ void ExpressLane::Materialize(uint32_t index) {
       dst_ni.EjectFlit(Flit{c.packet, i}, c.launch + i + c.hops + 1);
     } else {
       const bool ok =
-          mesh_->routers_[PathTile(c, k)]->AcceptFlit(PathIn(c, k), Flit{c.packet, i});
+          mesh_->routers_[PathTile(c, k)]->AcceptFlit(PathIn(c, k), Flit{c.packet, i}, e);
       assert(ok && "corridor router out of buffer space");
       (void)ok;
     }

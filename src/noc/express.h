@@ -4,10 +4,10 @@
 // When a whole packet sits alone in an NI injection queue and every remaining
 // hop of its XY route is verifiably non-interfering — each path router idle
 // and free on the needed (output port, VC), and no open fault window — the
-// traversal is a closed-form pipeline: flit i is staged into path
-// router R_k at cycle D+i+k, forwarded at D+i+k+1, and ejected at D+i+H+1.
+// traversal is a closed-form pipeline: flit i arrives in path router R_k at
+// cycle D+i+k, is forwarded at D+i+k+1, and is ejected at D+i+H+1.
 // The lane records that schedule instead of ticking the routers, and replays
-// its externally visible effects (per-router flit counts, arbitration
+// its externally observable effects (per-router flit counts, arbitration
 // pointers, NI ejection counters/latency/delivery) at the precise cycles the
 // cycle-accurate engine would have produced them.
 //
@@ -28,12 +28,12 @@
 //
 // Materialization invariant: at any boundary cycle E >= D (E is always the
 // lane's state_time: the last cycle whose mesh phases have run), the corridor
-// can be converted back into ordinary buffered flits — flit i is staged into
-// R_(E-D-i) exactly where the real run would have left it, routers that
-// forwarded n flits get their counters/round-robin/deficit/owner state
-// caught up, ejected flits replay their NI counters, and unlaunched flits
-// requeue into the (empty) source injection queue. Cycle-accurate routing
-// resumes from that state bit-for-bit.
+// can be converted back into ordinary buffered flits — flit i sits in
+// R_(E-D-i), stamped as arriving at E, exactly where the real run would have
+// left it, routers that forwarded n flits get their counters/round-robin/
+// deficit/owner state caught up, ejected flits replay their NI counters, and
+// unlaunched flits requeue into the (empty) source injection queue.
+// Cycle-accurate routing resumes from that state bit-for-bit.
 //
 // Scheduling contract: while any corridor is active the mesh declares
 // NextActivity == now, so it ticks on every executed cycle — the same cycles
@@ -83,7 +83,7 @@ class ExpressLane {
   bool TryLaunch(NetworkInterface& ni, Cycle now);
 
   // Completion sweep: corridors due this cycle deliver. Runs at the top of
-  // the mesh tick, before the conflict scan and the live-set merge.
+  // the mesh tick, before the conflict scan and the route walk.
   void RunCompletions(Cycle now);
 
   // Conflict scan entry points: a busy router anywhere in a corridor's zone,

@@ -55,64 +55,51 @@ Mesh::Mesh(MeshConfig config)
     }
   }
   for (uint32_t t = 0; t < n; ++t) {
-    routers_[t]->SetLiveWord(&live_[t / 64].fresh_routers);
-    nis_[t]->SetLiveWord(&live_[t / 64].fresh_nis, WakeHint(this));
+    routers_[t]->SetLiveWord(&live_[t / 64].routers);
+    nis_[t]->SetLiveWord(&live_[t / 64].nis, WakeHint(this));
   }
   express_.Configure(this, n);
 }
 
 bool Mesh::LiveBusy() const {
   for (const LiveWord& w : live_) {
-    if ((w.routers | w.fresh_routers | w.nis | w.fresh_nis) != 0) {
+    if ((w.routers | w.nis) != 0) {
       return true;
     }
   }
   return false;
 }
 
-void Mesh::MergeFresh() {
-  for (LiveWord& w : live_) {
-    w.routers |= w.fresh_routers;
-    w.fresh_routers = 0;
-    w.nis |= w.fresh_nis;
-    w.fresh_nis = 0;
+void Mesh::RouteTile(uint32_t t, Cycle now) {
+  routers_[t]->RouteCycle(now);
+  if (!routers_[t]->HasBufferedFlits()) {
+    live_[t / 64].routers &= ~(uint64_t{1} << (t % 64));
   }
-}
-
-void Mesh::CompactDead() {
-  ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) {
-    if (!routers_[t]->HasBufferedFlits()) {
-      live_[t / 64].routers &= ~(uint64_t{1} << (t % 64));
-    }
-  });
-  ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) {
-    if (!nis_[t]->HasPendingInject()) {
-      live_[t / 64].nis &= ~(uint64_t{1} << (t % 64));
-    }
-  });
 }
 
 void Mesh::Tick(Cycle now) {
   if (express_enabled_) {
     ExpressTickTop(now);
   }
-  MergeFresh();
-  // Same three phases as a full sweep, over the busy subset only. Staged
-  // flits imply occupancy and occupancy implies a live bit, so
-  // committing live routers commits every staged flit; RouteCycle and
-  // InjectCycle are no-ops on empty members, so skipping them is exact.
-  ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) { routers_[t]->CommitStaged(); });
+  // The same two phases as a full sweep, over the busy subset only.
+  // RouteCycle and InjectCycle are no-ops on empty members, and on a router
+  // whose only heads arrived this cycle, so skipping or adding such visits
+  // is exact.
   if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
     // An open stall window charges router.fault_stalled_cycles on every
     // wedged router, busy or not — only the full sweep reproduces that.
-    for (auto& r : routers_) {
-      r->RouteCycle(now);
+    for (uint32_t t = 0; t < num_tiles(); ++t) {
+      RouteTile(t, now);
     }
   } else {
-    ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) { routers_[t]->RouteCycle(now); });
+    ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) { RouteTile(t, now); });
   }
-  ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) { nis_[t]->InjectCycle(now); });
-  CompactDead();
+  ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) {
+    nis_[t]->InjectCycle(now);
+    if (!nis_[t]->HasPendingInject()) {
+      live_[t / 64].nis &= ~(uint64_t{1} << (t % 64));
+    }
+  });
 }
 
 Cycle Mesh::NextActivity(Cycle now) const {
@@ -121,7 +108,7 @@ Cycle Mesh::NextActivity(Cycle now) const {
   // skip/executed-cycle counts stay byte-identical. Each such tick costs
   // O(corridors), not O(busy routers), which is where the B5 win comes from.
   // The live sets are exact between ticks (every accept/inject sets its
-  // bit, compaction clears drained ones), so the busy check is a few word
+  // bit, the walks clear drained ones), so the busy check is a few word
   // tests instead of an O(tiles) scan.
   if (express_.AnyActive() || LiveBusy()) {
     return now;
@@ -174,26 +161,22 @@ void Mesh::MaterializeExpress() {
 void Mesh::ExpressTickTop(Cycle now) {
   express_.RunCompletions(now);
   if (express_.AnyActive()) {
-    // Conflict scan over the busy sets. Materializing a corridor
-    // sets its own path routers' and source NI's fresh bits, which the walk
-    // may then visit; those can never conflict with the survivors (the
-    // path/zone disjointness invariant), so such visits are no-ops. The
-    // order corridors materialize in does not matter either: each one
-    // touches only its own path, its source queue and ejection counters.
-    auto routers = [&](uint32_t t) {
+    // Conflict scan over the busy sets. Materializing a corridor sets its
+    // own path routers' and source NI's bits, which the walk may then
+    // visit; those can never conflict with the survivors (the path/zone
+    // disjointness invariant), so such visits are no-ops. The order
+    // corridors materialize in does not matter either: each one touches
+    // only its own path, its source queue and ejection counters.
+    ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) {
       if (express_.AnyActive()) {
         express_.MaterializeTouchingRouter(t);
       }
-    };
-    auto nis = [&](uint32_t t) {
+    });
+    ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) {
       if (express_.AnyActive()) {
         express_.MaterializeTouchingNi(t);
       }
-    };
-    ForEachTile(live_, &LiveWord::routers, routers);
-    ForEachTile(live_, &LiveWord::fresh_routers, routers);
-    ForEachTile(live_, &LiveWord::nis, nis);
-    ForEachTile(live_, &LiveWord::fresh_nis, nis);
+    });
   }
   // Every observer until the next tick sees end-of-`now` state, really or
   // analytically — the uniform materialization boundary.

@@ -1,5 +1,6 @@
 // 2-D mesh NoC: owns the routers and network interfaces for a board and
-// orchestrates their per-cycle phases.
+// orchestrates their per-cycle phases: route every busy router, then let
+// every busy NI inject.
 //
 // Modern FPGAs offer hardened NoCs (Versal, Agilex — Section 4.3); this
 // class models such a NoC at flit granularity so the monitor layer above it
@@ -103,34 +104,27 @@ class Mesh : public Clocked {
 
  private:
   // The mesh's busy subset, as bitsets over tile ids: bit t lives in word
-  // t / 64 at position t % 64, and the four sets' words for one such range
-  // share a LiveWord. `routers`/`nis` are exact after compaction: bit t is
-  // set iff its router buffers a flit / its NI has flits queued.
-  // AcceptFlit/Inject OR their bit into `fresh_*` on every event
-  // (idempotent); merging is a word OR at the top of the next sweep.
-  // Sweeps walk set bits lowest first (count trailing zeros), which is the
-  // ascending tile order of the full sweep, so the order stays exact with
-  // no sort. Newly staged flits are commit-invisible until that sweep
-  // anyway, so deferring a fresh router one merge is byte-exact. A fresh
-  // bit always belongs to a busy member at compaction (a flit staged this
-  // tick cannot leave before the next commit), so no drained member is
-  // ever revived by a later merge.
+  // t / 64 at position t % 64, and both sets' words for one such range
+  // share a LiveWord. Bit t is set iff its router buffers a flit / its NI
+  // has flits queued: AcceptFlit/Inject OR their bit in on every event
+  // (idempotent), and the route and inject walks clear the bit of any
+  // member they leave empty. Walks visit set bits lowest first (count
+  // trailing zeros), which is the ascending tile order of the full sweep,
+  // so the order stays exact with no sort. A router in a later word that
+  // receives a flit during the route walk is visited in that same walk;
+  // its new head arrived this cycle, so the visit forwards nothing.
   struct LiveWord {
     uint64_t routers = 0;
-    uint64_t fresh_routers = 0;
     uint64_t nis = 0;
-    uint64_t fresh_nis = 0;
   };
 
   bool LiveBusy() const;
-  // Per-executed-cycle express work, before the live merge: complete
+  // Per-executed-cycle express work, before the route walk: complete
   // corridors due this cycle, then materialize any corridor whose zone a
   // busy router (or whose path a busy NI) has entered.
   void ExpressTickTop(Cycle now);
-  void MergeFresh();
-  // Clears drained members' bits, restoring the "set iff busy" invariant
-  // the NextActivity check relies on.
-  void CompactDead();
+  // Routes router `t` and clears its live bit if that leaves it empty.
+  void RouteTile(uint32_t t, Cycle now);
 
   MeshConfig config_;
   // Declared before every packet holder (routers, NIs, express_), so it is

@@ -91,7 +91,7 @@ void NetworkInterface::InjectCycle(Cycle now) {
     }
     // AcceptFlit moves the flit only on success; the pop then clears an
     // empty slot.
-    if (router_->AcceptFlit(kPortLocal, std::move(queue.front()))) {
+    if (router_->AcceptFlit(kPortLocal, std::move(queue.front()), now)) {
       queue.pop_front();
       inject_rr_ = (inject_rr_ + i + 1) % kNumVcs;
       return;

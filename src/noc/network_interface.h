@@ -76,7 +76,7 @@ class NetworkInterface {
   PacketPool* pool() const { return pool_; }
 
   // Live-set publication (Mesh active sweep): every queued packet ORs this
-  // tile's bit (tile % 64) into `word`, the mesh's fresh-NI bitset word
+  // tile's bit (tile % 64) into `word`, the mesh's busy-NI bitset word
   // covering this tile, so the mesh sweeps only NIs with pending injections,
   // and fires `mesh_wake`, so a parked mesh resumes the cycle reference tick
   // order dictates. Idempotent; the mesh clears the bit when the queues drain.
@@ -114,7 +114,7 @@ class NetworkInterface {
   // materialization, and replays the round-robin pointer (express.h).
   friend class ExpressLane;
 
-  // Marks this NI busy in the mesh's fresh live bits and wakes the mesh.
+  // Marks this NI busy in the mesh's live bits and wakes the mesh.
   void PublishLive() {
     if (live_word_ != nullptr) {
       *live_word_ |= live_bit_;
@@ -134,7 +134,7 @@ class NetworkInterface {
   // never touches the heap after wiring.
   std::array<RingBuffer<Flit>, kNumVcs> inject_queues_;
   int inject_rr_ = 0;
-  // This tile's word and bit in the owning mesh's fresh-NI bitset, the
+  // This tile's word and bit in the owning mesh's busy-NI bitset, the
   // injection-side wake handle (the mesh) and the delivery-side one (the
   // tile).
   uint64_t* live_word_ = nullptr;

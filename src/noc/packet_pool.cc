@@ -3,7 +3,7 @@
 namespace apiary {
 namespace {
 
-// Scrubs every simulation-visible field so a recycled packet is
+// Scrubs every simulation-observable field so a recycled packet is
 // indistinguishable from a freshly constructed one (determinism depends on
 // this). The payload keeps its backing capacity — that reuse is the point.
 void ResetPacket(NocPacket* packet) {

@@ -15,7 +15,7 @@
 //     any pool (pool == nullptr, e.g. by tests) delete on release.
 //
 // Determinism: recycling changes packet *addresses* only. Every
-// simulation-visible field is reset on release, so a recycled packet is
+// simulation-observable field is reset on release, so a recycled packet is
 // indistinguishable from a fresh one (tests/packet_pool_test.cc).
 #ifndef SRC_NOC_PACKET_POOL_H_
 #define SRC_NOC_PACKET_POOL_H_

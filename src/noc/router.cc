@@ -11,8 +11,8 @@ Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height
                uint32_t buffer_depth)
     : x_(x), y_(y), mesh_width_(mesh_width), mesh_height_(mesh_height),
       buffer_depth_(buffer_depth) {
-  // One FIFO per input VC holds committed and staged flits alike, so its
-  // capacity is exactly the architectural buffer depth.
+  // One FIFO per input VC holds every resident flit, so its capacity is
+  // exactly the architectural buffer depth.
   for (auto& port_bufs : inputs_) {
     for (auto& buf : port_bufs) {
       buf.flits.Init(buffer_depth_);
@@ -100,35 +100,25 @@ uint32_t Router::FreeSlots(RouterPort in_port, Vc vc) const {
   return used >= buffer_depth_ ? 0 : buffer_depth_ - used;
 }
 
-bool Router::AcceptFlit(RouterPort in_port, Flit&& flit) {
+bool Router::AcceptFlit(RouterPort in_port, Flit&& flit, Cycle arrival) {
   const int vc = static_cast<int>(flit.vc());
   InputBuffer& buf = inputs_[in_port][vc];
   if (buf.flits.size() >= buffer_depth_) {
     return false;
   }
-  // Behind the watermark: invisible to arbitration until the next commit.
+  // HeadVisible relies on one arrival per buffer per cycle.
+  assert(buf.flits.empty() || buf.last_arrival < arrival);
   buf.flits.push_back(std::move(flit));
-  staged_ |= 1u << (in_port * kNumVcs + vc);
+  buf.last_arrival = arrival;
   ++occupancy_;
-  // Publish this router into the mesh's fresh live bits (idempotent).
+  if (buf.flits.size() == 1) {
+    PublishHead(in_port, vc);
+  }
+  // Publish this router into the mesh's busy live bits (idempotent).
   if (live_word_ != nullptr) {
     *live_word_ |= live_bit_;
   }
   return true;
-}
-
-void Router::CommitStaged() {
-  for (; staged_ != 0; staged_ &= staged_ - 1) {
-    const int slot = std::countr_zero(staged_);
-    const int in = slot / kNumVcs;
-    const int vc = slot % kNumVcs;
-    InputBuffer& buf = inputs_[in][vc];
-    const bool had_head = buf.visible != 0;
-    buf.visible = buf.flits.size();
-    if (!had_head) {
-      PublishHead(in, vc);
-    }
-  }
 }
 
 uint32_t Router::RotateInputs(uint32_t mask, int first) {
@@ -149,7 +139,7 @@ int Router::NextRequestedOutput(int from) const {
 
 void Router::PublishHead(int in, int vc) {
   const InputBuffer& buf = inputs_[in][vc];
-  if (buf.visible != 0) {
+  if (!buf.flits.empty()) {
     const RouterPort out = RoutePort(buf.flits.front().dst());
     requests_ |= uint64_t{1} << (RequestShift(out, vc) + in);
   }
@@ -178,15 +168,15 @@ void Router::SendDownstream(RouterPort out, Flit& flit, Cycle now) {
     return;
   }
   static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-  neighbors_[out]->AcceptFlit(kOpposite[out], std::move(flit));
+  neighbors_[out]->AcceptFlit(kOpposite[out], std::move(flit), now);
 }
 
 bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
-  ++arb_probes_;
-  if (((Requests(out, vc) >> in) & 1u) == 0) {
-    return false;  // Empty buffer, or its head routes elsewhere.
-  }
   InputBuffer& buf = inputs_[in][vc];
+  if (((Requests(out, vc) >> in) & 1u) == 0 || !HeadVisible(buf, now)) {
+    return false;  // Empty buffer, a head routed elsewhere, or one that just arrived.
+  }
+  ++arb_probes_;
   Flit& flit = buf.flits.front();
   if (!DownstreamHasSpace(out, flit.vc())) {
     ++stalls_;
@@ -219,7 +209,6 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   // the pop then releases whatever reference is left.
   SendDownstream(out, flit, now);
   buf.flits.pop_front();
-  --buf.visible;
   --occupancy_;
   ++flits_routed_;
   requests_ &= ~(uint64_t{1} << (RequestShift(out, vc) + in));
@@ -240,7 +229,11 @@ bool Router::AcquireWeighted(RouterPort out, int vc, uint32_t requests, Cycle no
   const int first = rr_input_[out];
   for (uint32_t rot = RotateInputs(requests, first); rot != 0; rot &= rot - 1) {
     const int in = RotatedInput(rot, first);
-    const Flit& flit = inputs_[in][vc].flits.front();
+    const InputBuffer& buf = inputs_[in][vc];
+    if (!HeadVisible(buf, now)) {
+      continue;  // Arrived this cycle: not a candidate yet.
+    }
+    const Flit& flit = buf.flits.front();
     if (!flit.is_head()) {
       continue;
     }
@@ -311,8 +304,9 @@ void Router::RouteCycle(Cycle now) {
   // VC-level round robin, then input-port round robin within a vc. When
   // weights are configured, acquisition of a free output vc goes through the
   // deficit arbiter instead of plain input round robin. Only requesting
-  // inputs are probed: a probe of any other input fails before touching a
-  // counter, a pointer or a deficit, so skipping it keeps the order exact.
+  // inputs are probed: a probe of any other input, or of a head that arrived
+  // this cycle, fails before touching a counter, a pointer or a deficit, so
+  // skipping it keeps the order exact.
   // The next requested output is re-read after every output: a pop publishes
   // its buffer's next head, which later outputs of this same cycle must see.
   for (int out = NextRequestedOutput(0); out < kNumPorts; out = NextRequestedOutput(out + 1)) {

@@ -1,21 +1,23 @@
 // Input-buffered 5-port mesh router with wormhole switching, two virtual
 // channels, XY dimension-order routing, and round-robin arbitration.
 //
-// The Mesh orchestrates all routers in two phases per cycle (commit staged
-// flits, then route), which gives every router a consistent view of
-// downstream buffer occupancy without explicit credit wires.
+// The Mesh routes every busy router once per cycle. A flit that enters a
+// buffer in cycle N leaves no earlier than cycle N+1, which gives every
+// router a consistent view of downstream buffer occupancy without explicit
+// credit wires.
 //
-// Each input VC is one FIFO with a commit watermark: flits accepted this
-// cycle append behind it, and the commit phase moves the watermark to the
-// tail, so arbitration sees only the committed prefix while FreeSlots
-// counts both sides. A hop moves the flit from this FIFO into the
-// neighbour's (no copy, no reference-count traffic).
+// Each input VC is one FIFO stamped with the cycle its newest flit arrived.
+// At most one flit enters a buffer per cycle, so arbitration may see the
+// head iff the buffer holds more than one flit or its last arrival is
+// before `now`; FreeSlots counts every resident flit. A hop moves the
+// flit from this FIFO into the neighbour's (no copy, no reference-count
+// traffic).
 //
-// Arbitration work is proportional to queued flits: each committed head
-// flit's XY route is read from a per-destination table built at
-// construction and published as a bit in a per-(output, VC) request mask,
-// and the arbiters walk only the set bits in the same rotated round-robin
-// order a full (out, VC, in) scan would visit them.
+// Arbitration work is proportional to queued flits: each head flit's XY
+// route is read from a per-destination table built at construction and
+// published as a bit in a per-(output, VC) request mask when the head
+// appears, and the arbiters walk only the set bits in the same rotated
+// round-robin order a full (out, VC, in) scan would visit them.
 #ifndef SRC_NOC_ROUTER_H_
 #define SRC_NOC_ROUTER_H_
 
@@ -67,18 +69,18 @@ class Router {
   // to the default weight (1).
   void SetClassWeight(uint8_t cls, uint32_t weight);
 
-  // Phase 1: staged flits (arrived last cycle) become visible: each
-  // written buffer's watermark moves to its tail.
-  void CommitStaged();
-
-  // Phase 2: forward up to one flit per output port.
+  // Forwards up to one flit per output port, from heads that arrived
+  // before `now`.
   void RouteCycle(Cycle now);
 
-  // Returns true and stages the flit (moved in, behind the watermark) if
-  // input buffer (port, vc) has space; on false `flit` is left untouched.
-  bool AcceptFlit(RouterPort in_port, Flit&& flit);
+  // Returns true and moves the flit into input buffer (port, vc), stamped as
+  // arriving at cycle `arrival`, if the buffer has space; on false `flit` is
+  // left untouched. The flit is invisible to arbitration until a later
+  // cycle.
+  bool AcceptFlit(RouterPort in_port, Flit&& flit, Cycle arrival);
 
-  // Free slots in input buffer (port, vc), counting staged flits.
+  // Free slots in input buffer (port, vc), counting flits that arrived this
+  // cycle.
   uint32_t FreeSlots(RouterPort in_port, Vc vc) const;
 
   uint32_t x() const { return x_; }
@@ -93,14 +95,14 @@ class Router {
   // the arbiters examined. Deterministic work counter for the hot-path bench.
   uint64_t arb_probes() const { return arb_probes_; }
 
-  // True while any input buffer holds a flit (staged or committed) — the
-  // mesh's quiescence check. O(1): tracked as a running occupancy count.
+  // True while any input buffer holds a flit — the mesh's quiescence check.
+  // O(1): tracked as a running occupancy count.
   bool HasBufferedFlits() const { return occupancy_ != 0; }
 
   // Live-set publication (Mesh active sweep): every accepted flit ORs this
-  // tile's bit (tile % 64) into `word`, the mesh's fresh-router bitset word
+  // tile's bit (tile % 64) into `word`, the mesh's busy-router bitset word
   // covering this tile. Idempotent, so no membership mark is needed; the
-  // mesh merges fresh bits into its busy set and clears drained routers'.
+  // mesh's route walk clears the bit when this router drains.
   void SetLiveWord(uint64_t* word) {
     live_word_ = word;
     live_bit_ = uint64_t{1} << (tile() % 64);
@@ -116,7 +118,7 @@ class Router {
   // express.h documents why the batch is byte-exact).
   friend class ExpressLane;
 
-  // Applies the externally visible effects of `departed` corridor flits
+  // Applies the externally observable effects of `departed` corridor flits
   // having been forwarded from input `in` through (out, vc) on consecutive
   // cycles: flit count, VC/input round-robin pointers, the sole-pass deficit
   // reset, and the wormhole owner (held while mid-packet, released by the
@@ -126,13 +128,18 @@ class Router {
 
   // One fixed-capacity ring per input VC (buffer_depth, sized once at
   // construction): the buffer models a hardware FIFO, so its bound is
-  // architectural and per-flit queue churn must not touch the heap. The
-  // first `visible` flits are committed; the rest were accepted since the
-  // last commit and stay invisible to arbitration until it runs.
+  // architectural and per-flit queue churn must not touch the heap.
+  // `last_arrival` is the cycle its newest flit was accepted.
   struct InputBuffer {
     RingBuffer<Flit> flits;
-    uint32_t visible = 0;
+    Cycle last_arrival = 0;
   };
+  // A nonempty buffer's head arrived before `now`: either a flit is queued
+  // behind it (only the newest can have arrived this cycle), or the newest
+  // flit is the head and arrived earlier.
+  static bool HeadVisible(const InputBuffer& buf, Cycle now) {
+    return buf.flits.size() > 1 || buf.last_arrival < now;
+  }
   struct OutputVcState {
     // Wormhole ownership: the (input port, vc) whose packet currently holds
     // this output vc; -1 when free.
@@ -155,22 +162,23 @@ class Router {
   // The lowest output >= `from` with a requesting input, or kNumPorts.
   int NextRequestedOutput(int from) const;
 
-  // Routes committed buffer (in, vc)'s head flit, if any, and sets its
-  // request bit. Called whenever a new head appears: a commit into an empty
-  // buffer, or a pop (which first clears the old head's bit).
+  // Routes buffer (in, vc)'s head flit, if any, and sets its request bit.
+  // Called whenever a new head appears: an accept into an empty buffer, or a
+  // pop (which first clears the old head's bit).
   void PublishHead(int in, int vc);
 
   // Attempts to forward the head-of-line flit from inputs_[in][vc] through
   // `out`. Returns true on success. Only called with `in` owning (out, vc)
-  // or with (out, vc) free.
+  // or with (out, vc) free. A head that arrived this cycle fails before any
+  // counter, pointer or deficit moves.
   bool TryForward(RouterPort out, int in, int vc, Cycle now);
 
   // Weighted acquisition of a free output vc: scans this vc's requesting
-  // head flits (`requests`), and when two or more arbitration classes
-  // compete, lets the class with the largest deficit win (deficits accrue by
-  // weight per contested attempt and the winner pays its packet's flit
-  // count, so long-run grants converge to the weight ratio). A sole
-  // candidate class passes immediately and free of charge.
+  // head flits (`requests`) that arrived before `now`, and when two or more
+  // arbitration classes compete, lets the class with the largest deficit
+  // win (deficits accrue by weight per contested attempt and the winner pays
+  // its packet's flit count, so long-run grants converge to the weight
+  // ratio). A sole candidate class passes immediately and free of charge.
   bool AcquireWeighted(RouterPort out, int vc, uint32_t requests, Cycle now);
 
   bool DownstreamHasSpace(RouterPort out, Vc vc) const;
@@ -192,17 +200,14 @@ class Router {
 
   InputBuffer inputs_[kNumPorts][kNumVcs];
   OutputVcState outputs_[kNumPorts][kNumVcs];
-  // Occupancy-driven arbitration state, exact after every CommitStaged and
-  // TryForward (DESIGN.md §4):
-  // - requests_ packs one kNumPorts-bit input mask per (out, vc), at bit
-  //   RequestShift(out, vc): bit `in` of that mask is set iff committed
-  //   buffer (in, vc) is nonempty and its head flit's XY route is `out`.
-  //   The head's route is thus cached as its one request bit, computed
-  //   once per head. One word, so "no request at this or any later
-  //   output" is a single shift-and-test;
-  // - staged_ has bit (in * kNumVcs + vc) set iff that buffer holds flits
-  //   past its watermark, so CommitStaged touches only buffers that
-  //   received flits.
+  // Occupancy-driven arbitration state, exact after every AcceptFlit and
+  // TryForward (DESIGN.md §4): requests_ packs one kNumPorts-bit input mask
+  // per (out, vc), at bit RequestShift(out, vc): bit `in` of that mask is
+  // set iff buffer (in, vc) is nonempty and its head flit's XY route is
+  // `out`, whether or not it arrived this cycle (the arbiters test
+  // HeadVisible). The head's route is thus cached as its one request bit,
+  // computed once per head. One word, so "no request at this or any later
+  // output" is a single shift-and-test.
   static constexpr uint32_t kAllInputs = (1u << kNumPorts) - 1;
   static constexpr int RequestShift(int out, int vc) { return (out * kNumVcs + vc) * kNumPorts; }
   static_assert(kNumPorts * kNumVcs * kNumPorts < 64, "request masks must pack in one word");
@@ -210,7 +215,6 @@ class Router {
     return static_cast<uint32_t>(requests_ >> RequestShift(out, vc)) & kAllInputs;
   }
   uint64_t requests_ = 0;
-  uint32_t staged_ = 0;
   // Round-robin pointers: per output port, the next input port to consider.
   std::array<int, kNumPorts> rr_input_{};
   // Per output port, the next vc to consider (VC-level interleaving).
@@ -233,9 +237,9 @@ class Router {
   uint64_t weighted_grants_ = 0;
   uint64_t fault_dropped_packets_ = 0;
   uint64_t fault_stalled_cycles_ = 0;
-  // Total flits resident across all input buffers (staged + committed).
+  // Total flits resident across all input buffers.
   uint64_t occupancy_ = 0;
-  // This tile's word and bit in the owning mesh's fresh-router bitset.
+  // This tile's word and bit in the owning mesh's busy-router bitset.
   uint64_t* live_word_ = nullptr;
   uint64_t live_bit_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/noc/mesh.h"
@@ -529,38 +530,83 @@ TEST(ArbitrationGoldenTest, RouterStallWindow) {
             "router.stalls=45512");
 }
 
-
-// Commit watermark: a flit accepted this cycle sits behind its buffer's
-// committed prefix until the next commit, even when the committed head
-// ahead of it leaves in the same cycle and the staged flit's own output is
-// idle. FreeSlots counts both sides of the watermark.
-TEST(RouterTest, StagedFlitWaitsForTheNextCommit) {
+// Arrival stamps: a flit accepted in cycle c is invisible to arbitration
+// until c + 1, even when the head ahead of it leaves in cycle c and the new
+// flit's own output is idle. FreeSlots counts it as soon as it is accepted.
+TEST(RouterTest, FlitAcceptedThisCycleWaitsForTheNext) {
   Mesh mesh(MeshConfig{2, 1, 4, 64});
   Router& r = mesh.router(0);
   auto east = MakePacket(0, 1, 0, 1);
   auto local = MakePacket(0, 0, 0, 2);
   east->flit_count = 1;
   local->flit_count = 1;
-  ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{east, 0}));
+  ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{east, 0}, 0));
   EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 3u);
-  r.CommitStaged();
-  ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{local, 0}));
+  ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{local, 0}, 1));
   EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 2u);
-  // East (port 2) pops the committed head; Local (port 4) is visited later
-  // in the same sweep, but the staged flit behind it is not yet a head.
-  r.RouteCycle(0);
-  EXPECT_EQ(r.flits_routed(), 1u);
-  EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 3u);
+  // East (port 2) pops the head that arrived at 0; Local (port 4) is visited
+  // later in the same sweep, but its new head arrived at 1 and is neither
+  // forwarded nor charged a probe.
   r.RouteCycle(1);
   EXPECT_EQ(r.flits_routed(), 1u);
+  EXPECT_EQ(r.arb_probes(), 1u);
+  EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 3u);
   EXPECT_FALSE(mesh.ni(0).HasDeliverable());
-  r.CommitStaged();
   r.RouteCycle(2);
   EXPECT_EQ(r.flits_routed(), 2u);
+  EXPECT_EQ(r.arb_probes(), 2u);
   EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 4u);
   auto got = mesh.ni(0).Retrieve();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->packet_id, 2u);
+}
+
+// Same-walk visits: a flit forwarded into a router in a later live-set word
+// makes that router busy during the route walk, which then visits it in the
+// same walk while its only head arrived this cycle. Single-flit packets sent
+// one at a time on an idle 12x12 mesh, in all four directions and across
+// both word boundaries (63/64 and 127/128), must each take hops + c cycles
+// for one constant c, and the arbiters must charge one probe per flit hop.
+TEST(MeshTest, SameWalkVisitForwardsNothing) {
+  Simulator sim;
+  Mesh mesh(MeshConfig{12, 12, 4, 128});
+  sim.Register(&mesh);
+  std::optional<Cycle> c;
+  uint64_t id = 1;
+  auto send = [&](TileId src, TileId dst) {
+    const Cycle start = sim.now();
+    ASSERT_TRUE(mesh.ni(src).Inject(MakePacket(src, dst, 0, id), start));
+    ASSERT_TRUE(sim.RunUntil([&] { return mesh.ni(dst).HasDeliverable(); }, 1000));
+    auto got = mesh.ni(dst).Retrieve();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->packet_id, id);
+    const Cycle extra = sim.now() - start - mesh.Hops(src, dst);
+    if (!c) {
+      c = extra;
+    }
+    EXPECT_EQ(extra, *c) << src << " -> " << dst;
+    ++id;
+    sim.Run(10);  // Back to an idle fabric.
+  };
+  // 12 tiles per row: 63 = (3, 5), 64 = (4, 5), 127 = (7, 10), 128 = (8, 10).
+  // East and West across both word boundaries.
+  send(63, 64);
+  send(64, 63);
+  send(127, 128);
+  send(128, 127);
+  // South and North across both word boundaries.
+  send(52, 64);
+  send(64, 52);
+  send(116, 128);
+  send(128, 116);
+  // Row 5 and column 3 end to end, and corner to corner.
+  send(60, 71);
+  send(71, 60);
+  send(3, 135);
+  send(135, 3);
+  send(0, 143);
+  send(143, 0);
+  EXPECT_EQ(mesh.TotalArbProbes(), mesh.TotalFlitsRouted());
 }
 
 // Live-set golden on a 12x12 mesh, whose 144 tiles span three 64-bit
