@@ -201,9 +201,10 @@ void SerializeMessageInto(Message&& msg, NocPacket& packet) {
   packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
   WriteHeader(msg, packet.head.data());
   packet.payload = std::move(msg.payload);
-  // Checksum folded into the serialize pass: head region then payload,
-  // byte-identical to hashing the contiguous copy.
+#ifndef NDEBUG
+  // Eager stamp, checked by CorruptWireBit and at ejection.
   packet.checksum = PacketWireChecksum(packet);
+#endif
 }
 
 std::optional<Message> DeserializeMessage(NocPacket& packet) {

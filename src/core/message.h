@@ -90,9 +90,10 @@ struct Message {
 inline constexpr size_t kMessageHeaderBytes =
     4 + 1 + 2 + 1 + 8 + 4 + 4 + 4 + 4 + 2 * (8 + 8 + 1) + 4;
 
-// Move-through wire encoding: writes the header into packet.head, moves
-// msg.payload into packet.payload (no copy), and stamps packet.checksum in
-// the same pass. `msg` is consumed.
+// Move-through wire encoding: writes the header into packet.head and moves
+// msg.payload into packet.payload (no copy). `msg` is consumed. No checksum
+// is computed: NocPacket::CorruptWireBit stamps one if a fault touches the
+// image (asserts-on builds also stamp here, to check that stamp).
 void SerializeMessageInto(Message&& msg, NocPacket& packet);
 
 // Move-through decode: parses packet.head and moves packet.payload out into

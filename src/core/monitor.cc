@@ -13,6 +13,14 @@ Monitor::Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni, Monito
       cap_table_(config.cap_entries),
       trace_(config.trace_capacity) {}
 
+CounterSet Monitor::counters() const {
+  CounterSet set = counters_;
+  set.AddNonzero("monitor.sends", sends_);
+  set.AddNonzero("monitor.flits_sent", flits_sent_);
+  set.AddNonzero("monitor.delivered", delivered_);
+  return set;
+}
+
 uint64_t Monitor::MonitorLogicCells() const {
   return MonitorCellCost(ResourceCosts{}, config_.cap_entries);
 }
@@ -201,7 +209,7 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   if (msg.kind == MsgKind::kRequest) {
     ++pending_responses_[dst_tile];
   }
-  counters_.Add("monitor.sends");
+  ++sends_;
   Trace(TraceEvent::kSend, dst_tile, msg.dst_service, msg.opcode, MsgStatus::kOk);
   return SendResult{MsgStatus::kOk};
 }
@@ -227,7 +235,7 @@ void Monitor::FlushOutbox() {
     packet->arb_class = arb_class_;
     SerializeMessageInto(std::move(out.msg), *packet);
     (void)ni_->Inject(std::move(packet), now);  // Cannot fail: space checked above.
-    counters_.Add("monitor.flits_sent", flits);
+    flits_sent_ += flits;
     outbox_.pop_front();
   }
 }
@@ -260,7 +268,7 @@ void Monitor::DeliverIncoming(Message msg) {
   if (msg.kind == MsgKind::kRequest) {
     ++reply_rights_[msg.src_tile];
   }
-  counters_.Add("monitor.delivered");
+  ++delivered_;
   Trace(TraceEvent::kDeliver, msg.src_tile, msg.src_service, msg.opcode, msg.status);
   inbox_.push_back(std::move(msg));
 }

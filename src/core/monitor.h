@@ -129,7 +129,7 @@ class Monitor : public TileApi {
   // ------------------------------------------------------------------
   // Introspection.
   // ------------------------------------------------------------------
-  const CounterSet& counters() const { return counters_; }
+  CounterSet counters() const;
   const TraceRing& trace() const { return trace_; }
   const CapabilityTable& cap_table() const { return cap_table_; }
   bool accelerator_faulted() const { return accelerator_faulted_; }
@@ -180,6 +180,11 @@ class Monitor : public TileApi {
   std::deque<Outbound> outbox_;
 
   uint64_t next_auto_request_id_ = 1;
+  // Per-message counters are typed fields, rendered in counters(); the rare
+  // events stay string-keyed in counters_.
+  uint64_t sends_ = 0;
+  uint64_t flits_sent_ = 0;
+  uint64_t delivered_ = 0;
   CounterSet counters_;
   TraceRing trace_;
 };

@@ -215,12 +215,12 @@ bool FaultInjector::OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle n
   }
   if (WindowHit(corrupt_windows_, router_tile, now)) {
     // Flip one bit anywhere in the wire image (serialized header region or
-    // payload) — the stale end-to-end checksum is how the ejecting NI
-    // detects it, wherever it lands.
+    // payload). The flip stamps the intact image's checksum on first touch;
+    // the ejecting NI re-hashes and detects it, wherever it lands.
     NocPacket& packet = *flit.packet;
     if (packet.wire_bytes() > 0) {
       const size_t index = static_cast<size_t>(rng_.NextBelow(packet.wire_bytes()));
-      *packet.wire_byte(index) ^= static_cast<uint8_t>(1u << rng_.NextBelow(8));
+      packet.CorruptWireBit(index, static_cast<uint8_t>(1u << rng_.NextBelow(8)));
       counters_.Add("fault.link_corruptions_applied");
     }
   }

@@ -16,9 +16,9 @@ class NocFaultModel {
   virtual ~NocFaultModel() = default;
 
   // Consulted once per packet (on its head flit) each time it crosses an
-  // inter-router link out of `router_tile`. The model may corrupt the
-  // packet's payload in place (the stale checksum is how the receiving NI
-  // detects it). Returns true if the packet should be dropped on this link.
+  // inter-router link out of `router_tile`. The model may corrupt the wire
+  // image in place, only via NocPacket::CorruptWireBit, which marks the packet
+  // for the receiving NI to re-hash. Returns true to drop it on this link.
   virtual bool OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle now) = 0;
 
   // True while the router at `router_tile` is stalled (forwards nothing).

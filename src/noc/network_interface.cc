@@ -62,10 +62,10 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
     return false;
   }
   packet->inject_cycle = now;
-  if (packet->checksum == 0) {
-    // Hand-built packet (no serializer stamp): checksum the wire image now.
-    packet->checksum = PacketWireChecksum(*packet);
-  }
+#ifndef NDEBUG
+  // Eager stamp, checked by CorruptWireBit and at ejection.
+  packet->checksum = PacketWireChecksum(*packet);
+#endif
   auto& queue = inject_queues_[static_cast<int>(packet->vc)];
   for (uint32_t i = 0; i + 1 < flits; ++i) {
     queue.push_back(Flit{packet, i});
@@ -112,7 +112,7 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
     ++packets_dropped_fault_;
     return;
   }
-  if (flit.packet->checksum != 0 &&
+  if (flit.packet->wire_touched &&
       flit.packet->checksum != PacketWireChecksum(*flit.packet)) {
     // Corruption is detected here, never silently consumed: the packet is
     // discarded and the loss surfaces as a counter (and, one layer up, as a
@@ -120,6 +120,8 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
     ++checksum_drops_;
     return;
   }
+  // Only a fault writes a wire image in flight, and it marks the packet.
+  assert(flit.packet->wire_touched || flit.packet->checksum == PacketWireChecksum(*flit.packet));
   latency_.Record(now - flit.packet->inject_cycle);
   ++packets_delivered_;
   delivered_.push_back(flit.packet);

@@ -67,11 +67,11 @@ struct NocPacket {
   uint16_t head_len = 0;
   std::array<uint8_t, kPacketHeadBytes> head{};
   PayloadBuf payload;
-  // End-to-end wire checksum, stamped at serialization (or by the injecting
-  // NI for hand-built packets). The ejecting NI recomputes it so link-level
-  // corruption is *detected* (and the packet discarded) instead of a garbled
-  // message being silently consumed.
-  uint32_t checksum = 0;  // 0 = unstamped (hand-built packets skip the check).
+  // End-to-end checksum of the intact wire image, stamped by the first
+  // CorruptWireBit, which sets wire_touched. The ejecting NI re-hashes only
+  // touched packets: corruption is *detected*, never silently consumed.
+  uint32_t checksum = 0;
+  bool wire_touched = false;
   // Flit count cached at injection so the per-hop is_tail() test is one
   // compare instead of a division through a pointer chase; the ejecting NI
   // asserts it still matches the wire size.
@@ -87,12 +87,9 @@ struct NocPacket {
 
   // The bytes the flit count and checksum cover: head region + payload.
   size_t wire_bytes() const { return head_len + payload.size(); }
-  uint8_t* wire_byte(size_t i) {
-    return i < head_len ? &head[i] : payload.data() + (i - head_len);
-  }
-  const uint8_t* wire_byte(size_t i) const {
-    return i < head_len ? &head[i] : payload.data() + (i - head_len);
-  }
+  // XORs `mask` into wire byte `index`. The one in-flight writer of a wire
+  // image; only src/fault/ calls it (apiary-wire-writer).
+  void CorruptWireBit(size_t index, uint8_t mask);
 };
 
 // Defined in packet_pool.cc: returns the packet to its pool, or deletes it
@@ -173,6 +170,15 @@ inline constexpr uint32_t kChecksumSeed = 2166136261u;
 inline uint32_t PacketWireChecksum(const NocPacket& packet) {
   const uint32_t h = ChecksumUpdate(kChecksumSeed, packet.head.data(), packet.head_len);
   return ChecksumUpdate(h, packet.payload.data(), packet.payload.size());
+}
+
+inline void NocPacket::CorruptWireBit(size_t index, uint8_t mask) {
+  if (!wire_touched) {
+    assert(checksum == PacketWireChecksum(*this));  // Asserts-on builds stamp eagerly.
+    checksum = PacketWireChecksum(*this);
+    wire_touched = true;
+  }
+  (index < head_len ? head[index] : payload.data()[index - head_len]) ^= mask;
 }
 
 // Number of flits a packet occupies on the wire: one head flit plus the

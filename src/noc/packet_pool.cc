@@ -15,6 +15,7 @@ void ResetPacket(NocPacket* packet) {
   packet->head_len = 0;
   packet->payload.clear();
   packet->checksum = 0;
+  packet->wire_touched = false;
   packet->flit_count = 1;
   packet->dropped = false;
 }

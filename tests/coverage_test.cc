@@ -83,6 +83,9 @@ TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
     packet->dst = 0;
     packet->payload = SerializeMessage(msg);
     packet->flit_count = ComputeFlitCount(*packet);
+    // Skips NetworkInterface::Inject; stamp as it does, since asserts-on
+    // builds check the stamp at ejection.
+    packet->checksum = PacketWireChecksum(*packet);
     tb.board.mesh().ni(0).EjectFlit(Flit{packet, packet->flit_count - 1}, 0);
   }
   monitor.BeginCycle();

@@ -6,7 +6,11 @@
 // hot-standby failover, watchdog-driven wedge recovery).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/accel/echo.h"
 #include "src/accel/faulty.h"
@@ -214,6 +218,127 @@ TEST(NocFaultTest, LinkCorruptionIsDetectedNotConsumed) {
   EXPECT_GE(tb.board.mesh().AggregateCounters().Get("ni.checksum_drops"), 1u);
   EXPECT_EQ(echo->served(), 0u);
   EXPECT_TRUE(probe->received.empty());
+}
+
+// Flips scripted (index, mask) pairs into each packet's wire image, the
+// n-th pair on the n-th link the packet crosses, through the mutator the
+// fault injector uses.
+class ScriptedFlips : public NocFaultModel {
+ public:
+  explicit ScriptedFlips(std::vector<std::pair<size_t, uint8_t>> flips)
+      : flips_(std::move(flips)) {}
+  bool OnLinkTraverse(TileId, const Flit& flit, Cycle) override {
+    size_t& crossed = crossed_[flit.packet->packet_id];
+    if (crossed < flips_.size()) {
+      flit.packet->CorruptWireBit(flips_[crossed].first, flips_[crossed].second);
+    }
+    ++crossed;
+    return false;
+  }
+  bool RouterStalled(TileId, Cycle) override { return false; }
+
+ private:
+  std::vector<std::pair<size_t, uint8_t>> flips_;
+  std::map<uint64_t, size_t> crossed_;
+};
+
+// A standalone 4x4 mesh whose packets cross three links from tile 0 to 3.
+struct FlipMesh {
+  explicit FlipMesh(NocFaultModel* model) {
+    sim.Register(&mesh);
+    mesh.SetFaultModel(model);
+  }
+  ~FlipMesh() { mesh.SetFaultModel(nullptr); }
+
+  PacketRef Serialized(uint64_t id, Message msg) {
+    PacketRef p = mesh.pool().Acquire();
+    p->src = 0;
+    p->dst = 3;
+    p->packet_id = id;
+    SerializeMessageInto(std::move(msg), *p);
+    return p;
+  }
+  uint64_t ChecksumDrops() const { return mesh.AggregateCounters().Get("ni.checksum_drops"); }
+
+  Simulator sim;
+  Mesh mesh{MeshConfig{4, 4, 8, 64}};
+};
+
+TEST(NocFaultTest, SameBitFlippedTwiceIsDeliveredIntact) {
+  // The second flip undoes the first; the NI still re-hashes the touched
+  // image in full, finds it intact and delivers it.
+  ScriptedFlips flips({{72, 0x10}, {72, 0x10}});
+  FlipMesh fm(&flips);
+  Message sent = EchoRequest({9, 8, 7, 6, 5, 4, 3, 2, 1});
+  sent.request_id = 42;
+  ASSERT_TRUE(fm.mesh.ni(0).Inject(fm.Serialized(1, sent), fm.sim.now()));
+  ASSERT_TRUE(fm.sim.RunUntil([&] { return fm.mesh.ni(3).HasDeliverable(); }, 1'000));
+  PacketRef got = fm.mesh.ni(3).Retrieve();
+  EXPECT_TRUE(got->wire_touched);
+  EXPECT_EQ(got->checksum, PacketWireChecksum(*got));
+  const std::optional<Message> msg = DeserializeMessage(*got);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->opcode, sent.opcode);
+  EXPECT_EQ(msg->request_id, 42u);
+  EXPECT_EQ(msg->payload, sent.payload);
+  EXPECT_EQ(fm.ChecksumDrops(), 0u);
+}
+
+TEST(NocFaultTest, TwoDifferentFlipsAreEachDropped) {
+  // Two bits of one header byte, then a header byte and a payload byte:
+  // neither pair cancels, so both packets are discarded and counted.
+  ScriptedFlips flips({{3, 0x01}, {3, 0x80}});
+  FlipMesh fm(&flips);
+  ASSERT_TRUE(fm.mesh.ni(0).Inject(fm.Serialized(1, EchoRequest({1, 2, 3})), fm.sim.now()));
+  fm.sim.Run(1'000);
+  EXPECT_EQ(fm.ChecksumDrops(), 1u);
+
+  ScriptedFlips spread({{3, 0x01}, {kMessageHeaderBytes + 1, 0x02}});
+  fm.mesh.SetFaultModel(&spread);
+  ASSERT_TRUE(fm.mesh.ni(0).Inject(fm.Serialized(2, EchoRequest({1, 2, 3})), fm.sim.now()));
+  fm.sim.Run(1'000);
+  EXPECT_EQ(fm.ChecksumDrops(), 2u);
+  EXPECT_FALSE(fm.mesh.ni(3).HasDeliverable());
+}
+
+TEST(NocFaultTest, CorruptedHandBuiltPacketIsStillDropped) {
+  // A hand-built packet (head_len == 0) carries no stamp from serialization
+  // or injection: the fault's first flip stamps the intact image.
+  Simulator sim;
+  Mesh mesh(MeshConfig{4, 4, 8, 64});
+  sim.Register(&mesh);
+  FaultPlan plan;
+  plan.seed = 6;
+  plan.LinkCorrupt(/*at=*/0, /*duration=*/1'000, /*rate=*/1.0);
+  FaultInjector injector(plan, FaultHooks{.mesh = &mesh});
+  sim.Register(&injector);
+  auto hand_built = [&mesh](TileId dst, uint64_t id) {
+    PacketRef p = mesh.pool().Acquire();
+    p->src = 0;
+    p->dst = dst;
+    p->packet_id = id;
+    p->payload.assign(64, 0x5A);
+    return p;
+  };
+  // One link, so exactly one flip.
+  ASSERT_TRUE(mesh.ni(0).Inject(hand_built(1, 1), sim.now()));
+  sim.Run(500);
+  EXPECT_EQ(injector.counters().Get("fault.link_corruptions_applied"), 1u);
+  EXPECT_EQ(mesh.AggregateCounters().Get("ni.checksum_drops"), 1u);
+  EXPECT_FALSE(mesh.ni(1).HasDeliverable());
+  sim.Run(1'000);
+  ASSERT_TRUE(injector.Exhausted(sim.now()));
+
+  // The stamp is the intact image's: a cancelling double flip delivers.
+  ScriptedFlips flips({{10, 0x04}, {10, 0x04}});
+  mesh.SetFaultModel(&flips);
+  ASSERT_TRUE(mesh.ni(0).Inject(hand_built(3, 2), sim.now()));
+  ASSERT_TRUE(sim.RunUntil([&] { return mesh.ni(3).HasDeliverable(); }, 1'000));
+  PacketRef got = mesh.ni(3).Retrieve();
+  EXPECT_TRUE(got->wire_touched);
+  EXPECT_EQ(got->payload, PayloadBuf(std::vector<uint8_t>(64, 0x5A)));
+  EXPECT_EQ(mesh.AggregateCounters().Get("ni.checksum_drops"), 1u);
+  mesh.SetFaultModel(nullptr);
 }
 
 // ------------------------------------------------------------------

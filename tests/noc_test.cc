@@ -540,6 +540,10 @@ TEST(RouterTest, FlitAcceptedThisCycleWaitsForTheNext) {
   auto local = MakePacket(0, 0, 0, 2);
   east->flit_count = 1;
   local->flit_count = 1;
+  // These flits skip NetworkInterface::Inject; stamp them as it does, since
+  // asserts-on builds check the stamp at ejection.
+  east->checksum = PacketWireChecksum(*east);
+  local->checksum = PacketWireChecksum(*local);
   ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{east, 0}, 0));
   EXPECT_EQ(r.FreeSlots(kPortLocal, Vc::kRequest), 3u);
   ASSERT_TRUE(r.AcceptFlit(kPortLocal, Flit{local, 0}, 1));

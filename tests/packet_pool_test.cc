@@ -69,6 +69,7 @@ TEST(PacketPoolTest, ReleaseScrubsSimulationVisibleState) {
     p->head_len = 70;
     p->payload.assign(200, 0xEE);
     p->checksum = 0xDEADBEEF;
+    p->wire_touched = true;
     p->flit_count = ComputeFlitCount(*p);
     p->dropped = true;
   }
@@ -82,6 +83,7 @@ TEST(PacketPoolTest, ReleaseScrubsSimulationVisibleState) {
   EXPECT_EQ(again->head_len, 0u);
   EXPECT_TRUE(again->payload.empty());
   EXPECT_EQ(again->checksum, 0u);
+  EXPECT_FALSE(again->wire_touched);
   EXPECT_EQ(again->flit_count, 1u);
   EXPECT_FALSE(again->dropped);
   // The payload's backing capacity survives the scrub — that reuse is the

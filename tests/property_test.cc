@@ -166,7 +166,8 @@ TEST_P(MessageFuzzTest, ArbitrarySplitWireImageSafeToParse) {
 }
 
 // The end-to-end check the ejecting NI relies on: any single corrupted byte
-// of the head region or the payload changes PacketWireChecksum.
+// of the head region or the payload, written through CorruptWireBit, makes
+// the wire image disagree with the checksum that first write stamped.
 TEST_P(MessageFuzzTest, EverySingleByteFlipChangesTheWireChecksum) {
   Rng rng(GetParam() + 300);
   int missed = 0;
@@ -175,17 +176,25 @@ TEST_P(MessageFuzzTest, EverySingleByteFlipChangesTheWireChecksum) {
     SerializeMessageInto(RandomMessage(rng), packet);
     if (rng.NextBool(0.5)) {
       packet.head_len = static_cast<uint16_t>(rng.NextBelow(kPacketHeadBytes + 1));
+      // The image changed after serialization: restamp it the way injection
+      // does, so asserts-on builds' eager stamp describes it.
+      packet.checksum = PacketWireChecksum(packet);
     }
     const uint32_t sum = PacketWireChecksum(packet);
     for (size_t i = 0; i < packet.wire_bytes(); ++i) {
-      uint8_t* byte = packet.wire_byte(i);
-      const uint8_t original = *byte;
-      *byte = static_cast<uint8_t>(original ^ rng.NextInRange(1, 255));
-      if (PacketWireChecksum(packet) == sum) {
+      const uint8_t mask = static_cast<uint8_t>(rng.NextInRange(1, 255));
+      packet.CorruptWireBit(i, mask);
+      if (PacketWireChecksum(packet) == packet.checksum) {
         ++missed;
       }
-      *byte = original;
+      packet.CorruptWireBit(i, mask);  // Restore the byte.
     }
+    // The first write stamped the intact image, and every byte was restored.
+    EXPECT_EQ(packet.wire_touched, packet.wire_bytes() > 0);
+    if (packet.wire_touched) {
+      EXPECT_EQ(packet.checksum, sum);
+    }
+    EXPECT_EQ(PacketWireChecksum(packet), sum);
   }
   EXPECT_EQ(missed, 0);
 }

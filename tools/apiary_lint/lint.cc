@@ -422,6 +422,11 @@ LintConfig DefaultConfig() {
 
   config.opcode_def_files = {"src/services/opcodes.h", "src/accel/accel_opcodes.h"};
 
+  // Only a fault writes a wire image in flight; the NI verifies exactly the
+  // packets that writer marked.
+  config.wire_writer = "CorruptWireBit";
+  config.wire_writer_allowed_prefixes = {"src/fault/", "src/noc/packet.h"};
+
   // Hot path: only the pool/serialization layer may allocate packets or
   // materialize contiguous wire vectors (the legacy-alloc ablation lives
   // there too).
@@ -1115,6 +1120,26 @@ void CheckSyncDiscipline(const SourceFile& file, const LintConfig& config,
   }
 }
 
+void CheckWireWriter(const SourceFile& file, const LintConfig& config,
+                     std::vector<Finding>* findings) {
+  if (!StartsWith(file.path, "src/") || config.wire_writer.empty()) {
+    return;
+  }
+  for (const auto& prefix : config.wire_writer_allowed_prefixes) {
+    if (StartsWith(file.path, prefix)) {
+      return;
+    }
+  }
+  for (size_t i = 0; i < file.code_lines.size(); ++i) {
+    if (!FindIdentifier(file.code_lines[i], config.wire_writer).empty()) {
+      findings->push_back({file.path, static_cast<int>(i) + 1, "apiary-wire-writer",
+                           config.wire_writer + " models link corruption: only the fault "
+                           "hooks in src/fault/ may write a wire image in flight, and the "
+                           "ejecting NI re-hashes exactly the packets it marked"});
+    }
+  }
+}
+
 void CheckNolintReason(const SourceFile& file, const LintConfig& /*config*/,
                        std::vector<Finding>* findings) {
   for (size_t i = 0; i < file.raw_lines.size(); ++i) {
@@ -1539,6 +1564,7 @@ std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files,
     CheckHotPath(file, config, &raw);
     CheckGlobalState(file, config, &raw);
     CheckSyncDiscipline(file, config, &raw);
+    CheckWireWriter(file, config, &raw);
     CheckNolintReason(file, config, &raw);
   }
   CheckOpcodeCoverage(files, config, &raw);

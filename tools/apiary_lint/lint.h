@@ -24,6 +24,8 @@
 //                          registered channel types
 //   apiary-sync-discipline ad-hoc std::mutex/std::atomic/thread_local are
 //                          banned under src/ outside src/sim/thread_domain.*
+//   apiary-wire-writer     NocPacket::CorruptWireBit, the one in-flight
+//                          wire-image writer, is called only from src/fault/
 //   apiary-wake-path       a NextActivity() that can declare kNoActivity
 //                          ("idle until external input") must show its wake
 //                          path or name its waker with APIARY-WAKE
@@ -157,6 +159,13 @@ struct LintConfig {
   // and arbitration order come from bit walks: a std::sort or
   // std::stable_sort there re-sorts on every executed cycle.
   std::vector<std::string> fabric_sort_prefixes;
+
+  // --- apiary-wire-writer ---
+  // The in-flight wire-image mutator: the ejecting NI re-hashes only packets
+  // it marked, so any other caller would write bytes no checksum covers.
+  std::string wire_writer;
+  // Path prefixes that may name it: the fault hooks, and its defining header.
+  std::vector<std::string> wire_writer_allowed_prefixes;
 
   // --- apiary-opcode-coverage ---
   // Path suffixes of the headers that define the opcode ABI.

@@ -730,6 +730,36 @@ TEST(SyncDiscipline, DoesNotFlagLookalikes) {
 }
 
 // ---------------------------------------------------------------------------
+// apiary-wire-writer.
+// ---------------------------------------------------------------------------
+
+TEST(WireWriter, FlagsCallersOutsideTheFaultHooks) {
+  const std::string call = "void Scrub(NocPacket& p) { p.CorruptWireBit(0, 1); }\n";
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/router.cc", call), "apiary-wire-writer"));
+  EXPECT_TRUE(HasCheck(LintOne("src/core/monitor.cc", "pkt->CorruptWireBit(i, m);\n"),
+                       "apiary-wire-writer"));
+  EXPECT_FALSE(HasCheck(LintOne("src/fault/fault_injector.cc", call), "apiary-wire-writer"));
+}
+
+TEST(WireWriter, DefiningHeaderCommentsAndOtherNamesAreFine) {
+  EXPECT_FALSE(HasCheck(LintOne("src/noc/packet.h",
+                                "struct NocPacket {\n"
+                                "  void CorruptWireBit(size_t index, uint8_t mask);\n"
+                                "};\n"),
+                        "apiary-wire-writer"));
+  EXPECT_FALSE(HasCheck(LintOne("src/noc/network_interface.cc",
+                                "// Only CorruptWireBit marks a packet touched.\n"
+                                "void CorruptWireBits();\n"),
+                        "apiary-wire-writer"));
+}
+
+TEST(WireWriter, TestsAndBenchAreUnrestricted) {
+  const std::string call = "packet.CorruptWireBit(3, 0x80);\n";
+  EXPECT_TRUE(LintOne("tests/x.cc", call).empty());
+  EXPECT_TRUE(LintOne("bench/x.cc", call).empty());
+}
+
+// ---------------------------------------------------------------------------
 // apiary-wake-path.
 // ---------------------------------------------------------------------------
 
@@ -1005,6 +1035,8 @@ TEST(Fixtures, GoodTreesAreCleanBadTreesFail) {
       {"wakepath/good", {"src"}, 0, ""},
       {"wakepath/bad", {"src"}, 1, "apiary-wake-path"},
       {"wakepath/suppressed", {"src"}, 0, ""},
+      {"wirewriter/good", {"src"}, 0, ""},
+      {"wirewriter/bad", {"src"}, 1, "apiary-wire-writer"},
       {"nolintreason/bad", {"src"}, 1, "apiary-nolint-reason"},
   };
   for (const auto& c : cases) {

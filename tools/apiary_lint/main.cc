@@ -153,7 +153,8 @@ int main(int argc, char** argv) {
                    "checks: apiary-determinism apiary-layering apiary-opcode-coverage\n"
                    "        apiary-include-guard apiary-debug-name apiary-nodiscard\n"
                    "        apiary-hot-path apiary-global-state apiary-domain-confinement\n"
-                   "        apiary-sync-discipline apiary-wake-path apiary-nolint-reason\n"
+                   "        apiary-sync-discipline apiary-wire-writer apiary-wake-path\n"
+                   "        apiary-nolint-reason\n"
                    "suppress with // NOLINT(apiary-<check>): <reason> or "
                    "NOLINTNEXTLINE(...): <reason>\n"
                    "keep deliberate globals with // APIARY-SHARED(<domain>): <reason>\n"
