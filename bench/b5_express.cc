@@ -2,25 +2,26 @@
 // guardrail.
 //
 // The corridor fast path (src/noc/express.*) makes interconnect simulation
-// cost proportional to *contention* instead of hops x cycles: when a
-// packet's whole XY route is verifiably non-interfering, the mesh installs a
-// corridor and delivers the flits analytically, never ticking the
-// intermediate routers. This harness measures that, in two legs:
+// cost proportional to *contention* instead of hops x cycles: a lone packet
+// whose links stay free hop by hop travels as a corridor, delivered
+// analytically without ticking the routers on its route. This harness
+// measures that, in two legs:
 //
 //   * Corridor sweep: an 8x8 board with four echo pairs on rows 1/3/5/7
-//     (client at x=0, service at x=7 — 7-hop corridors, zones two rows
-//     apart so all four can be in flight at once; row 0 holds the standard
-//     OS services), 300-byte payloads
+//     (client at x=0, service at x=7 — 7-hop corridors on disjoint links,
+//     so all four can be in flight at once; row 0 holds the standard OS
+//     services), 300-byte payloads
 //     (11 flits per packet). The request period sweeps light -> mid load;
 //     each point runs express on vs off (`--no-express` baseline) on the
 //     identical seeded scenario and cross-checks end cycle, request and
 //     response counts, and total flits routed. The acceptance bar is
 //     >= 1.5x wall throughput at the light and mid points.
 //   * Saturated guardrail: the B2/B4 shape — closed-loop windowed clients
-//     on a 4x4 board whose inject queues are never a single lone packet, so
-//     corridors cannot launch and express degenerates to its per-injection
-//     planning probe plus the per-cycle AnyActive check. Express cannot win
-//     here and must not lose: the bar is >= 0.97x of the no-express run.
+//     on a 4x4 board. The clients' inject queues never hold a single lone
+//     packet, so their requests never launch; the echo services' replies
+//     leave one packet at a time and run as 1-hop corridors when their link
+//     is free. Express must not lose here: the bar is >= 0.97x of the
+//     no-express run.
 //
 // Any cross-check divergence fails the run (exit 1): the fast path must be
 // invisible to the simulation (the byte-level proof lives in
@@ -94,8 +95,8 @@ class PacedClient : public Accelerator {
 };
 
 // Closed-loop driver with a fixed outstanding window (the saturated shape):
-// the inject queue always holds more than one packet, so no corridor ever
-// qualifies and express pays only its probe overhead.
+// the inject queue always holds more than one packet, so its requests never
+// launch a corridor.
 class WindowedClient : public Accelerator {
  public:
   explicit WindowedClient(ServiceId svc) : svc_(svc) {}
@@ -324,8 +325,8 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  // Saturated guardrail: queues never hold a lone packet, corridors never
-  // launch, and express must cost nothing (target >= 0.97x).
+  // Saturated guardrail: only the services' lone replies launch, and
+  // express must cost nothing (target >= 0.97x).
   const RunResult soff = RunSaturated(/*express=*/false, sat_cycles);
   if (!baseline_only) {
     const RunResult son = RunSaturated(/*express=*/true, sat_cycles);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "src/noc/mesh.h"
 #include "src/noc/network_interface.h"
@@ -13,91 +12,35 @@ namespace apiary {
 namespace {
 // The port a flit leaving through `out` arrives on downstream.
 constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-// Tile itself plus its 4-neighborhood (the corridor zone stencil).
-constexpr int32_t kZoneDx[5] = {0, 0, 0, 1, -1};
-constexpr int32_t kZoneDy[5] = {0, -1, 1, 0, 0};
-
-inline int32_t Sign(int32_t v) { return v > 0 ? 1 : (v < 0 ? -1 : 0); }
 }  // namespace
 
 void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles) {
   assert(active_count_ == 0 && "reconfiguring a lane with corridors in flight");
   mesh_ = mesh;
   num_tiles_ = num_tiles;
+  max_path_ = mesh->width() + mesh->height() - 1;
   corridors_.assign(kMaxCorridors, Corridor{});
-  path_owner_.assign(num_tiles, 0);
-  zone_count_.assign(num_tiles, 0);
+  paths_.assign(static_cast<size_t>(kMaxCorridors) * max_path_, Hop{});
+  link_owner_.assign(static_cast<size_t>(num_tiles) * kNumPorts, 0);
   source_owner_.assign(num_tiles, 0);
   active_count_ = 0;
 }
 
-TileId ExpressLane::PathTile(const Corridor& c, uint32_t k) const {
-  const int32_t nx = std::abs(c.dx - c.sx);
-  const int32_t kk = static_cast<int32_t>(k);
-  const int32_t width = static_cast<int32_t>(mesh_->width());
-  if (kk <= nx) {
-    return static_cast<TileId>(c.sy * width + c.sx + Sign(c.dx - c.sx) * kk);
-  }
-  return static_cast<TileId>((c.sy + Sign(c.dy - c.sy) * (kk - nx)) * width + c.dx);
+void ExpressLane::SetHop(Hop* hop, TileId tile, TileId dst, RouterPort in) const {
+  hop->router = mesh_->routers_[tile].get();
+  hop->out = hop->router->RoutePort(dst);
+  hop->in = in;
+  hop->link = tile * kNumPorts + static_cast<uint32_t>(hop->out);
 }
 
-RouterPort ExpressLane::PathOut(const Corridor& c, uint32_t k) const {
-  const int32_t nx = std::abs(c.dx - c.sx);
-  const int32_t ny = std::abs(c.dy - c.sy);
-  const int32_t kk = static_cast<int32_t>(k);
-  if (kk < nx) {
-    return c.dx > c.sx ? kPortEast : kPortWest;
-  }
-  if (kk < nx + ny) {
-    return c.dy > c.sy ? kPortSouth : kPortNorth;
-  }
-  return kPortLocal;
-}
-
-RouterPort ExpressLane::PathIn(const Corridor& c, uint32_t k) const {
-  if (k == 0) {
-    return kPortLocal;
-  }
-  return kOpposite[PathOut(c, k - 1)];
-}
-
-bool ExpressLane::ZoneContains(const Corridor& c, TileId tile) const {
-  const int32_t width = static_cast<int32_t>(mesh_->width());
-  const int32_t x = static_cast<int32_t>(tile) % width;
-  const int32_t y = static_cast<int32_t>(tile) / width;
-  for (uint32_t k = 0; k <= c.hops; ++k) {
-    const TileId p = PathTile(c, k);
-    const int32_t px = static_cast<int32_t>(p) % width;
-    const int32_t py = static_cast<int32_t>(p) / width;
-    if (std::abs(x - px) + std::abs(y - py) <= 1) {
-      return true;
+bool ExpressLane::OutputIdle(const Hop& hop) {
+  const Router& r = *hop.router;
+  for (int v = 0; v < kNumVcs; ++v) {
+    if (r.outputs_[hop.out][v].owner_port != -1) {
+      return false;
     }
   }
-  return false;
-}
-
-void ExpressLane::InstallMaps(uint32_t index, int delta) {
-  const Corridor& c = corridors_[index];
-  const int32_t width = static_cast<int32_t>(mesh_->width());
-  const int32_t height = static_cast<int32_t>(mesh_->height());
-  source_owner_[PathTile(c, 0)] = delta > 0 ? static_cast<uint16_t>(index + 1) : 0;
-  for (uint32_t k = 0; k <= c.hops; ++k) {
-    const TileId t = PathTile(c, k);
-    path_owner_[t] = delta > 0 ? static_cast<uint16_t>(index + 1) : 0;
-    const int32_t x = static_cast<int32_t>(t) % width;
-    const int32_t y = static_cast<int32_t>(t) / width;
-    for (int n = 0; n < 5; ++n) {
-      const int32_t zx = x + kZoneDx[n];
-      const int32_t zy = y + kZoneDy[n];
-      if (zx < 0 || zy < 0 || zx >= width || zy >= height) {
-        continue;
-      }
-      // Adjacent path tiles share zone cells, so cells are counted with
-      // multiplicity — install and remove stay symmetric.
-      zone_count_[zy * width + zx] =
-          static_cast<uint8_t>(zone_count_[zy * width + zx] + delta);
-    }
-  }
+  return r.heads_[hop.out] == 0;
 }
 
 bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
@@ -138,71 +81,54 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   if (dst >= num_tiles_) {
     return false;
   }
-  uint32_t slot = kMaxCorridors;
-  for (uint32_t i = 0; i < kMaxCorridors; ++i) {
-    if (!corridors_[i].active) {
-      slot = i;
-      break;
-    }
-  }
-  if (slot == kMaxCorridors) {
+  // Flit i must enter R_0 at D+i: nothing real may queue ahead of it.
+  if (!mesh_->routers_[src]->inputs_[kPortLocal][q].flits.empty()) {
     return false;
   }
-  Corridor& c = corridors_[slot];
-  const int32_t width = static_cast<int32_t>(mesh_->width());
-  const int32_t height = static_cast<int32_t>(mesh_->height());
-  c.sx = static_cast<int32_t>(src) % width;
-  c.sy = static_cast<int32_t>(src) / width;
-  c.dx = static_cast<int32_t>(dst) % width;
-  c.dy = static_cast<int32_t>(dst) / width;
-  const uint32_t hops =
-      static_cast<uint32_t>(std::abs(c.dx - c.sx) + std::abs(c.dy - c.sy));
-  c.hops = hops;
-  // A corridor flit can transiently share an input buffer with its successor
-  // (the walk reaches the upstream router, which forwards the successor,
-  // before the downstream one forwards the flit), so multi-hop corridors
-  // need two slots per buffer.
-  if (hops >= 1 && mesh_->config_.router_buffer_depth < 2) {
+  uint32_t slot = 0;
+  while (corridors_[slot].active) {
+    ++slot;  // active_count_ < kMaxCorridors: a free slot exists.
+  }
+  Hop* path = Path(slot);
+  SetHop(&path[0], src, dst, kPortLocal);
+  // Launch policy: hop 0's output must be free when the head reaches it at
+  // D+1 — idle in the routers, and either unheld or held by a corridor whose
+  // tail left it by `now` (released at the top of D+1).
+  if (!OutputIdle(path[0])) {
     return false;
   }
-  // Non-interference walk over the path and its zone.
-  for (uint32_t k = 0; k <= hops; ++k) {
-    const TileId t = PathTile(c, k);
-    const int32_t x = static_cast<int32_t>(t) % width;
-    const int32_t y = static_cast<int32_t>(t) / width;
-    const Router& r = *mesh_->routers_[t];
-    if (r.HasBufferedFlits()) {
+  if (const uint16_t holder = link_owner_[path[0].link]; holder != 0) {
+    const Corridor& h = corridors_[holder - 1];
+    const Hop* hp = Path(holder - 1);
+    uint32_t k = h.released;
+    while (hp[k].link != path[0].link) {
+      ++k;
+    }
+    if (h.launch + h.flits + k > now) {
       return false;
     }
-    if (r.outputs_[PathOut(c, k)][q].owner_port != -1) {
-      return false;  // Wormhole bubble: a packet still owns this output VC.
-    }
-    // Stay out of every existing corridor's zone (and keep them out of our
-    // zone below): materializing one corridor must never invalidate another.
-    if (zone_count_[t] != 0 || path_owner_[t] != 0) {
+  }
+  uint32_t hops = 0;
+  while (path[hops].out != kPortLocal) {
+    // A corridor flit can transiently share an input buffer with its
+    // successor (the walk reaches the upstream router, which forwards the
+    // successor, before the downstream one forwards the flit), so
+    // multi-hop corridors need two slots per buffer.
+    if (mesh_->config_.router_buffer_depth < 2) {
       return false;
     }
-    if (k != 0 && mesh_->nis_[t]->HasPendingInject()) {
-      return false;  // A mid-path NI is about to feed this router.
-    }
-    for (int n = 1; n < 5; ++n) {
-      const int32_t zx = x + kZoneDx[n];
-      const int32_t zy = y + kZoneDy[n];
-      if (zx < 0 || zy < 0 || zx >= width || zy >= height) {
-        continue;
-      }
-      const TileId z = static_cast<TileId>(zy * width + zx);
-      if (path_owner_[z] != 0) {
-        return false;  // Our zone may not cover another corridor's path.
-      }
-      if (mesh_->routers_[z]->HasBufferedFlits()) {
-        return false;  // Busy zone: the first scan would materialize us.
-      }
+    const Hop& prev = path[hops];
+    ++hops;
+    SetHop(&path[hops], prev.router->neighbors_[prev.out]->tile(), dst, kOpposite[prev.out]);
+    // Launch policy: the buffer the head enters at D+1 is empty.
+    if (hops == 1 && !path[1].router->inputs_[path[1].in][q].flits.empty()) {
+      return false;
     }
   }
   // Install: the queue drains into the corridor (one ref pins the packet),
   // and inject_rr_ takes the value any number of real injection cycles from
   // a sole-VC queue leaves behind.
+  Corridor& c = corridors_[slot];
   c.packet = queue.front().packet;
   while (!queue.empty()) {
     queue.pop_front();
@@ -210,47 +136,100 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   ni.inject_rr_ = (q + 1) % kNumVcs;
   c.launch = now;
   c.flits = flits;
+  c.hops = hops;
+  c.released = 0;
+  c.reserved = 0;
   c.vc = q;
+  c.source = src;
   // The corridor delivers when the tail ejects (D+F+H).
   c.due = now + flits + hops;
   c.active = true;
   ++active_count_;
-  InstallMaps(slot, +1);
+  source_owner_[src] = static_cast<uint16_t>(slot + 1);
   ++stats_.launches;
   return true;
 }
 
-void ExpressLane::RunCompletions(Cycle now) {
-  if (active_count_ == 0) {
-    return;
-  }
-  for (uint32_t i = 0; i < kMaxCorridors; ++i) {
-    Corridor& c = corridors_[i];
-    if (!c.active) {
-      continue;
+bool ExpressLane::Clear(uint32_t index, Cycle now) {
+  Corridor& c = corridors_[index];
+  const Hop* path = Path(index);
+  // The head leaves R_j through out_j this cycle (j > H: it has ejected).
+  const Cycle j = now - c.launch - 1;
+  if (j == c.reserved && j <= c.hops) {
+    const Hop& hop = path[j];
+    if (link_owner_[hop.link] != 0 || !OutputIdle(hop)) {
+      return false;
     }
+    link_owner_[hop.link] = static_cast<uint16_t>(index + 1);
+    ++c.reserved;
+  }
+  for (uint32_t k = c.released; k < c.reserved; ++k) {
+    if (path[k].router->heads_[path[k].out] != 0) {
+      return false;
+    }
+  }
+  if (j < c.hops) {
+    const Hop& next = path[j + 1];
+    if (!next.router->inputs_[next.in][c.vc].flits.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpressLane::TickTop(Cycle now) {
+  if (active_count_ != 0) {
     // The mesh ticks every executed cycle while a corridor is active
-    // (NextActivity == now), so a due cycle is never skipped past.
-    assert(c.due >= now && "corridor completion missed its cycle");
-    if (c.due != now) {
-      continue;
+    // (NextActivity == now), so the state time is the previous cycle.
+    assert(state_time_ + 1 == now && "corridor missed a mesh tick");
+    // 1. Release the hops every tail has left.
+    for (uint32_t i = 0; i < kMaxCorridors; ++i) {
+      Corridor& c = corridors_[i];
+      if (!c.active) {
+        continue;
+      }
+      const Hop* path = Path(i);
+      while (c.released < c.reserved && state_time_ >= c.launch + c.flits + c.released) {
+        const Hop& hop = path[c.released];
+        hop.router->ExpressCatchUp(hop.out, hop.in, c.vc, c.flits, c.flits);
+        link_owner_[hop.link] = 0;
+        ++c.released;
+      }
     }
-    Deliver(i);
+    // 2. Check until nothing materializes: a materialized corridor's flits
+    // are real from here on, and may fail another corridor's check.
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (uint32_t i = 0; i < kMaxCorridors; ++i) {
+        if (corridors_[i].active && !Clear(i, now)) {
+          Materialize(i);
+          changed = true;
+        }
+      }
+    }
+    // 3. Completions: corridors whose tail ejects this cycle deliver.
+    for (uint32_t i = 0; i < kMaxCorridors; ++i) {
+      if (corridors_[i].active && corridors_[i].due == now) {
+        Deliver(i);
+      }
+    }
   }
+  // Every observer until the next tick sees end-of-`now` state, really or
+  // analytically — the uniform materialization boundary.
+  state_time_ = now;
 }
 
 void ExpressLane::Deliver(uint32_t index) {
   Corridor& c = corridors_[index];
-  // Each path router forwarded all F flits: catch up its counters and
-  // arbitration state in one batch (nothing reads them mid-corridor — the
-  // zone invariant keeps every observer away until materialization).
-  for (uint32_t k = 0; k <= c.hops; ++k) {
-    mesh_->routers_[PathTile(c, k)]->ExpressCatchUp(PathOut(c, k), PathIn(c, k), c.vc,
-                                                    c.flits, c.flits);
-  }
+  const Hop* path = Path(index);
+  // Only the last hop is still held: every earlier one was released as the
+  // tail left it.
+  assert(c.released == c.hops && c.reserved == c.hops + 1);
+  const Hop& last = path[c.hops];
+  last.router->ExpressCatchUp(last.out, last.in, c.vc, c.flits, c.flits);
   // Replay the ejections at their exact scheduled cycles; the tail carries
   // the delivery logic (latency record, delivery queue, sink wake).
-  NetworkInterface& dst_ni = *mesh_->nis_[PathTile(c, c.hops)];
+  NetworkInterface& dst_ni = *last.router->ni_;
   for (uint32_t i = 0; i < c.flits; ++i) {
     dst_ni.EjectFlit(Flit{c.packet, i}, c.launch + i + c.hops + 1);
   }
@@ -262,12 +241,11 @@ void ExpressLane::Deliver(uint32_t index) {
 
 void ExpressLane::Materialize(uint32_t index) {
   Corridor& c = corridors_[index];
+  const Hop* path = Path(index);
   const Cycle e = state_time_;
   assert(e >= c.launch);
   const uint32_t elapsed = static_cast<uint32_t>(e - c.launch);
   const uint32_t launched = std::min(c.flits, elapsed + 1);
-  NetworkInterface& src_ni = *mesh_->nis_[PathTile(c, 0)];
-  NetworkInterface& dst_ni = *mesh_->nis_[PathTile(c, c.hops)];
   // Reconstruct end-of-cycle-E state: flit i arrived in R_(E-D-i) at E, or
   // has already ejected when that index passes the last router.
   for (uint32_t i = 0; i < launched; ++i) {
@@ -276,24 +254,24 @@ void ExpressLane::Materialize(uint32_t index) {
       // Ejected at its scheduled cycle (never the tail — a corridor whose
       // tail ejected completed via Deliver instead).
       assert(i + 1 < c.flits);
-      dst_ni.EjectFlit(Flit{c.packet, i}, c.launch + i + c.hops + 1);
+      path[c.hops].router->ni_->EjectFlit(Flit{c.packet, i}, c.launch + i + c.hops + 1);
     } else {
-      const bool ok =
-          mesh_->routers_[PathTile(c, k)]->AcceptFlit(PathIn(c, k), Flit{c.packet, i}, e);
+      const bool ok = path[k].router->AcceptFlit(path[k].in, Flit{c.packet, i}, e);
       assert(ok && "corridor router out of buffer space");
       (void)ok;
     }
   }
-  // R_k forwarded clamp(E-D-k, 0, F) flits by the end of cycle E; routers
-  // the lead flit has not left keep untouched arbitration state.
-  for (uint32_t k = 0; k <= c.hops; ++k) {
+  // R_k forwarded clamp(E-D-k, 0, F) flits by the end of cycle E; released
+  // hops are already caught up, and hops the head has not left keep
+  // untouched arbitration state.
+  for (uint32_t k = c.released; k < c.reserved; ++k) {
     const uint32_t departed = elapsed > k ? std::min(c.flits, elapsed - k) : 0;
-    mesh_->routers_[PathTile(c, k)]->ExpressCatchUp(PathOut(c, k), PathIn(c, k), c.vc,
-                                                    departed, c.flits);
+    path[k].router->ExpressCatchUp(path[k].out, path[k].in, c.vc, departed, c.flits);
   }
   // Unlaunched flits return to the source queue in order (it is empty by the
   // source-inject hook: new traffic materializes this corridor first).
   if (launched < c.flits) {
+    NetworkInterface& src_ni = *mesh_->nis_[c.source];
     auto& queue = src_ni.inject_queues_[c.vc];
     assert(queue.empty());
     for (uint32_t i = launched; i < c.flits; ++i) {
@@ -306,34 +284,28 @@ void ExpressLane::Materialize(uint32_t index) {
 }
 
 void ExpressLane::Remove(uint32_t index) {
-  InstallMaps(index, -1);
   Corridor& c = corridors_[index];
+  const Hop* path = Path(index);
+  for (uint32_t k = c.released; k < c.reserved; ++k) {
+    link_owner_[path[k].link] = 0;
+  }
+  if (source_owner_[c.source] == index + 1) {
+    source_owner_[c.source] = 0;
+  }
   c.packet = PacketRef();
   c.active = false;
   --active_count_;
 }
 
-void ExpressLane::MaterializeTouchingRouter(TileId tile) {
-  if (tile >= zone_count_.size() || zone_count_[tile] == 0) {
+void ExpressLane::MaterializeSource(TileId tile) {
+  if (active_count_ == 0 || source_owner_[tile] == 0) {
     return;
   }
-  // Zones may overlap, so a busy tile can force out several corridors.
-  for (uint32_t i = 0; i < kMaxCorridors && zone_count_[tile] != 0; ++i) {
-    if (corridors_[i].active && ZoneContains(corridors_[i], tile)) {
-      Materialize(i);
-    }
-  }
-}
-
-void ExpressLane::MaterializeTouchingNi(TileId tile) {
-  if (tile < path_owner_.size() && path_owner_[tile] != 0) {
-    Materialize(path_owner_[tile] - 1);
-  }
-}
-
-void ExpressLane::MaterializeSource(TileId tile) {
-  if (tile < source_owner_.size() && source_owner_[tile] != 0) {
-    Materialize(source_owner_[tile] - 1);
+  // Only a corridor with flits still (virtually) queued holds the source; a
+  // later packet there queues behind nothing.
+  const uint32_t index = source_owner_[tile] - 1;
+  if (VirtualPending(tile, corridors_[index].vc) != 0) {
+    Materialize(index);
   }
 }
 
@@ -357,6 +329,32 @@ uint32_t ExpressLane::VirtualPending(TileId tile, int vc_index) const {
   // one flit left per mesh tick since launch.
   const uint64_t drained = state_time_ - c.launch + 1;
   return c.flits > drained ? static_cast<uint32_t>(c.flits - drained) : 0;
+}
+
+uint64_t ExpressLane::InFlightRouted() const {
+  uint64_t routed = 0;
+  for (uint32_t i = 0; i < kMaxCorridors && active_count_ != 0; ++i) {
+    const Corridor& c = corridors_[i];
+    if (!c.active) {
+      continue;
+    }
+    const uint64_t elapsed = state_time_ - c.launch;
+    for (uint64_t k = c.released; k < c.reserved; ++k) {
+      routed += elapsed > k ? std::min<uint64_t>(c.flits, elapsed - k) : 0;
+    }
+  }
+  return routed;
+}
+
+uint64_t ExpressLane::InFlightEjected() const {
+  uint64_t ejected = 0;
+  for (uint32_t i = 0; i < kMaxCorridors && active_count_ != 0; ++i) {
+    const Corridor& c = corridors_[i];
+    if (c.active && state_time_ - c.launch > c.hops) {
+      ejected += std::min<uint64_t>(c.flits, state_time_ - c.launch - c.hops);
+    }
+  }
+  return ejected;
 }
 
 }  // namespace apiary

@@ -1,49 +1,75 @@
-// Express corridors: timing-equivalent packet fast-forwarding through idle
-// routers (ISSUE 10, B5).
+// Express corridors: timing-equivalent packet fast-forwarding through
+// routers nothing else is using (B5).
 //
-// When a whole packet sits alone in an NI injection queue and every remaining
-// hop of its XY route is verifiably non-interfering — each path router idle
-// and free on the needed (output port, VC), and no open fault window — the
-// traversal is a closed-form pipeline: flit i arrives in path router R_k at
-// cycle D+i+k, is forwarded at D+i+k+1, and is ejected at D+i+H+1.
-// The lane records that schedule instead of ticking the routers, and replays
-// its externally observable effects (per-router flit counts, arbitration
-// pointers, NI ejection counters/latency/delivery) at the precise cycles the
-// cycle-accurate engine would have produced them.
+// A whole packet that sits alone in an NI injection queue, with its local
+// router input empty on its VC, can travel its XY route as a closed-form
+// pipeline: flit i arrives in path router R_k at cycle D+i+k, is forwarded
+// at D+i+k+1, and is ejected at D+i+H+1. The lane records that schedule
+// instead of ticking the routers, and replays its externally observable
+// effects (per-router flit counts, arbitration pointers, NI ejection
+// counters/latency/delivery) at the precise cycles the cycle-accurate engine
+// would have produced them.
 //
-// Non-interference precondition (checked at launch, re-checked every executed
-// cycle by the mesh's conflict scan):
-//   * every path router has no buffered flits and a free wormhole owner on
-//     (out_k, vc);
-//   * no router in the corridor ZONE (path tiles plus their 4-neighbors) is
-//     busy — any foreign flit must cross the zone boundary one cycle before
-//     it can reach a path router, so scanning the mesh's live sets at the top
-//     of each executed cycle always materializes the corridor first;
-//   * the fault model reports NocQuiet (no open drop/corrupt/stall window:
-//     closed windows draw no RNG and charge no counters, so skipping the
-//     per-link hook calls is byte-exact);
-//   * corridors of one lane keep their paths out of each other's zones (and
-//     zones off each other's paths), so materializing one never invalidates
-//     another.
+// Per-link reservations, taken hop by hop. The head leaves R_k through
+// out_k at cycle D+k+1 and the tail leaves it at D+F+k, so a corridor needs
+// the link (R_k, out_k) for exactly the cycles [D+k+1, D+F+k] and nothing
+// else. At the top of each executed cycle N (Mesh::Tick, before the route
+// walk) the lane runs, in this order:
+//   1. Release: every hop the tail has left (N-1 >= D+F+k) gets its batched
+//      router effects (ExpressCatchUp) and its link back.
+//   2. Check, repeated until nothing materializes. Each active corridor
+//      materializes when
+//      * any real head resident in a router it holds a link of is routed to
+//        that link (the head could win the link, or its VC, this cycle);
+//      * the link its head leaves through this cycle is held by another
+//        corridor, owned by a real packet on either VC, or wanted by a
+//        resident head (otherwise the corridor reserves it); or
+//      * the input buffer its head enters this cycle holds a real flit on
+//        the corridor's VC.
+//      A materialization turns virtual flits into real ones (heads among
+//      them), which can fail another corridor's check, hence the fixpoint.
+//   3. Completions: corridors whose tail ejects this cycle deliver. A real
+//      head queued for the destination's Local output must have had its
+//      chance to materialize the corridor first, so this runs after 2.
+// Why this is exact: a real flit can only disturb a corridor flit at a
+// router output it also wants, and it must be resident (a head, counted in
+// Router::heads_) or owned (a wormhole body, excluded at reservation) one
+// cycle before it can compete. The only buffers corridor flits occupy are
+// fed by links the corridor holds, so no real flit queues among them once
+// the entry check passed. A closed fault window draws no RNG and charges no
+// counter, so the lane launches only while the fault model reports NocQuiet,
+// and FaultInjector::Fire materializes everything before a window opens.
 //
-// Materialization invariant: at any boundary cycle E >= D (E is always the
-// lane's state_time: the last cycle whose mesh phases have run), the corridor
-// can be converted back into ordinary buffered flits — flit i sits in
-// R_(E-D-i), stamped as arriving at E, exactly where the real run would have
-// left it, routers that forwarded n flits get their counters/round-robin/
-// deficit/owner state caught up, ejected flits replay their NI counters, and
-// unlaunched flits requeue into the (empty) source injection queue.
-// Cycle-accurate routing resumes from that state bit-for-bit.
+// Launch: the packet is alone and whole in its source NI and R_0's local
+// input is empty on its VC (correctness: flit i then enters R_0 at D+i). As
+// policy only, the lane also wants hop 0's output free by D+1 and hop 1's
+// input empty; without that lookahead a saturated mesh launches corridors
+// that all materialize at the first check.
+//
+// Materialization invariant: at any state time E >= D (the last cycle whose
+// mesh phases have run), the corridor can be converted back into ordinary
+// buffered flits: flit i sits in R_(E-D-i), stamped as arriving at E,
+// exactly where the real run would have left it; routers that forwarded n
+// flits get their counters/round-robin/deficit/owner state caught up;
+// ejected flits replay their NI counters; unlaunched flits requeue into the
+// (empty) source injection queue. Cycle-accurate routing resumes from that
+// state bit for bit.
+//
+// Observation: observers between ticks see end-of-state-time counts.
+// Mesh::TotalFlitsRouted, TotalArbProbes and AggregateCounters add each
+// in-flight corridor's progress (flits forwarded per unreleased hop, flits
+// ejected), which the routers and NIs only receive at release, completion
+// or materialization.
 //
 // Scheduling contract: while any corridor is active the mesh declares
 // NextActivity == now, so it ticks on every executed cycle — the same cycles
 // the real run would execute with flits in flight. Skip/executed-cycle
 // counters therefore stay byte-identical; the win is that each such tick
-// costs O(active corridors), not O(busy routers x flits).
+// costs O(held links), not O(busy routers x flits).
 //
-// Allocation discipline: launch and materialize run on the per-cycle hot
-// path. All lane storage (corridor slots, per-tile zone/path maps) is sized
-// once in Configure; TryLaunch/Materialize/RunCompletions never touch the
+// Allocation discipline: launch, the per-cycle checks and materialization
+// run on the per-cycle hot path. All lane storage (corridor slots, paths,
+// link and source maps) is sized once in Configure; nothing else touches the
 // heap (enforced by the apiary-hot-path lint).
 #ifndef SRC_NOC_EXPRESS_H_
 #define SRC_NOC_EXPRESS_H_
@@ -58,6 +84,7 @@ namespace apiary {
 
 class Mesh;
 class NetworkInterface;
+class Router;
 enum RouterPort : int;
 
 // Aggregated lane statistics (reported in BENCH_b1/b5 JSON).
@@ -77,20 +104,16 @@ class ExpressLane {
   void SetEnabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-  // Called by the source NI at the top of InjectCycle. Returns true when a
-  // corridor was installed (the queue was drained into it; the NI must not
-  // also inject this cycle — the corridor's schedule already covers it).
+  // Called by the source NI from InjectCycle when a queue front is a packet
+  // head. Returns true when a corridor was installed (the queue was drained
+  // into it; the NI must not also inject this cycle — the corridor's
+  // schedule already covers it).
   bool TryLaunch(NetworkInterface& ni, Cycle now);
 
-  // Completion sweep: corridors due this cycle deliver. Runs at the top of
-  // the mesh tick, before the conflict scan and the route walk.
-  void RunCompletions(Cycle now);
-
-  // Conflict scan entry points: a busy router anywhere in a corridor's zone,
-  // or a busy NI on a corridor's path, materializes that corridor at the
-  // current state boundary.
-  void MaterializeTouchingRouter(TileId tile);
-  void MaterializeTouchingNi(TileId tile);
+  // The top of the mesh tick for cycle `now`: release, the check fixpoint
+  // and completions (see the file comment), then the state time advances to
+  // `now`.
+  void TickTop(Cycle now);
 
   // External interference hooks.
   void MaterializeAll();                // Weight/fault reconfig.
@@ -101,35 +124,50 @@ class ExpressLane {
   // still hold. Keeps the monitor's CanInject pre-check byte-exact.
   uint32_t VirtualPending(TileId tile, int vc_index) const;
 
+  // In-flight progress as of state_time that the routers and NIs have not
+  // been charged yet: flits forwarded on unreleased hops, and flits ejected.
+  uint64_t InFlightRouted() const;
+  uint64_t InFlightEjected() const;
+
   [[nodiscard]] bool AnyActive() const { return active_count_ != 0; }
-  // Advance the state boundary: every mesh phase of `now` has run (or been
-  // analytically covered), so observers until the next tick see end-of-`now`
-  // state.
-  void SetStateTime(Cycle now) { state_time_ = now; }
 
   const ExpressStats& stats() const { return stats_; }
 
  private:
+  // One hop of a corridor's XY path: R_k, the port its flits enter on and
+  // the output they leave through, and that link's index in link_owner_.
+  struct Hop {
+    Router* router = nullptr;
+    uint32_t link = 0;
+    RouterPort out{};
+    RouterPort in{};
+  };
   struct Corridor {
     PacketRef packet;
-    Cycle launch = 0;    // D: cycle the first flit was (virtually) injected.
-    Cycle due = 0;       // Completion cycle (delivery).
-    uint32_t flits = 0;  // F (cached packet->flit_count).
-    uint32_t hops = 0;   // H: full XY path is R_0..R_H.
+    Cycle launch = 0;       // D: cycle the first flit was (virtually) injected.
+    Cycle due = 0;          // Completion cycle (delivery): D+F+H.
+    uint32_t flits = 0;     // F (cached packet->flit_count).
+    uint32_t hops = 0;      // H: full XY path is R_0..R_H.
+    uint32_t released = 0;  // Hops [0, released) are caught up and freed.
+    uint32_t reserved = 0;  // Hops [released, reserved) hold their links.
     int vc = 0;
+    TileId source = 0;
     bool active = false;
-    // Path geometry (X-run then Y-run); tiles derived, never stored.
-    int32_t sx = 0, sy = 0, dx = 0, dy = 0;
   };
 
-  TileId PathTile(const Corridor& c, uint32_t k) const;
-  RouterPort PathOut(const Corridor& c, uint32_t k) const;
-  RouterPort PathIn(const Corridor& c, uint32_t k) const;
-  bool ZoneContains(const Corridor& c, TileId tile) const;
-  // Adds/removes corridor `index`'s tiles from the per-tile occupancy maps.
-  void InstallMaps(uint32_t index, int delta);
+  Hop* Path(uint32_t index) { return &paths_[index * max_path_]; }
+  const Hop* Path(uint32_t index) const { return &paths_[index * max_path_]; }
+  // Fills hop `k` of a path from router tile `tile` towards `dst`.
+  void SetHop(Hop* hop, TileId tile, TileId dst, RouterPort in) const;
+  // True when no real packet owns `hop`'s output on either VC and no
+  // resident head is routed to it.
+  static bool OutputIdle(const Hop& hop);
+  // Step 2 for one corridor: reserves the link its head leaves through at
+  // `now` (once) and re-checks every held link and the head's entry buffer.
+  bool Clear(uint32_t index, Cycle now);
   void Materialize(uint32_t index);
   void Deliver(uint32_t index);
+  // Frees the slot, its held links and its source entry.
   void Remove(uint32_t index);
 
   Mesh* mesh_ = nullptr;
@@ -142,11 +180,13 @@ class ExpressLane {
 
   static constexpr uint32_t kMaxCorridors = 16;
   std::vector<Corridor> corridors_;  // Sized once; slots recycled in place.
-  // Per-tile occupancy maps, sized once. Paths are mutually disjoint, so one
-  // owner id suffices; zones may overlap, so those are counted.
-  std::vector<uint16_t> path_owner_;  // Corridor index + 1; 0 = free.
-  std::vector<uint8_t> zone_count_;
-  // Source-tile index: corridor launched from tile t (one per NI at most).
+  // Each slot's path, max_path_ hops per slot (the longest XY route).
+  uint32_t max_path_ = 0;
+  std::vector<Hop> paths_;
+  // Per-link (tile * kNumPorts + output) holder: corridor index + 1; 0 = free.
+  std::vector<uint16_t> link_owner_;
+  // Source-tile index: the corridor launched last from tile t, which is the
+  // only one that can still have unlaunched flits there.
   std::vector<uint16_t> source_owner_;  // Corridor index + 1; 0 = none.
 
   ExpressStats stats_;

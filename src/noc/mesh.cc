@@ -79,7 +79,7 @@ void Mesh::RouteTile(uint32_t t, Cycle now) {
 
 void Mesh::Tick(Cycle now) {
   if (express_enabled_) {
-    ExpressTickTop(now);
+    express_.TickTop(now);
   }
   // The same two phases as a full sweep, over the busy subset only.
   // RouteCycle and InjectCycle are no-ops on empty members, and on a router
@@ -158,31 +158,6 @@ void Mesh::MaterializeExpress() {
   RequestWake();
 }
 
-void Mesh::ExpressTickTop(Cycle now) {
-  express_.RunCompletions(now);
-  if (express_.AnyActive()) {
-    // Conflict scan over the busy sets. Materializing a corridor sets its
-    // own path routers' and source NI's bits, which the walk may then
-    // visit; those can never conflict with the survivors (the path/zone
-    // disjointness invariant), so such visits are no-ops. The order
-    // corridors materialize in does not matter either: each one touches
-    // only its own path, its source queue and ejection counters.
-    ForEachTile(live_, &LiveWord::routers, [&](uint32_t t) {
-      if (express_.AnyActive()) {
-        express_.MaterializeTouchingRouter(t);
-      }
-    });
-    ForEachTile(live_, &LiveWord::nis, [&](uint32_t t) {
-      if (express_.AnyActive()) {
-        express_.MaterializeTouchingNi(t);
-      }
-    });
-  }
-  // Every observer until the next tick sees end-of-`now` state, really or
-  // analytically — the uniform materialization boundary.
-  express_.SetStateTime(now);
-}
-
 uint32_t Mesh::Hops(TileId a, TileId b) const {
   const int ax = static_cast<int>(a % config_.width);
   const int ay = static_cast<int>(a / config_.width);
@@ -199,6 +174,7 @@ CounterSet Mesh::AggregateCounters() const {
   for (const auto& ni : nis_) {
     total.Merge(ni->counters());
   }
+  total.AddNonzero("ni.flits_ejected", express_.InFlightEjected());
   return total;
 }
 
@@ -215,7 +191,7 @@ uint64_t Mesh::TotalFlitsRouted() const {
   for (const auto& r : routers_) {
     total += r->flits_routed();
   }
-  return total;
+  return total + express_.InFlightRouted();
 }
 
 uint64_t Mesh::TotalArbProbes() const {
@@ -223,7 +199,8 @@ uint64_t Mesh::TotalArbProbes() const {
   for (const auto& r : routers_) {
     total += r->arb_probes();
   }
-  return total;
+  // Every forwarded corridor flit is one probe, like every forwarded flit.
+  return total + express_.InFlightRouted();
 }
 
 uint64_t Mesh::LogicCellCost() const {

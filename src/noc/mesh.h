@@ -70,9 +70,9 @@ class Mesh : public Clocked {
   void SetArbClassWeight(uint8_t cls, uint32_t weight);
 
   // Express corridors (src/noc/express.h): timing-equivalent analytic
-  // fast-forwarding of whole packets through verifiably idle routers. Off by
-  // default; toggling off (or any interference hook — fault window, weight
-  // reconfig) materializes in-flight corridors back into
+  // fast-forwarding of whole packets over links they reserve hop by hop.
+  // Off by default; toggling off (or any interference hook — fault window,
+  // weight reconfig) materializes in-flight corridors back into
   // ordinary buffered flits, so traces/counters/billing stay byte-identical
   // either way.
   void SetExpressEnabled(bool enabled);
@@ -87,11 +87,14 @@ class Mesh : public Clocked {
   // Minimal hop count between two tiles under XY routing.
   uint32_t Hops(TileId a, TileId b) const;
 
-  // Aggregate statistics across all routers/NIs.
+  // Aggregate statistics across all routers/NIs, as of the end of the last
+  // mesh tick: the flit hops and ejections of in-flight express corridors
+  // are included (ExpressLane::InFlightRouted/InFlightEjected).
   CounterSet AggregateCounters() const;
   Histogram AggregateLatency() const;
   uint64_t TotalFlitsRouted() const;
-  // Router arbitration probes summed over the mesh (Router::arb_probes).
+  // Router arbitration probes summed over the mesh (Router::arb_probes),
+  // in-flight express corridors included.
   uint64_t TotalArbProbes() const;
 
   // Total logic-cell cost of the NoC fabric (routers + NIs).
@@ -119,10 +122,6 @@ class Mesh : public Clocked {
   };
 
   bool LiveBusy() const;
-  // Per-executed-cycle express work, before the route walk: complete
-  // corridors due this cycle, then materialize any corridor whose zone a
-  // busy router (or whose path a busy NI) has entered.
-  void ExpressTickTop(Cycle now);
   // Routes router `t` and clears its live bit if that leaves it empty.
   void RouteTile(uint32_t t, Cycle now);
 

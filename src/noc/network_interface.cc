@@ -78,7 +78,7 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
 }
 
 void NetworkInterface::InjectCycle(Cycle now) {
-  if (express_ != nullptr && express_->TryLaunch(*this, now)) {
+  if (express_ != nullptr && HeadAtFront() && express_->TryLaunch(*this, now)) {
     // The corridor's closed-form schedule covers this cycle's injection (and
     // every later one) — the queue has been drained into it.
     return;

@@ -92,10 +92,11 @@ class NetworkInterface {
   void SetSinkWake(WakeHint hint) { sink_wake_ = hint; }
 
   // Express-corridor wiring (Mesh::SetExpressEnabled): when set, InjectCycle
-  // first offers the queue to the lane (a launched corridor replaces real
-  // injection), Inject materializes any corridor sourced here before new
-  // flits enqueue, and CanInject counts the corridor's virtual queue
-  // occupancy so the monitor's pre-check matches the real run byte-for-byte.
+  // first offers a queue with a packet head at its front to the lane (a
+  // launched corridor replaces real injection), Inject materializes any
+  // corridor still draining a queue here before new flits enqueue, and
+  // CanInject counts the corridor's virtual queue occupancy so the monitor's
+  // pre-check matches the real run byte-for-byte.
   void SetExpressLane(ExpressLane* lane) { express_ = lane; }
 
   // Largest packet (in flits) that can ever be injected; senders must
@@ -113,6 +114,18 @@ class NetworkInterface {
   // The lane drains/refills the injection queues at corridor launch and
   // materialization, and replays the round-robin pointer (express.h).
   friend class ExpressLane;
+
+  // True when some injection queue's front flit is a packet head: the only
+  // state in which the express lane can launch, so the only one in which
+  // InjectCycle offers it the queue.
+  bool HeadAtFront() const {
+    for (const auto& q : inject_queues_) {
+      if (!q.empty() && q.front().is_head()) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   // Marks this NI busy in the mesh's live bits and wakes the mesh.
   void PublishLive() {

@@ -63,7 +63,11 @@ void Router::ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t depa
   if (departed == 0) {
     return;  // The lead flit never left this router: nothing was observable.
   }
+  // Each departure was one successful TryForward: one probe, one flit. A
+  // corridor flit never stalls, and probes of other inputs on this output
+  // found only heads that had just arrived, which charge nothing.
   flits_routed_ += departed;
+  arb_probes_ += departed;
   // Each departure cycle sent exactly one flit through `out`, advancing the
   // VC pointer once; the head's acquisition (sole candidate — the corridor
   // invariant) moved the input pointer past `in` and reset this output's
@@ -108,6 +112,9 @@ bool Router::AcceptFlit(RouterPort in_port, Flit&& flit, Cycle arrival) {
   }
   // HeadVisible relies on one arrival per buffer per cycle.
   assert(buf.flits.empty() || buf.last_arrival < arrival);
+  if (flit.is_head()) {
+    ++heads_[RoutePort(flit.dst())];
+  }
   buf.flits.push_back(std::move(flit));
   buf.last_arrival = arrival;
   ++occupancy_;
@@ -201,6 +208,9 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
       fault_model_->OnLinkTraverse(tile(), flit, now)) {
     flit.packet->dropped = true;
     ++fault_dropped_packets_;
+  }
+  if (flit.is_head()) {
+    --heads_[out];
   }
   if (flit.is_tail()) {
     state.owner_port = -1;

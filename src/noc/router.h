@@ -113,16 +113,17 @@ class Router {
   static uint32_t LogicCellCost(uint32_t buffer_depth);
 
  private:
-  // The express lane reads wormhole-owner state at corridor launch and
-  // replays batched traversal effects through ExpressCatchUp (src/noc/
-  // express.h documents why the batch is byte-exact).
+  // The express lane reads wormhole owners, input buffers and resident-head
+  // counts when it reserves a link, and replays batched traversal effects
+  // through ExpressCatchUp (src/noc/express.h documents why the batch is
+  // byte-exact).
   friend class ExpressLane;
 
   // Applies the externally observable effects of `departed` corridor flits
   // having been forwarded from input `in` through (out, vc) on consecutive
-  // cycles: flit count, VC/input round-robin pointers, the sole-pass deficit
-  // reset, and the wormhole owner (held while mid-packet, released by the
-  // tail). No-op when nothing departed yet.
+  // cycles: flit and probe counts, VC/input round-robin pointers, the
+  // sole-pass deficit reset, and the wormhole owner (held while mid-packet,
+  // released by the tail). No-op when nothing departed yet.
   void ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t departed,
                       uint32_t flits);
 
@@ -239,6 +240,12 @@ class Router {
   uint64_t fault_stalled_cycles_ = 0;
   // Total flits resident across all input buffers.
   uint64_t occupancy_ = 0;
+  // Head flits resident anywhere in the input buffers (front or queued
+  // behind another packet's tail), counted by the output their XY route
+  // takes. A queued head can reach the front and leave in the same cycle, so
+  // the express lane reads this count, not the front-only request bits,
+  // when it asks whether any real packet may contend for an output.
+  std::array<uint32_t, kNumPorts> heads_{};
   // This tile's word and bit in the owning mesh's busy-router bitset.
   uint64_t* live_word_ = nullptr;
   uint64_t live_bit_ = 0;

@@ -68,8 +68,8 @@ void MemoryService::HandleShare(const Message& msg, TileApi& api) {
   uint32_t rights = GetU32(msg.payload, 20);
   // Attenuation only: the delegate cannot exceed the delegator's rights,
   // and the grant right itself is never re-delegated through this path.
-  uint32_t max_rights = (msg.grant.can_read ? kRightRead : 0) |
-                        (msg.grant.can_write ? kRightWrite : 0);
+  uint32_t max_rights = (msg.grant.can_read ? static_cast<uint32_t>(kRightRead) : 0u) |
+                        (msg.grant.can_write ? static_cast<uint32_t>(kRightWrite) : 0u);
   rights &= max_rights;
   if (len == 0 || offset >= msg.grant.segment.length ||
       len > msg.grant.segment.length - offset) {

@@ -216,7 +216,13 @@ class PayloadBuf {
       data_ = inline_;
       capacity_ = kInlineBytes;
       size_ = other.size_;
-      std::memcpy(inline_, other.inline_, other.size_);
+      // An inline payload always fits the inline buffer. Saying so lets GCC
+      // drop the out-of-bounds copy it otherwise sees (and warns about,
+      // -Warray-bounds) when a moved Message's heap payload size is known.
+      if (size_ > kInlineBytes) {
+        __builtin_unreachable();
+      }
+      std::memcpy(inline_, other.inline_, size_);
     } else {
       data_ = other.data_;
       capacity_ = other.capacity_;

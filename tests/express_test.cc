@@ -1,4 +1,4 @@
-// Express-corridor unit and materialization edge-case tests (ISSUE 10).
+// Express-corridor unit and materialization edge-case tests.
 //
 // Every scenario runs twice — express enabled vs the `--no-express` escape
 // hatch (SetExpressEnabled(false)) — and every observable (end cycle, flit
@@ -6,12 +6,16 @@
 // cycles) must match byte for byte. The express run must also actually use
 // corridors, so a regression that quietly refuses every launch cannot pass.
 //
-// Edge cases covered, per the issue checklist:
+// Edge cases covered:
 //   * a fault window opening mid-corridor (FaultInjector::Fire materializes
 //     before the window exists);
-//   * Undeploy of a tile on the corridor (engine_differential_test covers
-//     the board-level variant; here the NoC observables stay identical);
-//   * crossing traffic entering the corridor zone;
+//   * crossing traffic on other links (both packets stay corridors) and a
+//     second flow sharing a corridor's link (it materializes);
+//   * a real head queued behind another packet's tail on a held link, which
+//     only the resident-head count sees;
+//   * a same-route follower launched as the leader's tail leaves the source;
+//   * a real head queued for the destination's Local output on the
+//     corridor's due cycle (the check runs before completions);
 //   * a new injection on the corridor's source tile (queue-order preserving);
 //   * weighted-arbitration contention (the 8:1 share must not move).
 #include <gtest/gtest.h>
@@ -166,10 +170,11 @@ TEST(ExpressTest, RandomTrafficMatchesBaselineByteForByte) {
   EXPECT_GT(stats.delivered, 50u);
 }
 
-// Crossing traffic: a packet injected into the corridor's zone while the
-// corridor is in flight must materialize it, and the interleaved outcome must
-// match the baseline exactly.
-TEST(ExpressTest, CrossingTrafficMaterializesMidCorridor) {
+// Crossing traffic on other links: a north->south packet crosses a
+// west->east corridor's row at one router, but the two use different input
+// ports and outputs there, so both run as corridors and neither
+// materializes.
+TEST(ExpressTest, CrossingTrafficOnOtherLinksRunsAsTwoCorridors) {
   ExpressStats stats;
   auto run = [&stats](bool express) {
     Simulator sim;
@@ -190,11 +195,147 @@ TEST(ExpressTest, CrossingTrafficMaterializesMidCorridor) {
   const MeshObservables on = run(true);
   const MeshObservables off = run(false);
   EXPECT_TRUE(on == off) << on.counters << "\nvs\n" << off.counters;
-  // The crosser's own launch attempt is refused (its path crosses the
-  // corridor's), so only the corridor launched — and the crosser's flits
-  // entering the zone forced it back to real flits.
+  EXPECT_EQ(stats.launches, 2u);
+  EXPECT_EQ(stats.delivered, 2u);
+  EXPECT_EQ(stats.materializations, 0u);
+}
+
+// A second flow that needs a link the corridor holds: its head, injected
+// for real on the corridor's path, is resident and routed to the held link,
+// so the next check materializes the corridor before the two can contend.
+TEST(ExpressTest, SharedLinkMaterializesMidCorridor) {
+  ExpressStats stats;
+  auto run = [&stats](bool express) {
+    Simulator sim;
+    Mesh mesh(MeshConfig{8, 8, 8, 64});
+    mesh.SetExpressEnabled(express);
+    sim.Register(&mesh);
+    // West->east corridor along row y=3 (22 flits, 7 hops).
+    EXPECT_TRUE(mesh.ni(24).Inject(MakePacket(24, 31, 640, 1), sim.now()));
+    sim.Run(3);
+    // Tile 26 sits on the corridor and sends east along the same links; the
+    // corridor holds 26's east output, so this packet cannot launch.
+    EXPECT_TRUE(mesh.ni(26).Inject(MakePacket(26, 31, 200, 2, Vc::kResponse), sim.now()));
+    sim.Run(2'000);
+    if (express) {
+      stats = mesh.AggregateExpressStats();
+    }
+    return Observe(sim, mesh);
+  };
+  const MeshObservables on = run(true);
+  const MeshObservables off = run(false);
+  EXPECT_TRUE(on == off) << on.counters << "\nvs\n" << off.counters;
   EXPECT_EQ(stats.launches, 1u);
   EXPECT_EQ(stats.materializations, 1u);
+}
+
+// A real head queued behind another packet's tail in a path router: the
+// tail leaves through a lower-numbered output, and in that same cycle the
+// head reaches the front and may take the corridor's output. Only the
+// resident-head count (not the front-of-buffer request bits) sees it
+// beforehand. Tile 35 sends A north (sharing that link with G, so A's flits
+// back up in its local input) and then B one hop south; corridor C runs down
+// column 3 through tile 35 and on past B's destination, so a cycle B or C
+// loses at tile 35 is not absorbed further on. C's start sweeps across the
+// window in which B waits behind A's tail.
+TEST(ExpressTest, HeadQueuedBehindTailMaterializesCorridor) {
+  uint64_t materializations = 0;
+  for (Cycle start = 0; start < 48; ++start) {
+    ExpressStats stats;
+    auto run = [&stats, start](bool express) {
+      Simulator sim;
+      Mesh mesh(MeshConfig{8, 8, 4, 128});
+      mesh.SetExpressEnabled(express);
+      sim.Register(&mesh);
+      EXPECT_TRUE(mesh.ni(32).Inject(MakePacket(32, 3, 600, 1, Vc::kRequest), sim.now()));
+      EXPECT_TRUE(mesh.ni(35).Inject(MakePacket(35, 3, 600, 2, Vc::kResponse), sim.now()));
+      EXPECT_TRUE(mesh.ni(35).Inject(MakePacket(35, 43, 32, 3, Vc::kResponse), sim.now()));
+      sim.Run(start);
+      EXPECT_TRUE(mesh.ni(3).Inject(MakePacket(3, 59, 640, 4, Vc::kRequest), sim.now()));
+      sim.Run(400);
+      if (express) {
+        stats = mesh.AggregateExpressStats();
+      }
+      return Observe(sim, mesh);
+    };
+    const MeshObservables on = run(true);
+    const MeshObservables off = run(false);
+    EXPECT_TRUE(on == off) << "corridor start " << start << ":\n"
+                           << on.counters << "\nvs\n"
+                           << off.counters;
+    materializations += stats.materializations;
+  }
+  EXPECT_GT(materializations, 0u);
+}
+
+// Prefix release at the source: once the leader's tail has (virtually) left
+// the source NI, a follower on the same route queues behind nothing. It
+// launches the cycle the leader's tail leaves R_0, and reserves R_0's
+// output as the leader releases it. One cycle earlier the leader's queue
+// still holds its tail, so the follower's Inject materializes it.
+TEST(ExpressTest, FollowerLaunchesAsLeaderTailLeavesSource) {
+  for (const Cycle lag : {Cycle{0}, Cycle{1}}) {
+    ExpressStats stats;
+    auto run = [&stats, lag](bool express) {
+      Simulator sim;
+      Mesh mesh(MeshConfig{8, 1, 8, 64});
+      mesh.SetExpressEnabled(express);
+      sim.Register(&mesh);
+      PacketRef leader = MakePacket(0, 7, 300, 1);  // 11 flits.
+      const uint32_t flits = ComputeFlitCount(*leader);
+      EXPECT_TRUE(mesh.ni(0).Inject(std::move(leader), sim.now()));
+      sim.Run(flits - lag);
+      EXPECT_TRUE(mesh.ni(0).Inject(MakePacket(0, 7, 300, 2), sim.now()));
+      sim.Run(200);
+      if (express) {
+        stats = mesh.AggregateExpressStats();
+      }
+      return Observe(sim, mesh);
+    };
+    const MeshObservables on = run(true);
+    const MeshObservables off = run(false);
+    EXPECT_TRUE(on == off) << "lag " << lag << ":\n" << on.counters << "\nvs\n" << off.counters;
+    if (lag == 0) {
+      EXPECT_EQ(stats.launches, 2u);
+      EXPECT_EQ(stats.delivered, 2u);
+      EXPECT_EQ(stats.materializations, 0u);
+    } else {
+      EXPECT_EQ(stats.launches, 1u);
+      EXPECT_EQ(stats.materializations, 1u);
+    }
+  }
+}
+
+// A real head queued for the destination's Local output on the corridor's
+// due cycle competes with the corridor's tail for the ejection port that
+// cycle. The check runs before completions, so the corridor materializes
+// instead of delivering ahead of arbitration.
+TEST(ExpressTest, ForeignHeadAtDestinationOnDueCycleMaterializes) {
+  ExpressStats stats;
+  auto run = [&stats](bool express) {
+    Simulator sim;
+    Mesh mesh(MeshConfig{8, 1, 8, 64});
+    mesh.SetExpressEnabled(express);
+    sim.Register(&mesh);
+    PacketRef corridor = MakePacket(0, 7, 300, 1);
+    const Cycle due = ComputeFlitCount(*corridor) + 7;  // D + F + H, D = 0.
+    EXPECT_TRUE(mesh.ni(0).Inject(std::move(corridor), sim.now()));
+    sim.Run(due - 1);
+    // A self-send at the destination: its head enters tile 7's local input
+    // at due - 1, routed to the Local output the corridor's tail needs.
+    EXPECT_TRUE(mesh.ni(7).Inject(MakePacket(7, 7, 64, 2, Vc::kResponse), sim.now()));
+    sim.Run(200);
+    if (express) {
+      stats = mesh.AggregateExpressStats();
+    }
+    return Observe(sim, mesh);
+  };
+  const MeshObservables on = run(true);
+  const MeshObservables off = run(false);
+  EXPECT_TRUE(on == off) << on.latency << "\nvs\n" << off.latency;
+  EXPECT_EQ(stats.launches, 1u);
+  EXPECT_EQ(stats.materializations, 1u);
+  EXPECT_EQ(stats.delivered, 0u);
 }
 
 // A second injection on the corridor's source tile: the corridor's
@@ -312,8 +453,9 @@ TEST(ExpressTest, LaunchesRefusedWhileFaultWindowOpen) {
 }
 
 // Weighted-arbitration contention (the tenants' 8:1 NoC share): express must
-// neither distort the converged split nor diverge from the baseline. While
-// both classes contend, every launch attempt finds busy zones and refuses.
+// neither distort the converged split nor diverge from the baseline. The
+// two classes share every link to tile 3, so a corridor that launches in a
+// gap meets the other class's head and materializes.
 TEST(ExpressTest, WeightedShareUnchangedWithExpressEnabled) {
   ExpressStats stats;
   auto run = [&stats](bool express) {
@@ -349,8 +491,9 @@ TEST(ExpressTest, WeightedShareUnchangedWithExpressEnabled) {
   const MeshObservables on = run(true);
   const MeshObservables off = run(false);
   EXPECT_TRUE(on == off) << on.deliveries << "\nvs\n" << off.deliveries;
-  // Saturated contention start to finish: nothing ever qualified.
-  EXPECT_EQ(stats.launches, 0u);
+  // Saturated contention start to finish: no corridor survives it.
+  EXPECT_EQ(stats.materializations, stats.launches);
+  EXPECT_EQ(stats.delivered, 0u);
 }
 
 // SetArbClassWeight mid-run is a reconfiguration: in-flight corridors
