@@ -5,11 +5,10 @@
 #define SRC_ACCEL_CHECKSUM_H_
 
 #include <cstdint>
-#include <deque>
 #include <span>
-#include <vector>
 
 #include "src/accel/accel_opcodes.h"
+#include "src/accel/serial_engine.h"
 #include "src/core/accelerator.h"
 
 namespace apiary {
@@ -23,23 +22,18 @@ class ChecksumAccelerator : public Accelerator {
       : bytes_per_cycle_(bytes_per_cycle) {}
 
   void OnMessage(const Message& msg, TileApi& api) override;
-  void Tick(TileApi& api) override;
+  void Tick(TileApi& api) override { engine_.Drain(api); }
+  // APIARY-WAKE(tile): hosted accelerator — the owning Tile's NI sink wake
+  // ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return engine_.NextActivity(now); }
 
   std::string name() const override { return "checksum"; }
   uint32_t LogicCellCost() const override { return 4000; }
-  uint64_t served() const { return served_; }
+  uint64_t served() const { return engine_.done(); }
 
  private:
-  struct Job {
-    Message request;
-    uint32_t crc;
-    Cycle done_at;
-  };
-
   uint32_t bytes_per_cycle_;
-  std::deque<Job> jobs_;
-  Cycle engine_free_at_ = 0;
-  uint64_t served_ = 0;
+  SerialEngine engine_;
 };
 
 }  // namespace apiary

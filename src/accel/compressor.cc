@@ -155,53 +155,28 @@ void CompressorAccelerator::OnMessage(const Message& msg, TileApi& api) {
     return;
   }
   if (msg.opcode != kOpCompress && msg.opcode != kOpDecompress) {
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = MsgStatus::kBadRequest;
-    api.Reply(msg, std::move(err));
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
-  Job job;
-  job.request = msg;
-  job.decompress = msg.opcode == kOpDecompress;
-  job.output = job.decompress ? LzDecompress(msg.payload) : LzCompress(msg.payload);
+  const bool decompress = msg.opcode == kOpDecompress;
+  // Compressed output goes down the pipeline when a next stage is wired;
+  // decompressed output always answers its requester.
+  const CapRef forward_to = decompress ? kInvalidCapRef : next_stage_;
+  PayloadBuf out(decompress ? LzDecompress(msg.payload) : LzCompress(msg.payload));
   bytes_in_ += msg.payload.size();
-  bytes_out_ += job.output.size();
+  bytes_out_ += out.size();
   const Cycle compute =
       std::max<Cycle>(1, msg.payload.size() / std::max<uint32_t>(1, bytes_per_cycle_));
-  const Cycle start = std::max(engine_free_at_, api.now());
-  engine_free_at_ = start + compute;
-  job.done_at = engine_free_at_;
-  jobs_.push_back(std::move(job));
-  counters_.Add("compressor.chunks_in");
+  const uint16_t opcode = forward_to != kInvalidCapRef ? next_opcode_ : msg.opcode;
+  engine_.Submit(api.now(), compute, msg, opcode, std::move(out), forward_to);
 }
 
-void CompressorAccelerator::Tick(TileApi& api) {
-  while (!jobs_.empty() && jobs_.front().done_at <= api.now()) {
-    Job& job = jobs_.front();
-    SendResult result;
-    if (next_stage_ != kInvalidCapRef && !job.decompress) {
-      Message fwd;
-      fwd.opcode = next_opcode_;
-      fwd.payload = job.output;
-      result = api.Send(std::move(fwd), next_stage_);
-    } else {
-      Message reply;
-      reply.opcode = job.request.opcode;
-      reply.payload = job.output;
-      result = api.Reply(job.request, std::move(reply));
-    }
-    if (result.status == MsgStatus::kBackpressure ||
-        result.status == MsgStatus::kRateLimited) {
-      break;
-    }
-    if (!result.ok()) {
-      counters_.Add("compressor.output_failures");
-    }
-    ++chunks_compressed_;
-    counters_.Add("compressor.chunks_out");
-    jobs_.pop_front();
-  }
+CounterSet CompressorAccelerator::counters() const {
+  CounterSet set;
+  set.AddNonzero("compressor.chunks_in", engine_.submitted());
+  set.AddNonzero("compressor.chunks_out", engine_.done());
+  set.AddNonzero("compressor.output_failures", engine_.dropped());
+  return set;
 }
 
 }  // namespace apiary

@@ -9,10 +9,10 @@
 #define SRC_ACCEL_COMPRESSOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
+#include "src/accel/serial_engine.h"
 #include "src/core/accelerator.h"
 #include "src/stats/summary.h"
 
@@ -50,33 +50,28 @@ class CompressorAccelerator : public Accelerator {
   }
 
   void OnMessage(const Message& msg, TileApi& api) override;
-  void Tick(TileApi& api) override;
+  void Tick(TileApi& api) override { engine_.Drain(api); }
+  // APIARY-WAKE(tile): hosted accelerator — the owning Tile's NI sink wake
+  // ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return engine_.NextActivity(now); }
 
   std::string name() const override { return "compressor"; }
   uint32_t LogicCellCost() const override { return 30000; }
 
-  uint64_t chunks_compressed() const { return chunks_compressed_; }
+  uint64_t chunks_compressed() const { return engine_.done(); }
   uint64_t bytes_in() const { return bytes_in_; }
   uint64_t bytes_out() const { return bytes_out_; }
-  const CounterSet& counters() const { return counters_; }
+  // "compressor.chunks_in", "compressor.chunks_out" and
+  // "compressor.output_failures"; only nonzero counters appear.
+  CounterSet counters() const;
 
  private:
-  struct Job {
-    Message request;
-    std::vector<uint8_t> output;
-    bool decompress = false;
-    Cycle done_at;
-  };
-
   uint32_t bytes_per_cycle_;
   CapRef next_stage_ = kInvalidCapRef;
   uint16_t next_opcode_ = 0;
-  std::deque<Job> jobs_;
-  Cycle engine_free_at_ = 0;
-  uint64_t chunks_compressed_ = 0;
+  SerialEngine engine_;
   uint64_t bytes_in_ = 0;
   uint64_t bytes_out_ = 0;
-  CounterSet counters_;
 };
 
 }  // namespace apiary

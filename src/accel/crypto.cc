@@ -46,38 +46,13 @@ void CryptoAccelerator::OnMessage(const Message& msg, TileApi& api) {
     return;
   }
   if (msg.opcode != kOpEncrypt || msg.payload.size() < 8) {
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = MsgStatus::kBadRequest;
-    api.Reply(msg, std::move(err));
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
   const uint64_t nonce = GetU64(msg.payload, 0);
-  Job job;
-  job.request = msg;
-  job.output = XteaCtr(
-      key_, nonce,
-      std::span<const uint8_t>(msg.payload.data() + 8, msg.payload.size() - 8));
-  const Cycle compute = std::max<Cycle>(
-      1, (msg.payload.size() - 8) / std::max<uint32_t>(1, bytes_per_cycle_));
-  const Cycle start = std::max(engine_free_at_, api.now());
-  engine_free_at_ = start + compute;
-  job.done_at = engine_free_at_;
-  jobs_.push_back(std::move(job));
-}
-
-void CryptoAccelerator::Tick(TileApi& api) {
-  while (!jobs_.empty() && jobs_.front().done_at <= api.now()) {
-    Message reply;
-    reply.opcode = kOpEncrypt;
-    reply.payload = jobs_.front().output;
-    const SendResult r = api.Reply(jobs_.front().request, std::move(reply));
-    if (r.status == MsgStatus::kBackpressure || r.status == MsgStatus::kRateLimited) {
-      break;
-    }
-    ++served_;
-    jobs_.pop_front();
-  }
+  const std::span<const uint8_t> data(msg.payload.data() + 8, msg.payload.size() - 8);
+  const Cycle compute = std::max<Cycle>(1, data.size() / std::max<uint32_t>(1, bytes_per_cycle_));
+  engine_.Submit(api.now(), compute, msg, kOpEncrypt, PayloadBuf(XteaCtr(key_, nonce, data)));
 }
 
 }  // namespace apiary

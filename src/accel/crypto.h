@@ -10,11 +10,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
+#include "src/accel/serial_engine.h"
 #include "src/core/accelerator.h"
 
 namespace apiary {
@@ -39,24 +39,19 @@ class CryptoAccelerator : public Accelerator {
       : key_(key), bytes_per_cycle_(bytes_per_cycle) {}
 
   void OnMessage(const Message& msg, TileApi& api) override;
-  void Tick(TileApi& api) override;
+  void Tick(TileApi& api) override { engine_.Drain(api); }
+  // APIARY-WAKE(tile): hosted accelerator — the owning Tile's NI sink wake
+  // ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return engine_.NextActivity(now); }
 
   std::string name() const override { return "crypto"; }
   uint32_t LogicCellCost() const override { return 12000; }
-  uint64_t served() const { return served_; }
+  uint64_t served() const { return engine_.done(); }
 
  private:
-  struct Job {
-    Message request;
-    std::vector<uint8_t> output;
-    Cycle done_at;
-  };
-
   std::array<uint32_t, 4> key_;
   uint32_t bytes_per_cycle_;
-  std::deque<Job> jobs_;
-  Cycle engine_free_at_ = 0;
-  uint64_t served_ = 0;
+  SerialEngine engine_;
 };
 
 }  // namespace apiary

@@ -3,9 +3,8 @@
 #ifndef SRC_ACCEL_ECHO_H_
 #define SRC_ACCEL_ECHO_H_
 
-#include <deque>
-
 #include "src/accel/accel_opcodes.h"
+#include "src/accel/serial_engine.h"
 #include "src/core/accelerator.h"
 
 namespace apiary {
@@ -18,51 +17,22 @@ class EchoAccelerator : public Accelerator {
     if (msg.kind != MsgKind::kRequest) {
       return;
     }
-    // Serial engine: back-to-back requests queue behind each other.
-    const Cycle start = engine_free_at_ > api.now() ? engine_free_at_ : api.now();
-    engine_free_at_ = start + service_cycles_;
-    pending_.push_back(Pending{msg, engine_free_at_});
+    engine_.Submit(api.now(), service_cycles_, msg, msg.opcode, msg.payload);
   }
 
-  void Tick(TileApi& api) override {
-    while (!pending_.empty() && pending_.front().ready_at <= api.now()) {
-      Message reply;
-      reply.opcode = pending_.front().request.opcode;
-      reply.payload = pending_.front().request.payload;
-      if (api.Reply(pending_.front().request, std::move(reply)).ok()) {
-        pending_.pop_front();
-        ++served_;
-      } else {
-        break;  // Backpressure: retry next cycle.
-      }
-    }
-  }
+  void Tick(TileApi& api) override { engine_.Drain(api); }
 
-  // Idle until the head-of-line request finishes service; a failed Reply
-  // keeps ready_at in the past, which keeps the block active for the retry.
   // APIARY-WAKE(tile): hosted accelerator — requests arrive through the
   // owning Tile, whose NI sink wake ends the park on message delivery.
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    if (pending_.empty()) {
-      return kNoActivity;
-    }
-    const Cycle at = pending_.front().ready_at;
-    return at > now ? at : now;
-  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return engine_.NextActivity(now); }
 
   std::string name() const override { return "echo"; }
   uint32_t LogicCellCost() const override { return 3000; }
-  uint64_t served() const { return served_; }
+  uint64_t served() const { return engine_.done(); }
 
  private:
-  struct Pending {
-    Message request;
-    Cycle ready_at;
-  };
   Cycle service_cycles_;
-  Cycle engine_free_at_ = 0;
-  std::deque<Pending> pending_;
-  uint64_t served_ = 0;
+  SerialEngine engine_;
 };
 
 }  // namespace apiary

@@ -18,14 +18,6 @@ void KvStoreAccelerator::OnBoot(TileApi& api) {
   }
 }
 
-void KvStoreAccelerator::ReplyStatus(const Message& request, TileApi& api, MsgStatus status,
-                                     uint16_t opcode) {
-  Message reply;
-  reply.opcode = opcode;
-  reply.status = status;
-  api.Reply(request, std::move(reply));
-}
-
 bool KvStoreAccelerator::ParseKey(const Message& msg, std::string* key,
                                   size_t* value_offset) const {
   if (msg.payload.size() < 4) {
@@ -45,13 +37,13 @@ bool KvStoreAccelerator::ParseKey(const Message& msg, std::string* key,
 void KvStoreAccelerator::HandleGet(const Message& msg, TileApi& api) {
   std::string key;
   if (!ParseKey(msg, &key, nullptr)) {
-    ReplyStatus(msg, api, MsgStatus::kBadRequest, kOpKvGet);
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
   auto it = index_.find(key);
   if (it == index_.end()) {
     counters_.Add("kv.get_miss");
-    ReplyStatus(msg, api, MsgStatus::kNotFound, kOpKvGet);
+    api.ReplyStatus(msg, MsgStatus::kNotFound);
     return;
   }
   // Fetch the value from the DRAM log through the memory service,
@@ -64,29 +56,29 @@ void KvStoreAccelerator::HandleGet(const Message& msg, TileApi& api) {
   const uint64_t rid = read.request_id;
   if (!api.Send(std::move(read), memsvc_cap_, mem_cap_).ok()) {
     counters_.Add("kv.mem_send_fail");
-    ReplyStatus(msg, api, MsgStatus::kBackpressure, kOpKvGet);
+    api.ReplyStatus(msg, MsgStatus::kBackpressure);
     return;
   }
   counters_.Add("kv.get");
-  in_flight_[rid] = PendingOp{msg, kOpKvGet, std::move(key), it->second};
+  in_flight_[rid] = PendingOp{msg, std::move(key), it->second};
 }
 
 void KvStoreAccelerator::HandlePut(const Message& msg, TileApi& api) {
   std::string key;
   size_t voff = 0;
   if (!ParseKey(msg, &key, &voff)) {
-    ReplyStatus(msg, api, MsgStatus::kBadRequest, kOpKvPut);
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
   const uint64_t vlen = msg.payload.size() - voff;
   if (index_.size() >= max_index_entries_ && index_.find(key) == index_.end()) {
     counters_.Add("kv.index_full");
-    ReplyStatus(msg, api, MsgStatus::kNoMemory, kOpKvPut);
+    api.ReplyStatus(msg, MsgStatus::kNoMemory);
     return;
   }
   if (log_head_ + vlen > value_log_bytes_) {
     counters_.Add("kv.log_full");
-    ReplyStatus(msg, api, MsgStatus::kNoMemory, kOpKvPut);
+    api.ReplyStatus(msg, MsgStatus::kNoMemory);
     return;
   }
   const ValueLoc loc{log_head_, static_cast<uint32_t>(vlen)};
@@ -100,22 +92,22 @@ void KvStoreAccelerator::HandlePut(const Message& msg, TileApi& api) {
   const uint64_t rid = write.request_id;
   if (!api.Send(std::move(write), memsvc_cap_, mem_cap_).ok()) {
     counters_.Add("kv.mem_send_fail");
-    ReplyStatus(msg, api, MsgStatus::kBackpressure, kOpKvPut);
+    api.ReplyStatus(msg, MsgStatus::kBackpressure);
     return;
   }
   counters_.Add("kv.put");
-  in_flight_[rid] = PendingOp{msg, kOpKvPut, std::move(key), loc};
+  in_flight_[rid] = PendingOp{msg, std::move(key), loc};
 }
 
 void KvStoreAccelerator::HandleDelete(const Message& msg, TileApi& api) {
   std::string key;
   if (!ParseKey(msg, &key, nullptr)) {
-    ReplyStatus(msg, api, MsgStatus::kBadRequest, kOpKvDelete);
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
   const bool erased = index_.erase(key) > 0;
   counters_.Add(erased ? "kv.delete" : "kv.delete_miss");
-  ReplyStatus(msg, api, erased ? MsgStatus::kOk : MsgStatus::kNotFound, kOpKvDelete);
+  api.ReplyStatus(msg, erased ? MsgStatus::kOk : MsgStatus::kNotFound);
 }
 
 void KvStoreAccelerator::HandleMemReply(const Message& msg, TileApi& api) {
@@ -138,10 +130,10 @@ void KvStoreAccelerator::HandleMemReply(const Message& msg, TileApi& api) {
   in_flight_.erase(it);
   if (msg.status != MsgStatus::kOk) {
     counters_.Add("kv.mem_error");
-    ReplyStatus(op.client_request, api, msg.status, op.op);
+    api.ReplyStatus(op.client_request, msg.status);
     return;
   }
-  if (op.op == kOpKvGet) {
+  if (op.client_request.opcode == kOpKvGet) {
     Message reply;
     reply.opcode = kOpKvGet;
     reply.payload = msg.payload;
@@ -150,7 +142,7 @@ void KvStoreAccelerator::HandleMemReply(const Message& msg, TileApi& api) {
   } else {
     // Write acknowledged: commit the index entry, then ack the client.
     index_[op.key] = op.loc;
-    ReplyStatus(op.client_request, api, MsgStatus::kOk, kOpKvPut);
+    api.ReplyStatus(op.client_request, MsgStatus::kOk);
     counters_.Add("kv.put_ok");
   }
 }
@@ -165,7 +157,7 @@ void KvStoreAccelerator::OnMessage(const Message& msg, TileApi& api) {
     if (boot_backlog_.size() < 64) {
       boot_backlog_.push_back(msg);
     } else {
-      ReplyStatus(msg, api, MsgStatus::kBackpressure, msg.opcode);
+      api.ReplyStatus(msg, MsgStatus::kBackpressure);
     }
     return;
   }
@@ -180,7 +172,7 @@ void KvStoreAccelerator::OnMessage(const Message& msg, TileApi& api) {
       HandleDelete(msg, api);
       break;
     default:
-      ReplyStatus(msg, api, MsgStatus::kBadRequest, msg.opcode);
+      api.ReplyStatus(msg, MsgStatus::kBadRequest);
       break;
   }
 }

@@ -62,7 +62,6 @@ class KvStoreAccelerator : public Accelerator {
   };
   struct PendingOp {
     Message client_request;
-    uint16_t op = 0;          // kOpKvGet / kOpKvPut
     std::string key;
     ValueLoc loc;             // PUT: where the value is being written.
   };
@@ -71,7 +70,6 @@ class KvStoreAccelerator : public Accelerator {
   void HandlePut(const Message& msg, TileApi& api);
   void HandleDelete(const Message& msg, TileApi& api);
   void HandleMemReply(const Message& msg, TileApi& api);
-  void ReplyStatus(const Message& request, TileApi& api, MsgStatus status, uint16_t opcode);
   bool ParseKey(const Message& msg, std::string* key, size_t* value_offset) const;
 
   uint64_t value_log_bytes_;

@@ -18,20 +18,16 @@ void MultiContextHost::OnMessage(const Message& msg, TileApi& api) {
     return;
   }
   const ProcessId pid = msg.dst_process;
-  Message reply;
-  reply.opcode = msg.opcode;
   if (pid >= contexts_.size()) {
     counters_.Add("mch.no_such_context");
-    reply.status = MsgStatus::kBadRequest;
-    api.Reply(msg, std::move(reply));
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
   Slot& slot = contexts_[pid];
   if (!slot.alive) {
     // The context was individually fail-stopped; its siblings still serve.
     counters_.Add("mch.dead_context_request");
-    reply.status = MsgStatus::kDestFailed;
-    api.Reply(msg, std::move(reply));
+    api.ReplyStatus(msg, MsgStatus::kDestFailed);
     return;
   }
   ContextResult result = slot.logic->OnRequest(msg.opcode, msg.payload);
@@ -40,8 +36,7 @@ void MultiContextHost::OnMessage(const Message& msg, TileApi& api) {
     if (per_context_isolation_) {
       // Preemptible model: swap just this context out (Section 4.4).
       slot.alive = false;
-      reply.status = MsgStatus::kDestFailed;
-      api.Reply(msg, std::move(reply));
+      api.ReplyStatus(msg, MsgStatus::kDestFailed);
     } else {
       // Concurrent-only model: the whole tile must fail-stop.
       api.RaiseFault("context " + slot.logic->name() + " faulted");
@@ -50,6 +45,8 @@ void MultiContextHost::OnMessage(const Message& msg, TileApi& api) {
   }
   ++slot.served;
   counters_.Add("mch.served");
+  Message reply;
+  reply.opcode = msg.opcode;
   reply.status = result.status;
   reply.payload = std::move(result.payload);
   api.Reply(msg, std::move(reply));

@@ -227,73 +227,32 @@ std::vector<uint8_t> DecodeFrame(const std::vector<uint8_t>& bitstream, uint32_t
 }
 
 void VideoEncoderAccelerator::OnMessage(const Message& msg, TileApi& api) {
-  if (msg.kind != MsgKind::kRequest || msg.opcode != kOpEncodeFrame) {
-    if (msg.kind == MsgKind::kRequest) {
-      Message err;
-      err.opcode = msg.opcode;
-      err.status = MsgStatus::kBadRequest;
-      api.Reply(msg, std::move(err));
-    }
+  if (msg.kind != MsgKind::kRequest) {
     return;
   }
-  if (msg.payload.size() < 8) {
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = MsgStatus::kBadRequest;
-    api.Reply(msg, std::move(err));
-    return;
-  }
-  const uint32_t width = GetU32(msg.payload, 0);
-  const uint32_t height = GetU32(msg.payload, 4);
-  if (width == 0 || height == 0 ||
+  const uint32_t width = msg.payload.size() < 8 ? 0 : GetU32(msg.payload, 0);
+  const uint32_t height = msg.payload.size() < 8 ? 0 : GetU32(msg.payload, 4);
+  if (msg.opcode != kOpEncodeFrame || width == 0 || height == 0 ||
       msg.payload.size() < 8 + static_cast<size_t>(width) * height) {
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = MsgStatus::kBadRequest;
-    api.Reply(msg, std::move(err));
+    api.ReplyStatus(msg, MsgStatus::kBadRequest);
     return;
   }
-  Job job;
-  job.request = msg;
-  job.encoded = EncodeFrame(msg.payload.data() + 8, width, height, quality_);
+  // Pipeline mode hands the bitstream to the next stage (Section 2's
+  // encode -> compress composition) instead of replying.
+  PayloadBuf out(EncodeFrame(msg.payload.data() + 8, width, height, quality_));
+  const uint16_t opcode = next_stage_ != kInvalidCapRef ? next_opcode_ : kOpEncodeFrame;
   // Occupy the engine: back-to-back frames queue behind each other.
   const uint64_t blocks =
       static_cast<uint64_t>((width + 7) / 8) * ((height + 7) / 8);
-  const Cycle start = std::max(engine_free_at_, api.now());
-  engine_free_at_ = start + blocks * cycles_per_block_;
-  job.done_at = engine_free_at_;
-  jobs_.push_back(std::move(job));
-  counters_.Add("encoder.frames_in");
+  engine_.Submit(api.now(), blocks * cycles_per_block_, msg, opcode, std::move(out), next_stage_);
 }
 
-void VideoEncoderAccelerator::Tick(TileApi& api) {
-  while (!jobs_.empty() && jobs_.front().done_at <= api.now()) {
-    Job& job = jobs_.front();
-    SendResult result;
-    if (next_stage_ != kInvalidCapRef) {
-      // Pipeline mode: hand the bitstream to the next stage (Section 2's
-      // encode -> compress composition).
-      Message fwd;
-      fwd.opcode = next_opcode_;
-      fwd.payload = job.encoded;
-      result = api.Send(std::move(fwd), next_stage_);
-    } else {
-      Message reply;
-      reply.opcode = kOpEncodeFrame;
-      reply.payload = job.encoded;
-      result = api.Reply(job.request, std::move(reply));
-    }
-    if (result.status == MsgStatus::kBackpressure ||
-        result.status == MsgStatus::kRateLimited) {
-      break;  // Retry next cycle.
-    }
-    if (!result.ok()) {
-      counters_.Add("encoder.output_failures");
-    }
-    ++frames_encoded_;
-    counters_.Add("encoder.frames_out");
-    jobs_.pop_front();
-  }
+CounterSet VideoEncoderAccelerator::counters() const {
+  CounterSet set;
+  set.AddNonzero("encoder.frames_in", engine_.submitted());
+  set.AddNonzero("encoder.frames_out", engine_.done());
+  set.AddNonzero("encoder.output_failures", engine_.dropped());
+  return set;
 }
 
 }  // namespace apiary

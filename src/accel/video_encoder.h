@@ -11,12 +11,11 @@
 #ifndef SRC_ACCEL_VIDEO_ENCODER_H_
 #define SRC_ACCEL_VIDEO_ENCODER_H_
 
-#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
+#include "src/accel/serial_engine.h"
 #include "src/core/accelerator.h"
 #include "src/stats/summary.h"
 
@@ -51,29 +50,25 @@ class VideoEncoderAccelerator : public Accelerator {
   }
 
   void OnMessage(const Message& msg, TileApi& api) override;
-  void Tick(TileApi& api) override;
+  void Tick(TileApi& api) override { engine_.Drain(api); }
+  // APIARY-WAKE(tile): hosted accelerator — the owning Tile's NI sink wake
+  // ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return engine_.NextActivity(now); }
 
   std::string name() const override { return "video_encoder"; }
   uint32_t LogicCellCost() const override { return 45000; }
 
-  uint64_t frames_encoded() const { return frames_encoded_; }
-  const CounterSet& counters() const { return counters_; }
+  uint64_t frames_encoded() const { return engine_.done(); }
+  // "encoder.frames_in", "encoder.frames_out" and
+  // "encoder.output_failures"; only nonzero counters appear.
+  CounterSet counters() const;
 
  private:
-  struct Job {
-    Message request;
-    std::vector<uint8_t> encoded;
-    Cycle done_at;
-  };
-
   Cycle cycles_per_block_;
   uint32_t quality_;
   CapRef next_stage_ = kInvalidCapRef;
   uint16_t next_opcode_ = 0;
-  std::deque<Job> jobs_;
-  Cycle engine_free_at_ = 0;
-  uint64_t frames_encoded_ = 0;
-  CounterSet counters_;
+  SerialEngine engine_;
 };
 
 }  // namespace apiary

@@ -62,6 +62,13 @@ class TileApi {
   SendResult Reply(const Message& request, Message response) {
     return Reply(request, std::move(response), kInvalidCapRef);
   }
+  // Replies with `status` and no payload, under the request's opcode.
+  SendResult ReplyStatus(const Message& request, MsgStatus status) {
+    Message response;
+    response.opcode = request.opcode;
+    response.status = status;
+    return Reply(request, std::move(response), kInvalidCapRef);
+  }
 
   // Pops the next delivered message, if any.
   virtual std::optional<Message> Receive() = 0;

@@ -72,7 +72,6 @@ TileId ApiaryOs::DeployInternal(AppId app, ServiceId service,
                       << board_->config().tile_region_cells << ")";
     return kInvalidTile;
   }
-  tiles_[t]->set_fault_policy(options.fault_policy);
   tiles_[t]->monitor().SetIdentity(app, service);
   tiles_[t]->Configure(std::move(accel), options.immediate);
   service_registry_[service] = t;

@@ -26,7 +26,6 @@ struct DeployOptions {
   std::optional<TileId> tile;
   // Skip partial-reconfiguration latency (time-zero board bring-up).
   bool immediate = true;
-  FaultPolicy fault_policy = FaultPolicy::kFailStop;
 };
 
 class ApiaryOs {

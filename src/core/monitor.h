@@ -61,7 +61,6 @@ class Monitor : public TileApi {
   void AllowSender(TileId src) { allowed_senders_[src] = true; }
   void DisallowSender(TileId src) { allowed_senders_.erase(src); }
   void SetRateLimit(uint64_t flits_per_1k_cycles, uint64_t burst_flits);
-  void ClearRateLimit() { limiter_ = TokenBucket(); }
   // Tenant-shared injection budget: a bucket owned by the tenant manager
   // and shared by every monitor in the tenant, drawn down alongside the
   // per-tile limiter. nullptr clears it. The monitor never owns the bucket.

@@ -56,13 +56,8 @@ bool Tile::PreemptSwap(std::unique_ptr<Accelerator> replacement) {
 }
 
 void Tile::HandleAcceleratorFault() {
-  if (fault_policy_ == FaultPolicy::kPreempt && accel_ != nullptr &&
-      accel_->IsPreemptible()) {
-    // The kernel's management plane normally supplies the replacement; at
-    // tile level, a detected fault on a preemptible accelerator swaps the
-    // faulty context out and lets fresh logic take over with saved state.
-    // Without a replacement queued, degrade to fail-stop.
-  }
+  // A raised fault fail-stops the tile. Swapping a preemptible context out
+  // is the kernel's call (ApiaryOs::PreemptSwap), with a replacement.
   monitor_.FailStop("accelerator fault: " + monitor_.fault_reason());
 }
 
@@ -75,9 +70,9 @@ Cycle Tile::NextActivity(Cycle now) const {
   const bool accel_runs = accel_ != nullptr && !reconfiguring_ && !seu_wedged_ &&
                           monitor_.fault_state() == TileFaultState::kHealthy;
   if (accel_runs) {
-    // A raised-but-unhandled fault is pending Tick work: the fail-stop (or
-    // preempt) in HandleAcceleratorFault only happens on the next tick, so
-    // the declaration must keep the tile active until it runs.
+    // A raised-but-unhandled fault is pending Tick work: the fail-stop in
+    // HandleAcceleratorFault only happens on the next tick, so the
+    // declaration must keep the tile active until it runs.
     if (!booted_ || monitor_.HasPendingInbox() || monitor_.accelerator_faulted()) {
       return now;
     }

@@ -12,13 +12,6 @@
 
 namespace apiary {
 
-// Fault-handling policy applied when the accelerator raises (or the monitor
-// detects) a fault (Section 4.4).
-enum class FaultPolicy : uint8_t {
-  kFailStop = 0,   // Concurrent-only accelerators: drain and stop the tile.
-  kPreempt = 1,    // Preemptible accelerators: swap the faulty context out.
-};
-
 class Tile : public Clocked {
  public:
   // `sim` is the board's simulator; the tile's monitor reads its clock.
@@ -50,9 +43,6 @@ class Tile : public Clocked {
   bool reconfiguring() const { return reconfiguring_; }
   bool vacant() const { return accel_ == nullptr && !reconfiguring_; }
 
-  void set_fault_policy(FaultPolicy policy) { fault_policy_ = policy; }
-  FaultPolicy fault_policy() const { return fault_policy_; }
-
   // Fault injection (src/fault): an SEU silently wedges the accelerator
   // logic. The tile stops ticking the accelerator but does NOT mark itself
   // faulted — exactly like real radiation-induced upsets, the only external
@@ -78,7 +68,6 @@ class Tile : public Clocked {
   bool reconfiguring_ = false;
   bool booted_ = false;
   bool seu_wedged_ = false;
-  FaultPolicy fault_policy_ = FaultPolicy::kFailStop;
 };
 
 }  // namespace apiary

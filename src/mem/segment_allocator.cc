@@ -1,7 +1,6 @@
 #include "src/mem/segment_allocator.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace apiary {
 namespace {
@@ -112,14 +111,6 @@ double SegmentAllocator::ExternalFragmentation() const {
     return 0.0;
   }
   return 1.0 - static_cast<double>(LargestFreeChunk()) / static_cast<double>(total_free);
-}
-
-std::string SegmentAllocator::DumpFreeList() const {
-  std::ostringstream out;
-  for (const auto& [base, len] : free_by_base_) {
-    out << '[' << base << ",+" << len << ") ";
-  }
-  return out.str();
 }
 
 }  // namespace apiary

@@ -63,9 +63,6 @@ class SegmentAllocator {
 
   const CounterSet& counters() const { return counters_; }
 
-  // Debug rendering of the free list: "[base,+len) [base,+len) ...".
-  std::string DumpFreeList() const;
-
  private:
   std::map<uint64_t, uint64_t>::iterator PickFreeChunk(uint64_t bytes, uint64_t alignment);
 

@@ -9,11 +9,6 @@
 
 namespace apiary {
 
-namespace {
-// The port a flit leaving through `out` arrives on downstream.
-constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-}  // namespace
-
 void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles) {
   assert(active_count_ == 0 && "reconfiguring a lane with corridors in flight");
   mesh_ = mesh;
@@ -119,7 +114,7 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
     }
     const Hop& prev = path[hops];
     ++hops;
-    SetHop(&path[hops], prev.router->neighbors_[prev.out]->tile(), dst, kOpposite[prev.out]);
+    SetHop(&path[hops], prev.router->neighbors_[prev.out]->tile(), dst, kOppositePort[prev.out]);
     // Launch policy: the buffer the head enters at D+1 is empty.
     if (hops == 1 && !path[1].router->inputs_[path[1].in][q].flits.empty()) {
       return false;

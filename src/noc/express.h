@@ -101,8 +101,9 @@ class ExpressLane {
  public:
   // Sized-once wiring (cold path; the only place this class allocates).
   void Configure(Mesh* mesh, uint32_t num_tiles);
+  // A disabled lane launches nothing (Mesh::SetExpressEnabled materializes
+  // every corridor first).
   void SetEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
 
   // Called by the source NI from InjectCycle when a queue front is a packet
   // head. Returns true when a corridor was installed (the queue was drained

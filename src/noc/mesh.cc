@@ -33,7 +33,7 @@ Mesh::Mesh(MeshConfig config)
   for (uint32_t t = 0; t < n; ++t) {
     nis_.push_back(std::make_unique<NetworkInterface>(t, routers_[t].get(),
                                                       config_.ni_inject_queue_flits,
-                                                      config_.force_single_vc, &pool_));
+                                                      config_.force_single_vc, &pool_, &express_));
     routers_[t]->SetLocalInterface(nis_[t].get());
   }
   // Wire up the grid.
@@ -78,9 +78,8 @@ void Mesh::RouteTile(uint32_t t, Cycle now) {
 }
 
 void Mesh::Tick(Cycle now) {
-  if (express_enabled_) {
-    express_.TickTop(now);
-  }
+  // With no corridor in flight this only stamps the lane's state time.
+  express_.TickTop(now);
   // The same two phases as a full sweep, over the busy subset only.
   // RouteCycle and InjectCycle are no-ops on empty members, and on a router
   // whose only heads arrived this cycle, so skipping or adding such visits
@@ -143,11 +142,7 @@ void Mesh::SetExpressEnabled(bool enabled) {
   if (!enabled) {
     MaterializeExpress();
   }
-  express_enabled_ = enabled;
   express_.SetEnabled(enabled);
-  for (auto& ni : nis_) {
-    ni->SetExpressLane(enabled ? &express_ : nullptr);
-  }
 }
 
 void Mesh::MaterializeExpress() {

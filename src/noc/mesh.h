@@ -76,7 +76,6 @@ class Mesh : public Clocked {
   // ordinary buffered flits, so traces/counters/billing stay byte-identical
   // either way.
   void SetExpressEnabled(bool enabled);
-  bool express_enabled() const { return express_enabled_; }
   // Converts every in-flight corridor back to buffered flits at the current
   // state boundary, and wakes the mesh. Called by FaultInjector::Fire before
   // a NoC window opens, and by every reconfiguration entry point.
@@ -135,7 +134,6 @@ class Mesh : public Clocked {
   // The express lane reads router/NI/fault state through the friendship in
   // express.h.
   friend class ExpressLane;
-  bool express_enabled_ = false;
   ExpressLane express_;
   std::vector<LiveWord> live_;
 };

@@ -5,12 +5,13 @@
 namespace apiary {
 
 NetworkInterface::NetworkInterface(TileId tile, Router* router, uint32_t inject_queue_flits,
-                                   bool force_single_vc, PacketPool* pool)
+                                   bool force_single_vc, PacketPool* pool, ExpressLane* express)
     : tile_(tile),
       router_(router),
       inject_queue_flits_(inject_queue_flits),
       force_single_vc_(force_single_vc),
-      pool_(pool) {
+      pool_(pool),
+      express_(express) {
   for (auto& queue : inject_queues_) {
     queue.Init(inject_queue_flits_);
   }
@@ -34,22 +35,18 @@ uint32_t NetworkInterface::LogicCellCost() {
 }
 
 bool NetworkInterface::CanInject(uint32_t flits, Vc vc) const {
+  // A corridor sourced here drained this queue at launch; count what the
+  // real run's queue would still hold so backpressure decisions (and their
+  // counters) stay byte-identical.
   uint32_t pending = static_cast<uint32_t>(inject_queues_[static_cast<int>(vc)].size());
-  if (express_ != nullptr) {
-    // A corridor sourced here drained this queue at launch; count what the
-    // real run's queue would still hold so backpressure decisions (and their
-    // counters) stay byte-identical.
-    pending += express_->VirtualPending(tile_, static_cast<int>(vc));
-  }
+  pending += express_->VirtualPending(tile_, static_cast<int>(vc));
   return pending + flits <= inject_queue_flits_;
 }
 
 bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
-  if (express_ != nullptr) {
-    // New traffic from this tile ends any corridor launched here: its
-    // unlaunched flits must requeue ahead of this packet, in order.
-    express_->MaterializeSource(tile_);
-  }
+  // New traffic from this tile ends any corridor launched here: its
+  // unlaunched flits must requeue ahead of this packet, in order.
+  express_->MaterializeSource(tile_);
   if (force_single_vc_) {
     packet->vc = Vc::kRequest;  // Single-VC ablation: everything shares VC0.
   }
@@ -78,7 +75,7 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
 }
 
 void NetworkInterface::InjectCycle(Cycle now) {
-  if (express_ != nullptr && HeadAtFront() && express_->TryLaunch(*this, now)) {
+  if (HeadAtFront() && express_->TryLaunch(*this, now)) {
     // The corridor's closed-form schedule covers this cycle's injection (and
     // every later one) — the queue has been drained into it.
     return;

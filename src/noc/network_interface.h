@@ -29,9 +29,15 @@ class NetworkInterface {
  public:
   // `pool` is the packet pool senders on this tile draw from (the mesh's
   // domain pool); the NI itself never allocates, it only hands the pool to
-  // the monitor above it.
-  NetworkInterface(TileId tile, Router* router, uint32_t inject_queue_flits,
-                   bool force_single_vc = false, PacketPool* pool = nullptr);
+  // the monitor above it. `express` is the mesh's express lane: InjectCycle
+  // first offers a queue with a packet head at its front to the lane (a
+  // launched corridor replaces real injection), Inject materializes any
+  // corridor still draining a queue here before new flits enqueue, and
+  // CanInject counts the corridor's virtual queue occupancy so the monitor's
+  // pre-check matches the real run byte-for-byte. A disabled lane launches
+  // nothing, so all three are no-ops then.
+  NetworkInterface(TileId tile, Router* router, uint32_t inject_queue_flits, bool force_single_vc,
+                   PacketPool* pool, ExpressLane* express);
 
   // Queues a packet for injection. Returns false when the packet's VC
   // injection queue cannot hold its flits (backpressure to the monitor).
@@ -91,14 +97,6 @@ class NetworkInterface {
   // tile's parked quiescence the cycle reference tick order dictates.
   void SetSinkWake(WakeHint hint) { sink_wake_ = hint; }
 
-  // Express-corridor wiring (Mesh::SetExpressEnabled): when set, InjectCycle
-  // first offers a queue with a packet head at its front to the lane (a
-  // launched corridor replaces real injection), Inject materializes any
-  // corridor still draining a queue here before new flits enqueue, and
-  // CanInject counts the corridor's virtual queue occupancy so the monitor's
-  // pre-check matches the real run byte-for-byte.
-  void SetExpressLane(ExpressLane* lane) { express_ = lane; }
-
   // Largest packet (in flits) that can ever be injected; senders must
   // segment above this.
   uint32_t max_packet_flits() const { return inject_queue_flits_; }
@@ -140,7 +138,7 @@ class NetworkInterface {
   uint32_t inject_queue_flits_;
   bool force_single_vc_;
   PacketPool* pool_;
-  ExpressLane* express_ = nullptr;
+  ExpressLane* express_;
   // Per-VC injection queues so response traffic never queues behind a
   // request backlog (mirrors the router's VC separation). Fixed-capacity
   // rings: the bound is inject_queue_flits by construction, so the queue

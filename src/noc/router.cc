@@ -162,9 +162,7 @@ bool Router::DownstreamHasSpace(RouterPort out, Vc vc) const {
   if (next == nullptr) {
     return false;
   }
-  // The flit will arrive on the neighbor's opposite port.
-  static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-  return next->FreeSlots(kOpposite[out], vc) > 0;
+  return next->FreeSlots(kOppositePort[out], vc) > 0;
 }
 
 void Router::SendDownstream(RouterPort out, Flit& flit, Cycle now) {
@@ -174,8 +172,7 @@ void Router::SendDownstream(RouterPort out, Flit& flit, Cycle now) {
     }
     return;
   }
-  static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-  neighbors_[out]->AcceptFlit(kOpposite[out], std::move(flit), now);
+  neighbors_[out]->AcceptFlit(kOppositePort[out], std::move(flit), now);
 }
 
 bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {

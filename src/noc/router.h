@@ -43,6 +43,8 @@ enum RouterPort : int {
   kPortLocal = 4,
 };
 inline constexpr int kNumPorts = 5;
+// The port a flit leaving through mesh output `out` arrives on downstream.
+inline constexpr RouterPort kOppositePort[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
 
 class Router {
  public:

@@ -5,11 +5,8 @@
 namespace apiary {
 
 void DmaService::ReplyError(const Message& msg, TileApi& api, MsgStatus status) {
-  Message err;
-  err.opcode = msg.opcode;
-  err.status = status;
   counters_.Add("dma.errors");
-  api.Reply(msg, std::move(err));
+  api.ReplyStatus(msg, status);
 }
 
 void DmaService::OnMessage(const Message& msg, TileApi& api) {

@@ -82,10 +82,7 @@ void NetGateway::OnMessage(const Message& msg, TileApi& api) {
     HandleInbound(msg, api);
     return;
   }
-  Message err;
-  err.opcode = msg.opcode;
-  err.status = MsgStatus::kBadRequest;
-  api.Reply(msg, std::move(err));
+  api.ReplyStatus(msg, MsgStatus::kBadRequest);
 }
 
 }  // namespace apiary

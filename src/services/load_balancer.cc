@@ -95,11 +95,8 @@ void LoadBalancer::OnMessage(const Message& msg, TileApi& api) {
     // the payload (the kernel minted them into this tile's table before
     // sending the config). In-flight responses still reach their original
     // requesters and drain accounting follows the endpoint, not the index.
-    Message reply;
-    reply.opcode = msg.opcode;
     if (msg.payload.size() % 4 != 0) {
-      reply.status = MsgStatus::kBadRequest;
-      api.Reply(msg, std::move(reply));
+      api.ReplyStatus(msg, MsgStatus::kBadRequest);
       return;
     }
     std::vector<CapRef> endpoints;
@@ -107,6 +104,8 @@ void LoadBalancer::OnMessage(const Message& msg, TileApi& api) {
       endpoints.push_back(GetU32(msg.payload, off));
     }
     ReplaceBackends(endpoints);
+    Message reply;
+    reply.opcode = msg.opcode;
     PutU32(reply.payload, static_cast<uint32_t>(backends_.size()));
     api.Reply(msg, std::move(reply));
     return;
@@ -127,10 +126,7 @@ void LoadBalancer::OnMessage(const Message& msg, TileApi& api) {
   }
 
   if (backends_.empty()) {
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = MsgStatus::kNoSuchService;
-    api.Reply(msg, std::move(err));
+    api.ReplyStatus(msg, MsgStatus::kNoSuchService);
     return;
   }
   const size_t idx = PickBackend();
@@ -144,10 +140,7 @@ void LoadBalancer::OnMessage(const Message& msg, TileApi& api) {
   const SendResult r = api.Send(std::move(fwd), endpoint);
   if (!r.ok()) {
     counters_.Add("lb.forward_failures");
-    Message err;
-    err.opcode = msg.opcode;
-    err.status = r.status;
-    api.Reply(msg, std::move(err));
+    api.ReplyStatus(msg, r.status);
     return;
   }
   ++backends_[idx].outstanding;

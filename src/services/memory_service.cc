@@ -3,11 +3,8 @@
 namespace apiary {
 
 void MemoryService::ReplyError(const Message& msg, TileApi& api, MsgStatus status) {
-  Message err;
-  err.opcode = msg.opcode;
-  err.status = status;
   counters_.Add("memsvc.errors");
-  api.Reply(msg, std::move(err));
+  api.ReplyStatus(msg, status);
 }
 
 void MemoryService::HandleAlloc(const Message& msg, TileApi& api) {
@@ -43,9 +40,7 @@ void MemoryService::HandleFree(const Message& msg, TileApi& api) {
     return;
   }
   counters_.Add("memsvc.frees");
-  Message ok;
-  ok.opcode = kOpMemFree;
-  api.Reply(msg, std::move(ok));
+  api.ReplyStatus(msg, MsgStatus::kOk);
 }
 
 void MemoryService::HandleShare(const Message& msg, TileApi& api) {

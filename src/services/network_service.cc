@@ -46,16 +46,14 @@ void NetworkService::HandleRegister(const Message& msg, TileApi& api) {
   // inbound frames can be delivered as messages. The network service is
   // trusted OS logic and uses the kernel's management interface for this.
   const CapRef cap = os_->GrantSendToService(api.tile(), msg.src_service);
-  Message reply;
-  reply.opcode = kOpNetRegister;
   if (cap == kInvalidCapRef) {
-    reply.status = MsgStatus::kNoSuchService;
     counters_.Add("netsvc.register_failures");
-  } else {
-    inbound_routes_[msg.src_service] = cap;
-    counters_.Add("netsvc.registrations");
+    api.ReplyStatus(msg, MsgStatus::kNoSuchService);
+    return;
   }
-  api.Reply(msg, std::move(reply));
+  inbound_routes_[msg.src_service] = cap;
+  counters_.Add("netsvc.registrations");
+  api.ReplyStatus(msg, MsgStatus::kOk);
 }
 
 void NetworkService::HandleNetSend(const Message& msg, TileApi& api) {
@@ -90,13 +88,9 @@ void NetworkService::OnMessage(const Message& msg, TileApi& api) {
     case kOpNetSend:
       HandleNetSend(msg, api);
       break;
-    default: {
-      Message err;
-      err.opcode = msg.opcode;
-      err.status = MsgStatus::kBadRequest;
-      api.Reply(msg, std::move(err));
+    default:
+      api.ReplyStatus(msg, MsgStatus::kBadRequest);
       break;
-    }
   }
 }
 

@@ -17,11 +17,8 @@ void RemoteBridge::OnBoot(TileApi& api) {
 }
 
 void RemoteBridge::ReplyError(const Message& request, TileApi& api, MsgStatus status) {
-  Message err;
-  err.opcode = request.opcode;
-  err.status = status;
   counters_.Add("bridge.errors");
-  api.Reply(request, std::move(err));
+  api.ReplyStatus(request, status);
 }
 
 void RemoteBridge::SendFrame(uint32_t peer_board, uint32_t peer_service,

@@ -35,7 +35,6 @@ class Histogram {
 
   // Convenience accessors used throughout the bench tables.
   uint64_t P50() const { return Percentile(0.50); }
-  uint64_t P90() const { return Percentile(0.90); }
   uint64_t P99() const { return Percentile(0.99); }
   uint64_t P999() const { return Percentile(0.999); }
 

@@ -5,7 +5,7 @@
 
 namespace apiary {
 
-uint64_t CounterSet::Get(const std::string& name) const {
+uint64_t CounterSet::Get(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }

@@ -4,36 +4,48 @@
 #define SRC_STATS_SUMMARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace apiary {
 
 class CounterSet {
  public:
-  void Add(const std::string& name, uint64_t delta = 1) { counters_[name] += delta; }
+  // Names are looked up without building a std::string: only a name's
+  // first insertion allocates.
+  void Add(std::string_view name, uint64_t delta = 1) { Slot(name) += delta; }
   // Adds `value` only when nonzero: renders a typed counter field the way a
   // string-keyed counter that was never incremented renders (absent).
-  void AddNonzero(const std::string& name, uint64_t value) {
+  void AddNonzero(std::string_view name, uint64_t value) {
     if (value != 0) {
-      counters_[name] += value;
+      Slot(name) += value;
     }
   }
-  void Set(const std::string& name, uint64_t value) { counters_[name] = value; }
-  uint64_t Get(const std::string& name) const;
+  void Set(std::string_view name, uint64_t value) { Slot(name) = value; }
+  uint64_t Get(std::string_view name) const;
   void Reset() { counters_.clear(); }
 
   // Merge `other` into this set (summing matching names).
   void Merge(const CounterSet& other);
 
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
+  const std::map<std::string, uint64_t, std::less<>>& counters() const { return counters_; }
 
   // "name=value name=value ..." in sorted order.
   std::string ToString() const;
 
  private:
-  std::map<std::string, uint64_t> counters_;
+  uint64_t& Slot(std::string_view name) {
+    auto it = counters_.lower_bound(name);
+    if (it == counters_.end() || it->first != name) {
+      it = counters_.emplace_hint(it, name, 0);
+    }
+    return it->second;
+  }
+
+  std::map<std::string, uint64_t, std::less<>> counters_;
 };
 
 // Basic running statistics over doubles (for rates, utilizations).

@@ -82,21 +82,6 @@ void TenantManager::AttachTile(TenantId tenant, TileId tile) {
   }
 }
 
-void TenantManager::DetachTile(TenantId tenant, TileId tile) {
-  TenantState* t = Find(tenant);
-  if (t == nullptr) {
-    return;
-  }
-  for (auto it = t->tiles.begin(); it != t->tiles.end(); ++it) {
-    if (*it == tile) {
-      t->tiles.erase(it);
-      break;
-    }
-  }
-  os_->monitor(tile).SetSharedLimiter(nullptr);
-  os_->monitor(tile).SetArbClass(0);
-}
-
 TileId TenantManager::Deploy(TenantId tenant, AppId app, std::unique_ptr<Accelerator> accel,
                              ServiceId* out_service, DeployOptions options) {
   TenantState* t = Find(tenant);

@@ -100,10 +100,9 @@ class TenantManager : public Clocked {
   bool AdmitTile(TenantId tenant) const;
 
   // Membership maintenance for tiles that joined through other paths (e.g.
-  // an orchestrator load callback): attach applies the tenant's NoC budget
-  // and class to the monitor; detach clears them.
+  // an orchestrator load callback): applies the tenant's NoC budget and
+  // class to the monitor.
   void AttachTile(TenantId tenant, TileId tile);
-  void DetachTile(TenantId tenant, TileId tile);
 
   // ------------------------------------------------------------------
   // Capability subtree.

@@ -11,10 +11,7 @@ void TenantStatsService::OnMessage(const Message& msg, TileApi& api) {
   switch (msg.opcode) {
     case kOpTenantStats: {
       if (msg.payload.size() < 4) {
-        Message err;
-        err.opcode = kOpTenantStats;
-        err.status = MsgStatus::kBadRequest;
-        api.Reply(msg, std::move(err));
+        api.ReplyStatus(msg, MsgStatus::kBadRequest);
         return;
       }
       const TenantId tenant = GetU32(msg.payload, 0);
@@ -33,13 +30,9 @@ void TenantStatsService::OnMessage(const Message& msg, TileApi& api) {
       counters_.Add("tenantsvc.stats_served");
       return;
     }
-    default: {
-      Message err;
-      err.opcode = msg.opcode;
-      err.status = MsgStatus::kBadRequest;
-      api.Reply(msg, std::move(err));
+    default:
+      api.ReplyStatus(msg, MsgStatus::kBadRequest);
       return;
-    }
   }
 }
 

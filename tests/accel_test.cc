@@ -1,15 +1,21 @@
 // Tests for the accelerator library: the video codec, LZ compressor, CRC32,
-// echo, the KV store (full IPC chain through the memory service), and the
-// misbehaving accelerators used by the isolation experiments.
+// the serial engine the fixed-function accelerators share, echo, the KV
+// store (full IPC chain through the memory service), and the misbehaving
+// accelerators used by the isolation experiments.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/accel/checksum.h"
 #include "src/accel/compressor.h"
 #include "src/accel/echo.h"
 #include "src/accel/faulty.h"
 #include "src/accel/kv_store.h"
+#include "src/accel/serial_engine.h"
 #include "src/accel/video_encoder.h"
 #include "src/core/service_ids.h"
 #include "src/services/memory_service.h"
@@ -174,6 +180,186 @@ TEST(Crc32Test, SensitiveToSingleBit) {
   std::vector<uint8_t> b = a;
   b[50] ^= 1;
   EXPECT_NE(Crc32(a), Crc32(b));
+}
+
+// ---------------------------------------------------------------------
+// SerialEngine against a scripted TileApi.
+// ---------------------------------------------------------------------
+
+// Records every Send/Reply and answers each with the next scripted status
+// (kOk once the script runs out). Like the monitor, it consumes the message
+// it is handed whether or not it accepts it.
+class FakeTileApi : public TileApi {
+ public:
+  struct Sent {
+    bool reply = false;
+    CapRef endpoint = kInvalidCapRef;
+    Message request;  // The replied-to request, as handed to Reply.
+    Message msg;
+  };
+
+  SendResult Send(Message msg, CapRef endpoint, CapRef, CapRef) override {
+    return Record(Sent{false, endpoint, Message{}, std::move(msg)});
+  }
+  SendResult Reply(const Message& request, Message response, CapRef) override {
+    return Record(Sent{true, kInvalidCapRef, request, std::move(response)});
+  }
+  std::optional<Message> Receive() override { return std::nullopt; }
+  CapRef LookupService(ServiceId) override { return kInvalidCapRef; }
+  Cycle now() const override { return clock; }
+  TileId tile() const override { return 0; }
+  AppId app() const override { return kInvalidApp; }
+  ServiceId service() const override { return kInvalidService; }
+  void RaiseFault(const std::string&) override {}
+
+  Cycle clock = 0;
+  std::deque<MsgStatus> script;
+  std::vector<Sent> accepted;
+  size_t attempts = 0;
+
+ private:
+  SendResult Record(Sent sent) {
+    ++attempts;
+    MsgStatus status = MsgStatus::kOk;
+    if (!script.empty()) {
+      status = script.front();
+      script.pop_front();
+    }
+    if (status == MsgStatus::kOk) {
+      accepted.push_back(std::move(sent));
+    }
+    return SendResult{status};
+  }
+};
+
+Message Request(uint64_t id) {
+  Message msg;
+  msg.opcode = kOpEcho;
+  msg.request_id = id;
+  msg.src_tile = 3;
+  return msg;
+}
+
+TEST(SerialEngineTest, BackToBackSubmitsQueueBehindEachOther) {
+  SerialEngine engine;
+  engine.Submit(10, 5, Request(1), kOpEcho, PayloadBuf({1}));
+  engine.Submit(11, 3, Request(2), kOpEcho, PayloadBuf({2}));
+  EXPECT_EQ(engine.NextActivity(10), 15u);  // max(0, 10) + 5.
+  FakeTileApi api;
+  api.clock = 15;
+  engine.Drain(api);
+  ASSERT_EQ(api.accepted.size(), 1u);
+  EXPECT_EQ(engine.NextActivity(15), 18u);  // max(15, 11) + 3, not 11 + 3.
+  api.clock = 18;
+  engine.Drain(api);
+  EXPECT_EQ(api.accepted.size(), 2u);
+  // An idle engine starts a new job at `now`.
+  engine.Submit(30, 2, Request(3), kOpEcho, PayloadBuf({3}));
+  EXPECT_EQ(engine.NextActivity(30), 32u);
+  EXPECT_EQ(engine.submitted(), 3u);
+}
+
+TEST(SerialEngineTest, FinishedResultsLeaveInOrder) {
+  SerialEngine engine;
+  engine.Submit(0, 4, Request(1), kOpEcho, PayloadBuf({1}));
+  engine.Submit(0, 4, Request(2), kOpEcho, PayloadBuf({2}));
+  engine.Submit(0, 4, Request(3), kOpEcho, PayloadBuf({3}));
+  FakeTileApi api;
+  api.clock = 100;  // All three are due: one drain sends them all, in order.
+  engine.Drain(api);
+  ASSERT_EQ(api.accepted.size(), 3u);
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(api.accepted[i].request.request_id, i + 1);
+    EXPECT_EQ(api.accepted[i].msg.payload, PayloadBuf({static_cast<uint8_t>(i + 1)}));
+  }
+  EXPECT_EQ(engine.done(), 3u);
+}
+
+TEST(SerialEngineTest, NextActivityCoversEmptyPendingAndOverdue) {
+  SerialEngine engine;
+  EXPECT_EQ(engine.NextActivity(7), kNoActivity);
+  engine.Submit(7, 10, Request(1), kOpEcho, PayloadBuf());
+  EXPECT_EQ(engine.NextActivity(7), 17u);   // Pending: the head's finish cycle.
+  EXPECT_EQ(engine.NextActivity(40), 40u);  // Overdue: active now.
+  FakeTileApi api;
+  api.clock = 40;
+  engine.Drain(api);
+  EXPECT_EQ(engine.NextActivity(40), kNoActivity);
+}
+
+TEST(SerialEngineTest, ForwardsToTheNextStageOrRepliesToTheRequester) {
+  SerialEngine engine;
+  Message request = Request(42);
+  request.src_tile = 9;
+  request.dst_process = 2;
+  request.payload = {7, 7, 7};
+  engine.Submit(0, 1, request, kOpEcho, PayloadBuf({1, 2}));
+  engine.Submit(0, 1, request, kOpAppBase + 77, PayloadBuf({3, 4}), /*forward_to=*/5);
+  FakeTileApi api;
+  api.clock = 2;
+  engine.Drain(api);
+  ASSERT_EQ(api.accepted.size(), 2u);
+  const FakeTileApi::Sent& reply = api.accepted[0];
+  EXPECT_TRUE(reply.reply);
+  // The request header Reply routes by reaches it intact.
+  EXPECT_EQ(reply.request.request_id, 42u);
+  EXPECT_EQ(reply.request.src_tile, 9u);
+  EXPECT_EQ(reply.request.dst_process, 2u);
+  EXPECT_EQ(reply.msg.opcode, kOpEcho);
+  EXPECT_EQ(reply.msg.payload, PayloadBuf({1, 2}));
+  const FakeTileApi::Sent& fwd = api.accepted[1];
+  EXPECT_FALSE(fwd.reply);
+  EXPECT_EQ(fwd.endpoint, 5u);
+  EXPECT_EQ(fwd.msg.opcode, kOpAppBase + 77);
+  EXPECT_EQ(fwd.msg.payload, PayloadBuf({3, 4}));
+}
+
+TEST(SerialEngineTest, NonRetryableRefusalIsDroppedAndCounted) {
+  SerialEngine engine;
+  engine.Submit(0, 1, Request(1), kOpEcho, PayloadBuf({1}));
+  engine.Submit(0, 1, Request(2), kOpEcho, PayloadBuf({2}));
+  FakeTileApi api;
+  api.clock = 5;
+  api.script = {MsgStatus::kNoCapability};
+  engine.Drain(api);
+  // The refused head is dropped and the drain moves on to the next result.
+  EXPECT_EQ(api.attempts, 2u);
+  ASSERT_EQ(api.accepted.size(), 1u);
+  EXPECT_EQ(api.accepted[0].request.request_id, 2u);
+  EXPECT_EQ(engine.dropped(), 1u);
+  EXPECT_EQ(engine.done(), 2u);
+  EXPECT_EQ(engine.NextActivity(5), kNoActivity);
+}
+
+TEST(SerialEngineTest, BackpressureAndRateLimitRetryTheFullResult) {
+  for (const MsgStatus refusal : {MsgStatus::kBackpressure, MsgStatus::kRateLimited}) {
+    SerialEngine engine;
+    engine.Submit(0, 1, Request(1), kOpEcho, PayloadBuf({1, 2, 3, 4, 5, 6, 7, 8}));
+    engine.Submit(0, 1, Request(2), kOpEcho, PayloadBuf({9}), /*forward_to=*/6);
+    FakeTileApi api;
+    api.clock = 5;
+    // The reply is refused once, then the forward behind it is refused once.
+    api.script = {refusal, MsgStatus::kOk, refusal};
+    engine.Drain(api);
+    EXPECT_EQ(api.attempts, 1u);  // The refusal stops the drain.
+    EXPECT_TRUE(api.accepted.empty());
+    EXPECT_EQ(engine.NextActivity(5), 5u);  // Retries every cycle.
+    api.clock = 6;
+    engine.Drain(api);
+    EXPECT_EQ(engine.NextActivity(6), 6u);
+    api.clock = 7;
+    engine.Drain(api);
+    EXPECT_EQ(api.attempts, 4u);
+    ASSERT_EQ(api.accepted.size(), 2u);
+    // A refused send consumed its message; the retry still carries it whole.
+    EXPECT_EQ(api.accepted[0].msg.payload, PayloadBuf({1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(api.accepted[0].msg.opcode, kOpEcho);
+    EXPECT_EQ(api.accepted[1].msg.payload, PayloadBuf({9}));
+    EXPECT_EQ(api.accepted[1].endpoint, 6u);
+    EXPECT_EQ(engine.dropped(), 0u);
+    EXPECT_EQ(engine.done(), 2u);
+    EXPECT_EQ(engine.NextActivity(7), kNoActivity);
+  }
 }
 
 // ---------------------------------------------------------------------

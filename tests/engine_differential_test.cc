@@ -30,8 +30,10 @@
 // wake_differential_test), so `ctest -j` runs them side by side:
 //   * SeededDifferentialTest: the 8x8 workload, 3 seeds.
 //   * ExpressDifferentialTest: serial chaos and mid-corridor Undeploy.
-//   * SkipDifferentialTest: IPC valleys, the RawQueue ready cycle, and a
-//     KV store behind a network gateway (both parked between messages).
+//   * SkipDifferentialTest: IPC valleys, the RawQueue ready cycle, a KV
+//     store behind a network gateway (both parked between messages), and
+//     the serial-engine accelerators (encoder -> compressor forwarding under
+//     a rate limit, checksum, crypto), which park between jobs.
 //   * ActiveSetDifferentialTest: the planted missed wake.
 //   * WakeDifferentialTest: external input into a parked block, one case
 //     per wake path (harness PCIe and RawQueue submissions, MAC TX and
@@ -49,8 +51,12 @@
 #include <string>
 #include <vector>
 
+#include "src/accel/checksum.h"
+#include "src/accel/compressor.h"
+#include "src/accel/crypto.h"
 #include "src/accel/echo.h"
 #include "src/accel/kv_store.h"
+#include "src/accel/video_encoder.h"
 #include "src/baseline/raw_queue.h"
 #include "src/core/service_ids.h"
 #include "src/fault/fault_injector.h"
@@ -65,6 +71,7 @@
 #include "src/tenant/abuse.h"
 #include "src/tenant/tenant.h"
 #include "src/workload/client.h"
+#include "src/workload/frame_source.h"
 #include "src/workload/kv_workload.h"
 #include "tests/test_util.h"
 
@@ -1057,6 +1064,77 @@ TEST(WakeDifferentialTest, FailStopOfAParkedWedgedTileMatches) {
 // ---------------------------------------------------------------------------
 // Harness self-check: a planted missed wake.
 // ---------------------------------------------------------------------------
+
+// The accelerators built on SerialEngine park between jobs: the encoder
+// forwards each frame to the compressor, which forwards the compressed
+// stream to the sender; checksum and crypto reply to it. The encoder's rate
+// limit refuses forwards, which retry every cycle until the bucket refills.
+TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
+  auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
+    const AppId app = tb.os.CreateApp("accels");
+    TileId st = kInvalidTile;
+    ServiceId sender_svc = 0;
+    ScriptedSender* sender = DeploySender(tb, "client", &st, &sender_svc);
+    auto* enc = new VideoEncoderAccelerator(/*cycles_per_block=*/40);
+    ServiceId enc_svc = 0;
+    const TileId et = tb.os.Deploy(app, std::unique_ptr<Accelerator>(enc), &enc_svc);
+    auto* comp = new CompressorAccelerator();
+    ServiceId comp_svc = 0;
+    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(comp), &comp_svc);
+    auto* crc = new ChecksumAccelerator();
+    ServiceId crc_svc = 0;
+    tb.os.Deploy(app, std::unique_ptr<Accelerator>(crc), &crc_svc);
+    auto* xtea = new CryptoAccelerator({1, 2, 3, 4});
+    ServiceId xtea_svc = 0;
+    tb.os.Deploy(app, std::unique_ptr<Accelerator>(xtea), &xtea_svc);
+    enc->SetNextStage(tb.os.GrantSendToService(et, comp_svc), kOpCompress);
+    comp->SetNextStage(tb.os.GrantSendToService(ct, sender_svc), kOpCompress);
+    tb.os.SetRateLimit(et, /*flits_per_1k=*/10, /*burst=*/24);
+    const CapRef to_enc = tb.os.GrantSendToService(st, enc_svc);
+    const CapRef to_crc = tb.os.GrantSendToService(st, crc_svc);
+    const CapRef to_xtea = tb.os.GrantSendToService(st, xtea_svc);
+    Cycle at = kValley;
+    for (uint32_t round = 0; round < 2; ++round) {
+      // Three frames back to back queue in the encoder's engine.
+      for (uint32_t i = 0; i < 3; ++i) {
+        Message frame;
+        frame.opcode = kOpEncodeFrame;
+        frame.payload = FrameToRequestPayload(32, 32, GenerateFrame(32, 32, round * 3 + i, 0));
+        sender->Add(at, std::move(frame), to_enc);
+      }
+      Message sum;
+      sum.opcode = kOpChecksum;
+      sum.payload = PayloadBuf(200 + 100 * round, static_cast<uint8_t>(round));
+      sender->Add(at, std::move(sum), to_crc);
+      Message bad;
+      bad.opcode = kOpEncrypt;  // Wrong opcode for the checksum tile.
+      sender->Add(at, std::move(bad), to_crc);
+      Message secret;
+      secret.opcode = kOpEncrypt;
+      PutU64(secret.payload, 99 + round);
+      secret.payload.insert(secret.payload.end(), 120, 0x5a);
+      sender->Add(at + 1, std::move(secret), to_xtea);
+      at += 5 * kValley;
+    }
+    tb.sim.Run(at + kValley);
+    EXPECT_EQ(sender->received, 12u);  // 6 compressed frames + 6 replies.
+    r->external = sender->log;
+    r->host_client = "frames=" + std::to_string(enc->frames_encoded());
+    r->host_client += " [" + enc->counters().ToString() + "]";
+    r->host_client += " chunks=" + std::to_string(comp->chunks_compressed());
+    r->host_client += " in=" + std::to_string(comp->bytes_in());
+    r->host_client += " out=" + std::to_string(comp->bytes_out());
+    r->host_client += " [" + comp->counters().ToString() + "]";
+    r->host_client += " crc=" + std::to_string(crc->served());
+    r->host_client += " xtea=" + std::to_string(xtea->served());
+  };
+  ExpectEnginesMatch("serial-engine accelerators", TestBoardOptions{}, scenario);
+  // The rate limit did refuse forwards, so the retry path ran.
+  const RunResult got = RunScenario(kOptimized, TestBoardOptions{}, scenario);
+  EXPECT_NE(got.monitor_counters.find("monitor.send_rate_limited="), std::string::npos)
+      << got.monitor_counters;
+  EXPECT_EQ(got.host_client.rfind("frames=6 ", 0), 0u) << got.host_client;
+}
 
 // Sets a flag it shares with a ParkedSleeper at a seeded cycle — without
 // RequestWake, the protocol bug under test.
