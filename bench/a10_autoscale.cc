@@ -218,7 +218,6 @@ RunResult RunOne(Deployment deployment, const TraceShape& shape,
     rcfg.drain_deadline_cycles = 100'000;
     scheduler = std::make_unique<ReconfigScheduler>(&os, app, rcfg);
     AutoscalerConfig acfg;
-    acfg.policy = ScalePolicy::kSloLatency;
     acfg.min_replicas = 1;
     acfg.max_replicas = kMaxReplicas;
     acfg.poll_period = 10'000;

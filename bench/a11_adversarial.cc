@@ -187,7 +187,6 @@ ScenarioResult RunScenario(AttackKind attack, Mode mode, uint64_t seed,
                    std::make_unique<TenantStatsService>(&tmgr));
 
   SupervisorConfig sup_cfg;
-  sup_cfg.backoff_base_cycles = 20'000;
   // The crash-loop policy is part of enforcement: lenient when off.
   sup_cfg.quarantine_after = mode == Mode::kOn ? 3 : 100;
   sup_cfg.crash_loop_window = rc.run_cycles;

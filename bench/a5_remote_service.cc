@@ -109,8 +109,8 @@ double RunHostCpu() {
   // Service on the local host CPU behind PCIe: request out, software
   // service time, response back.
   Simulator sim(250.0);
-  PcieEndpoint up{PcieConfig{}};
-  PcieEndpoint down{PcieConfig{}};
+  PcieEndpoint up;
+  PcieEndpoint down;
   sim.Register(&up);
   sim.Register(&down);
   constexpr Cycle kHostService = 500;  // Syscall + handler (~2us).

@@ -25,7 +25,7 @@ Result Run(uint32_t channels) {
   Simulator sim(250.0);
   DramConfig per_channel;
   per_channel.capacity_bytes = 64ull << 20;
-  InterleavedMemory mem(per_channel, channels, 4096);
+  InterleavedMemory mem(per_channel, channels);
   sim.Register(&mem);
 
   // Stream 16MiB of reads in 4KiB blocks, keeping 256 in flight.

@@ -175,7 +175,6 @@ CampaignResult RunCampaign(bool chaos, uint64_t seed) {
   os.DeployService(kMgmtService, std::unique_ptr<Accelerator>(mgmt));
 
   SupervisorConfig sup_cfg;
-  sup_cfg.backoff_base_cycles = 20'000;
   sup_cfg.quarantine_after = 4;
   sup_cfg.crash_loop_window = 1'500'000;
   Supervisor supervisor(&os, sup_cfg);

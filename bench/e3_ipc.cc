@@ -87,8 +87,8 @@ double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
 // through host-managed queues.
 double HostedOneWay(uint32_t bytes) {
   Simulator sim(250.0);
-  PcieEndpoint up(PcieConfig{});
-  PcieEndpoint down(PcieConfig{});
+  PcieEndpoint up;
+  PcieEndpoint down;
   sim.Register(&up);
   sim.Register(&down);
   constexpr Cycle kHostSoftwareCycles = 300;  // Queue doorbell + forward.

@@ -118,9 +118,8 @@ struct XlatResult {
 // Streams `accesses` memory references over a working set and totals the
 // translation cost of the paged path.
 XlatResult RunPagedTranslation(uint64_t working_set_bytes, bool sequential) {
-  PageTableConfig cfg;
-  PageTable pt(cfg);
-  const uint64_t pages = working_set_bytes / cfg.page_bytes;
+  PageTable pt;
+  const uint64_t pages = working_set_bytes / kPageTablePageBytes;
   for (uint64_t p = 0; p < pages; ++p) {
     pt.Map(p, p);
   }

@@ -93,7 +93,7 @@ void BM_SegmentAllocateFree(benchmark::State& state) {
 BENCHMARK(BM_SegmentAllocateFree);
 
 void BM_PageTableTranslate(benchmark::State& state) {
-  PageTable pt(PageTableConfig{});
+  PageTable pt;
   for (uint64_t p = 0; p < 4096; ++p) {
     pt.Map(p, p);
   }

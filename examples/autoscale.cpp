@@ -88,7 +88,6 @@ int main() {
   rcfg.drain_cycles = 1'000;
   ReconfigScheduler scheduler(&os, app, rcfg);
   AutoscalerConfig acfg;
-  acfg.policy = ScalePolicy::kSloLatency;
   acfg.min_replicas = 1;
   acfg.max_replicas = 4;
   acfg.poll_period = 5'000;

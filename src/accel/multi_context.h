@@ -62,7 +62,6 @@ class MultiContextHost : public Accelerator {
   std::vector<uint8_t> SaveState() override;
   void RestoreState(std::span<const uint8_t> state) override;
 
-  size_t num_contexts() const { return contexts_.size(); }
   bool context_alive(ProcessId pid) const;
   const CounterSet& counters() const { return counters_; }
 

@@ -5,11 +5,7 @@
 namespace apiary {
 
 HostedSystem::HostedSystem(HostedConfig config, Simulator& sim, ExternalNetwork* network)
-    : config_(std::move(config)),
-      network_(network),
-      pcie_to_fpga_(config_.pcie),
-      pcie_from_fpga_(config_.pcie),
-      core_free_at_(config_.cpu_cores, 0) {
+    : config_(config), network_(network) {
   sim.Register(this);
   sim.Register(&pcie_to_fpga_);
   sim.Register(&pcie_from_fpga_);
@@ -20,7 +16,7 @@ HostedSystem::HostedSystem(HostedConfig config, Simulator& sim, ExternalNetwork*
 
 void HostedSystem::OnFrame(EthFrame frame, Cycle now) {
   (void)now;
-  if (cpu_ingress_.size() >= config_.max_queue_depth) {
+  if (cpu_ingress_.size() >= kHostMaxQueueDepth) {
     ++dropped_;
     counters_.Add("hosted.dropped");
     return;
@@ -30,28 +26,23 @@ void HostedSystem::OnFrame(EthFrame frame, Cycle now) {
 }
 
 void HostedSystem::Tick(Cycle now) {
-  // Host CPU cores: drain egress (completions) with priority, then ingress.
-  for (auto& free_at : core_free_at_) {
-    if (now < free_at) {
-      continue;
-    }
+  // The host CPU core: drain egress (completions) with priority, then ingress.
+  if (now >= cpu_free_at_) {
     if (!cpu_egress_.empty()) {
       Job job = std::move(cpu_egress_.front());
       cpu_egress_.pop_front();
-      free_at = now + config_.cpu_egress_cycles;
-      cpu_busy_cycles_ += config_.cpu_egress_cycles;
+      cpu_free_at_ = now + kHostCpuEgressCycles;
+      cpu_busy_cycles_ += kHostCpuEgressCycles;
       // Reply is emitted when the egress software path finishes; model the
-      // delay by completing at free_at via the reply frame's timestamp (the
-      // external network adds its own latency).
-      pending_replies_.push_back(PendingReply{free_at, std::move(job)});
-      continue;
-    }
-    if (!cpu_ingress_.empty()) {
+      // delay by completing at cpu_free_at_ via the reply frame's timestamp
+      // (the external network adds its own latency).
+      pending_replies_.push_back(PendingReply{cpu_free_at_, std::move(job)});
+    } else if (!cpu_ingress_.empty()) {
       Job job = std::move(cpu_ingress_.front());
       cpu_ingress_.pop_front();
-      free_at = now + config_.cpu_ingress_cycles;
-      cpu_busy_cycles_ += config_.cpu_ingress_cycles;
-      pending_to_pcie_.push_back(PendingReply{free_at, std::move(job)});
+      cpu_free_at_ = now + kHostCpuIngressCycles;
+      cpu_busy_cycles_ += kHostCpuIngressCycles;
+      pending_to_pcie_.push_back(PendingReply{cpu_free_at_, std::move(job)});
     }
   }
 
@@ -85,9 +76,7 @@ void HostedSystem::Tick(Cycle now) {
   if (!fpga_busy_ && !fpga_queue_.empty()) {
     fpga_current_ = std::move(fpga_queue_.front());
     fpga_queue_.pop_front();
-    fpga_current_.reply_payload = config_.compute
-                                      ? config_.compute(fpga_current_.request.payload)
-                                      : fpga_current_.request.payload;
+    fpga_current_.reply_payload = fpga_current_.request.payload;
     fpga_free_at_ = now + config_.accel_cycles;
     fpga_busy_ = true;
   }

@@ -8,13 +8,12 @@
 //          -> PCIe -> FPGA accelerator -> PCIe -> host CPU -> NIC -> client
 //
 // versus Apiary's direct path (client -> MAC -> NoC -> accelerator). The
-// model charges realistic CPU software time, PCIe crossings, and a bounded
-// CPU core pool (the source of tail-latency collapse under load).
+// model charges realistic CPU software time, PCIe crossings, and one host
+// CPU core (the source of tail-latency collapse under load).
 #ifndef SRC_BASELINE_HOSTED_H_
 #define SRC_BASELINE_HOSTED_H_
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/fpga/ethernet.h"
@@ -25,19 +24,17 @@
 
 namespace apiary {
 
+// Host software time per request on the ingress path: NIC interrupt/poll,
+// kernel network stack, permission check, DMA descriptor setup. ~2 us.
+inline constexpr Cycle kHostCpuIngressCycles = 500;
+// Egress path: completion handling + reply transmission. ~1.5 us.
+inline constexpr Cycle kHostCpuEgressCycles = 375;
+// Requests the host accepts before dropping at ingress.
+inline constexpr uint32_t kHostMaxQueueDepth = 4096;
+
 struct HostedConfig {
-  // Host software time per request on the ingress path: NIC interrupt/poll,
-  // kernel network stack, permission check, DMA descriptor setup. ~2 us.
-  Cycle cpu_ingress_cycles = 500;
-  // Egress path: completion handling + reply transmission. ~1.5 us.
-  Cycle cpu_egress_cycles = 375;
-  uint32_t cpu_cores = 1;
-  PcieConfig pcie;
   // FPGA-side service time per request (the accelerator itself).
   Cycle accel_cycles = 200;
-  // Optional real compute applied to the payload to form the reply.
-  std::function<std::vector<uint8_t>(const std::vector<uint8_t>&)> compute;
-  uint32_t max_queue_depth = 4096;
 };
 
 class HostedSystem : public Clocked, public ExternalEndpoint {
@@ -50,7 +47,7 @@ class HostedSystem : public Clocked, public ExternalEndpoint {
 
   uint64_t completed() const { return completed_; }
   uint64_t dropped() const { return dropped_; }
-  // Total cycles any host CPU core spent busy (for the energy proxy).
+  // Total cycles the host CPU core spent busy (for the energy proxy).
   uint64_t cpu_busy_cycles() const { return cpu_busy_cycles_; }
   uint64_t pcie_bytes() const { return pcie_to_fpga_.counters().Get("pcie.bytes") +
                                        pcie_from_fpga_.counters().Get("pcie.bytes"); }
@@ -76,7 +73,7 @@ class HostedSystem : public Clocked, public ExternalEndpoint {
   std::deque<Job> cpu_egress_;
   std::deque<PendingReply> pending_to_pcie_;
   std::deque<PendingReply> pending_replies_;
-  std::vector<Cycle> core_free_at_;
+  Cycle cpu_free_at_ = 0;
   uint32_t address_ = 0;
   Cycle fpga_free_at_ = 0;
   bool fpga_busy_ = false;

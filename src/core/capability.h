@@ -21,7 +21,6 @@ namespace apiary {
 enum class CapKind : uint8_t {
   kEndpoint,  // Right to send messages to (dst_tile, dst_service).
   kMemory,    // Right to access a physical memory segment.
-  kManage,    // Right to manage another tile (fail-stop, reconfigure).
 };
 
 // Rights bitmask.
@@ -36,7 +35,7 @@ struct Capability {
   CapKind kind = CapKind::kEndpoint;
   uint32_t rights = 0;
 
-  // kEndpoint / kManage target.
+  // kEndpoint target.
   TileId dst_tile = kInvalidTile;
   ServiceId dst_service = kInvalidService;
 

@@ -13,8 +13,7 @@ uint64_t SegmentKey(TileId tile, CapRef ref) {
 
 }  // namespace
 
-ApiaryOs::ApiaryOs(Board& board, MonitorConfig monitor_config)
-    : board_(&board), monitor_config_(monitor_config) {
+ApiaryOs::ApiaryOs(Board& board) : board_(&board) {
   if (!board.ok()) {
     ok_ = false;
     error_ = "board failed to build: " + board.build_error();
@@ -22,8 +21,7 @@ ApiaryOs::ApiaryOs(Board& board, MonitorConfig monitor_config)
   }
   const uint32_t n = board.num_tiles();
   // Each tile's monitor is static trusted logic; charge it to the budget.
-  const uint64_t monitor_cells =
-      MonitorCellCost(ResourceCosts{}, monitor_config_.cap_entries);
+  const uint64_t monitor_cells = MonitorCellCost(ResourceCosts{}, kMonitorCapEntries);
   if (!board.budget().ChargeStatic("monitors", monitor_cells * n)) {
     ok_ = false;
     error_ = "monitors do not fit on the part";
@@ -31,7 +29,7 @@ ApiaryOs::ApiaryOs(Board& board, MonitorConfig monitor_config)
   }
   tiles_.reserve(n);
   for (TileId t = 0; t < n; ++t) {
-    tiles_.push_back(std::make_unique<Tile>(&board.sim(), t, &board.mesh().ni(t), monitor_config_,
+    tiles_.push_back(std::make_unique<Tile>(&board.sim(), t, &board.mesh().ni(t),
                                             board.config().partial_reconfig_cycles));
     board.sim().Register(tiles_.back().get());
   }
@@ -358,6 +356,15 @@ CounterSet ApiaryOs::AggregateMonitorCounters() const {
     total.Merge(tile->monitor().counters());
   }
   return total;
+}
+
+bool ApiaryOs::IcapFree() const {
+  for (const auto& tile : tiles_) {
+    if (tile->reconfiguring()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 uint64_t ApiaryOs::TotalMonitorCells() const {

@@ -30,7 +30,7 @@ struct DeployOptions {
 
 class ApiaryOs {
  public:
-  explicit ApiaryOs(Board& board, MonitorConfig monitor_config = MonitorConfig{});
+  explicit ApiaryOs(Board& board);
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }
@@ -102,6 +102,11 @@ class ApiaryOs {
   // mid-reconfiguration) — the placement candidates.
   std::vector<TileId> FreeTiles() const;
 
+  // True when no tile is mid-reconfiguration. The part has one
+  // configuration port (ICAP), so the orchestrator's reconfiguration
+  // scheduler and the supervisor's recoveries wait for it in turn.
+  bool IcapFree() const;
+
   // Logic cells available in one dynamic tile region.
   uint64_t TileRegionCells() const { return board_->config().tile_region_cells; }
 
@@ -158,7 +163,6 @@ class ApiaryOs {
   void ReleaseTileGrants(TileId tile);
 
   Board* board_;
-  MonitorConfig monitor_config_;
   bool ok_ = true;
   std::string error_;
 

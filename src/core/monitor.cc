@@ -5,13 +5,12 @@
 
 namespace apiary {
 
-Monitor::Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni, MonitorConfig config)
+Monitor::Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni)
     : sim_(sim),
       tile_(tile),
       ni_(ni),
-      config_(config),
-      cap_table_(config.cap_entries),
-      trace_(config.trace_capacity) {}
+      cap_table_(kMonitorCapEntries),
+      trace_(kMonitorTraceCapacity) {}
 
 CounterSet Monitor::counters() const {
   CounterSet set = counters_;
@@ -22,7 +21,7 @@ CounterSet Monitor::counters() const {
 }
 
 uint64_t Monitor::MonitorLogicCells() const {
-  return MonitorCellCost(ResourceCosts{}, config_.cap_entries);
+  return MonitorCellCost(ResourceCosts{}, kMonitorCapEntries);
 }
 
 CapRef Monitor::InstallCap(const Capability& cap) { return cap_table_.Install(cap); }
@@ -95,11 +94,11 @@ CapRef Monitor::LookupService(ServiceId service) {
   return cap_table_.FindEndpointForService(service);
 }
 
-bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile) {
-  if (outbox_.size() >= config_.outbox_messages) {
+bool Monitor::EnqueuePacket(Message&& msg, TileId dst_tile) {
+  if (outbox_.size() >= kMonitorOutboxMessages) {
     return false;
   }
-  outbox_.push_back(Outbound{sim_->now() + config_.send_pipeline_cycles, dst_tile, msg});
+  outbox_.push_back(Outbound{sim_->now() + kMonitorSendPipelineCycles, dst_tile, std::move(msg)});
   return true;
 }
 
@@ -202,15 +201,19 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   if (shared_limiter_ != nullptr) {
     shared_limiter_->TryConsume(now, flits);
   }
-  if (!EnqueuePacket(msg, dst_tile)) {
+  // Read before the move: the outbox takes the message.
+  const MsgKind kind = msg.kind;
+  const ServiceId dst_service = msg.dst_service;
+  const uint16_t opcode = msg.opcode;
+  if (!EnqueuePacket(std::move(msg), dst_tile)) {
     counters_.Add("monitor.send_backpressure");
     return SendResult{MsgStatus::kBackpressure};
   }
-  if (msg.kind == MsgKind::kRequest) {
+  if (kind == MsgKind::kRequest) {
     ++pending_responses_[dst_tile];
   }
   ++sends_;
-  Trace(TraceEvent::kSend, dst_tile, msg.dst_service, msg.opcode, MsgStatus::kOk);
+  Trace(TraceEvent::kSend, dst_tile, dst_service, opcode, MsgStatus::kOk);
   return SendResult{MsgStatus::kOk};
 }
 
@@ -256,11 +259,11 @@ void Monitor::BounceWithError(const Message& request, MsgStatus status) {
   counters_.Add("monitor.error_bounces");
   // Bypasses the rate limiter (the error path is monitor-owned) but still
   // respects the outbox bound so a flood cannot amplify unboundedly.
-  EnqueuePacket(err, request.src_tile);
+  EnqueuePacket(std::move(err), request.src_tile);
 }
 
 void Monitor::DeliverIncoming(Message msg) {
-  if (inbox_.size() >= config_.inbox_messages) {
+  if (inbox_.size() >= kMonitorInboxMessages) {
     counters_.Add("monitor.inbox_overflow");
     BounceWithError(msg, MsgStatus::kBackpressure);
     return;

@@ -24,8 +24,8 @@
 #include "src/core/message.h"
 #include "src/core/trace.h"
 #include "src/noc/network_interface.h"
-#include "src/noc/rate_limiter.h"
 #include "src/sim/clocked.h"
+#include "src/sim/rate_limiter.h"
 #include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
@@ -37,20 +37,18 @@ enum class TileFaultState : uint8_t {
   kStopped = 1,  // Fail-stopped: messages sunk, senders bounced with errors.
 };
 
-struct MonitorConfig {
-  uint32_t cap_entries = 64;
-  uint32_t inbox_messages = 256;
-  uint32_t outbox_messages = 16;
-  // Pipeline latency the monitor adds to each outgoing message (capability
-  // CAM lookup + header stamp). Two cycles matches a small two-stage check.
-  Cycle send_pipeline_cycles = 2;
-  size_t trace_capacity = 256;
-};
+inline constexpr uint32_t kMonitorCapEntries = 64;
+inline constexpr uint32_t kMonitorInboxMessages = 256;
+inline constexpr uint32_t kMonitorOutboxMessages = 16;
+// Pipeline latency the monitor adds to each outgoing message (capability
+// CAM lookup + header stamp). Two cycles matches a small two-stage check.
+inline constexpr Cycle kMonitorSendPipelineCycles = 2;
+inline constexpr size_t kMonitorTraceCapacity = 256;
 
 class Monitor : public TileApi {
  public:
   // `sim` is the board's simulator: its now() is the monitor's clock.
-  Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni, MonitorConfig config);
+  Monitor(const Simulator* sim, TileId tile, NetworkInterface* ni);
 
   // ------------------------------------------------------------------
   // Trusted (kernel-side) configuration interface.
@@ -140,14 +138,14 @@ class Monitor : public TileApi {
   bool FillGrant(CapRef mem, SegmentGrant* out);
   void DeliverIncoming(Message msg);
   void BounceWithError(const Message& request, MsgStatus status);
-  bool EnqueuePacket(const Message& msg, TileId dst_tile);
+  // Takes `msg` only when the outbox has room; on false it is untouched.
+  bool EnqueuePacket(Message&& msg, TileId dst_tile);
   void Trace(TraceEvent event, TileId peer, ServiceId service, uint16_t opcode,
              MsgStatus status);
 
   const Simulator* sim_;
   TileId tile_;
   NetworkInterface* ni_;
-  MonitorConfig config_;
 
   AppId app_ = kInvalidApp;
   ServiceId service_ = kInvalidService;

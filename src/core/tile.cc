@@ -4,9 +4,8 @@
 
 namespace apiary {
 
-Tile::Tile(const Simulator* sim, TileId id, NetworkInterface* ni, MonitorConfig config,
-           Cycle reconfig_cycles)
-    : id_(id), monitor_(sim, id, ni, config), reconfig_cycles_(reconfig_cycles) {
+Tile::Tile(const Simulator* sim, TileId id, NetworkInterface* ni, Cycle reconfig_cycles)
+    : id_(id), monitor_(sim, id, ni), reconfig_cycles_(reconfig_cycles) {
   // Packets landing in the NI's delivery queue are this tile's input: route
   // the NI's delivery-side wake here so a parked tile resumes the cycle the
   // reference every-block loop would have drained the packet.

@@ -15,8 +15,7 @@ namespace apiary {
 class Tile : public Clocked {
  public:
   // `sim` is the board's simulator; the tile's monitor reads its clock.
-  Tile(const Simulator* sim, TileId id, NetworkInterface* ni, MonitorConfig config,
-       Cycle reconfig_cycles);
+  Tile(const Simulator* sim, TileId id, NetworkInterface* ni, Cycle reconfig_cycles);
 
   // Loads `accel` into the slot. Takes `reconfig_cycles` of partial
   // reconfiguration, counted from the simulator's current cycle, before the

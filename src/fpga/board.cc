@@ -22,27 +22,12 @@ Board::Board(BoardConfig config, Simulator& sim, ExternalNetwork* external_netwo
   }
   sim_->Register(mesh_.get());
 
-  if (config_.memory_channels <= 1) {
-    single_memory_ = std::make_unique<MemoryController>(config_.dram);
-    memory_backend_ = single_memory_.get();
-    sim_->Register(single_memory_.get());
-    if (!budget_->ChargeStatic("memory_controller", ResourceCosts{}.memory_controller)) {
-      ok_ = false;
-      build_error_ = "memory controller does not fit";
-      return;
-    }
-  } else {
-    multi_memory_ = std::make_unique<InterleavedMemory>(config_.dram, config_.memory_channels,
-                                                        config_.memory_stripe_bytes);
-    memory_backend_ = multi_memory_.get();
-    sim_->Register(multi_memory_.get());
-    const uint64_t hbm_cells =
-        static_cast<uint64_t>(config_.memory_channels) * ResourceCosts{}.hbm_controller;
-    if (!budget_->ChargeStatic("hbm_controllers", hbm_cells)) {
-      ok_ = false;
-      build_error_ = "HBM controllers do not fit";
-      return;
-    }
+  memory_ = std::make_unique<MemoryController>(config_.dram);
+  sim_->Register(memory_.get());
+  if (!budget_->ChargeStatic("memory_controller", ResourceCosts{}.memory_controller)) {
+    ok_ = false;
+    build_error_ = "memory controller does not fit";
+    return;
   }
 
   const double clock_mhz = sim_->frequency_mhz();
@@ -77,7 +62,7 @@ Board::Board(BoardConfig config, Simulator& sim, ExternalNetwork* external_netwo
   }
 
   if (config_.with_pcie) {
-    pcie_ = std::make_unique<PcieEndpoint>(config_.pcie);
+    pcie_ = std::make_unique<PcieEndpoint>();
     if (!budget_->ChargeStatic("pcie", PcieEndpoint::LogicCellCost())) {
       ok_ = false;
       build_error_ = "PCIe endpoint does not fit";

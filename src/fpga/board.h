@@ -1,4 +1,4 @@
-// The FPGA board: one part, a NoC fabric, DRAM channels, MACs, PCIe, and a
+// The FPGA board: one part, a NoC fabric, a DDR channel, MACs, PCIe, and a
 // logic-resource budget with static/dynamic region accounting.
 #ifndef SRC_FPGA_BOARD_H_
 #define SRC_FPGA_BOARD_H_
@@ -11,7 +11,6 @@
 #include "src/fpga/part_catalog.h"
 #include "src/fpga/pcie.h"
 #include "src/fpga/resource_model.h"
-#include "src/mem/interleaved_memory.h"
 #include "src/mem/memory_controller.h"
 #include "src/noc/mesh.h"
 #include "src/sim/simulator.h"
@@ -27,14 +26,10 @@ enum class MacKind {
 struct BoardConfig {
   std::string part_number = "VU9P";
   MeshConfig mesh;
-  // Per-channel DRAM config; total capacity = memory_channels x capacity.
+  // The board's one DDR channel.
   DramConfig dram;
-  // 1 = a plain DDR controller; >1 = HBM-style interleaved pseudo-channels.
-  uint32_t memory_channels = 1;
-  uint64_t memory_stripe_bytes = 4096;
   MacKind mac_kind = MacKind::k100G;
   bool with_pcie = false;
-  PcieConfig pcie;
   // Partial reconfiguration time for one tile region. ICAP-limited bitstream
   // load for a ~100k-cell region is on the order of 10-30 ms; default 16 ms
   // at 250 MHz.
@@ -56,7 +51,7 @@ class Board {
   const std::string& build_error() const { return build_error_; }
 
   Mesh& mesh() { return *mesh_; }
-  MemoryBackend& memory() { return *memory_backend_; }
+  MemoryController& memory() { return *memory_; }
   ResourceBudget& budget() { return *budget_; }
   const BoardConfig& config() const { return config_; }
   Simulator& sim() { return *sim_; }
@@ -75,9 +70,7 @@ class Board {
   std::string build_error_;
   std::unique_ptr<ResourceBudget> budget_;
   std::unique_ptr<Mesh> mesh_;
-  std::unique_ptr<MemoryController> single_memory_;
-  std::unique_ptr<InterleavedMemory> multi_memory_;
-  MemoryBackend* memory_backend_ = nullptr;
+  std::unique_ptr<MemoryController> memory_;
   std::unique_ptr<EthMac10G> mac10g_;
   std::unique_ptr<EthMac100G> mac100g_;
   std::unique_ptr<PcieEndpoint> pcie_;

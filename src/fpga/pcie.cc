@@ -6,7 +6,7 @@
 namespace apiary {
 
 bool PcieEndpoint::Submit(uint64_t bytes, Completion done) {
-  if (queue_.size() >= config_.queue_depth) {
+  if (queue_.size() >= kPcieQueueDepth) {
     counters_.Add("pcie.backpressure");
     return false;
   }
@@ -25,10 +25,10 @@ void PcieEndpoint::Tick(Cycle now) {
       continue;
     }
     const Cycle serialize = std::max<Cycle>(
-        1, static_cast<Cycle>(std::ceil(static_cast<double>(t.bytes) / config_.bytes_per_cycle)));
+        1, static_cast<Cycle>(std::ceil(static_cast<double>(t.bytes) / kPcieBytesPerCycle)));
     const Cycle start = std::max(now, link_free_at_);
     link_free_at_ = start + serialize;
-    t.complete_at = start + serialize + config_.one_way_cycles;
+    t.complete_at = start + serialize + kPcieOneWayCycles;
     t.launched = true;
   }
   // Complete in FIFO order.

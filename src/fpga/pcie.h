@@ -13,23 +13,19 @@
 
 namespace apiary {
 
-struct PcieConfig {
-  // One-way DMA/MMIO crossing latency. ~600-900ns is typical for Gen3/4;
-  // expressed in cycles of the fabric clock by the board.
-  Cycle one_way_cycles = 175;  // ~700ns at 250 MHz.
-  // Effective payload bandwidth in bytes/cycle (Gen3 x16 ~ 12 GB/s ~ 48 B
-  // per 4ns cycle).
-  double bytes_per_cycle = 48.0;
-  uint32_t queue_depth = 256;
-};
+// One-way DMA/MMIO crossing latency. ~600-900ns is typical for Gen3/4;
+// 175 cycles is ~700ns at 250 MHz.
+inline constexpr Cycle kPcieOneWayCycles = 175;
+// Effective payload bandwidth in bytes/cycle (Gen3 x16 ~ 12 GB/s ~ 48 B
+// per 4ns cycle).
+inline constexpr double kPcieBytesPerCycle = 48.0;
+inline constexpr uint32_t kPcieQueueDepth = 256;
 
 // Models one direction-agnostic transfer pipe: submissions complete in FIFO
 // order after latency + serialization.
 class PcieEndpoint : public Clocked {
  public:
   using Completion = std::function<void(Cycle)>;
-
-  explicit PcieEndpoint(PcieConfig config) : config_(config) {}
 
   // Submits a transfer of `bytes`; `done` fires when it lands on the other
   // side. Returns false when the submission queue is full. Wakes the
@@ -53,7 +49,6 @@ class PcieEndpoint : public Clocked {
   std::string DebugName() const override { return "pcie"; }
 
   const CounterSet& counters() const { return counters_; }
-  const PcieConfig& config() const { return config_; }
 
   static uint32_t LogicCellCost() { return 70000; }
 
@@ -65,7 +60,6 @@ class PcieEndpoint : public Clocked {
     Cycle complete_at = 0;
   };
 
-  PcieConfig config_;
   std::deque<Transfer> queue_;
   Cycle link_free_at_ = 0;
   CounterSet counters_;

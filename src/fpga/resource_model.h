@@ -51,7 +51,6 @@ class ResourceBudget {
   // fits.
   bool ReserveTileRegion(uint64_t cells);
 
-  uint64_t total_cells() const { return part_.logic_cells; }
   uint64_t static_cells() const { return static_cells_; }
   uint64_t tile_region_cells() const { return tile_region_cells_; }
   uint64_t free_cells() const {

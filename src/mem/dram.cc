@@ -4,20 +4,20 @@
 
 namespace apiary {
 
-DramChannel::DramChannel(DramConfig config) : config_(config), banks_(config.num_banks) {}
+DramChannel::DramChannel() : banks_(kDramBanks) {}
 
 uint32_t DramChannel::BankOf(uint64_t addr) const {
   // Interleave rows across banks so sequential streams use all banks.
-  return static_cast<uint32_t>((addr / config_.row_bytes) % config_.num_banks);
+  return static_cast<uint32_t>((addr / kDramRowBytes) % kDramBanks);
 }
 
 uint64_t DramChannel::RowOf(uint64_t addr) const {
-  return addr / (static_cast<uint64_t>(config_.row_bytes) * config_.num_banks);
+  return addr / (static_cast<uint64_t>(kDramRowBytes) * kDramBanks);
 }
 
 bool DramChannel::Enqueue(uint64_t addr, uint32_t bytes, bool is_write, Completion done) {
   Bank& bank = banks_[BankOf(addr)];
-  if (bank.queue.size() >= config_.per_bank_queue_depth) {
+  if (bank.queue.size() >= kDramBankQueueDepth) {
     counters_.Add("dram.backpressure");
     return false;
   }
@@ -31,18 +31,17 @@ Cycle DramChannel::ServiceLatency(Bank& bank, const Request& req) {
   const uint64_t row = RowOf(req.addr);
   Cycle latency;
   if (bank.open_row == row) {
-    latency = config_.row_hit_cycles;
+    latency = kDramRowHitCycles;
     counters_.Add("dram.row_hits");
   } else {
-    latency = config_.row_miss_cycles;
+    latency = kDramRowMissCycles;
     counters_.Add("dram.row_misses");
     bank.open_row = row;
   }
   // Each additional burst beyond the first streams out back-to-back.
-  const uint32_t bursts =
-      (req.bytes + config_.burst_bytes - 1) / config_.burst_bytes;
+  const uint32_t bursts = (req.bytes + kDramBurstBytes - 1) / kDramBurstBytes;
   if (bursts > 1) {
-    latency += static_cast<Cycle>(bursts - 1) * config_.burst_cycles;
+    latency += static_cast<Cycle>(bursts - 1) * kDramBurstCycles;
   }
   return latency;
 }

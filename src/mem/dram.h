@@ -17,15 +17,19 @@
 
 namespace apiary {
 
+// Channel timing: 16 banks with 4 KiB row buffers, 64-byte bursts. An access
+// to the open row pays the CAS latency; any other row pays precharge +
+// activate + CAS; each burst after the first streams out in kDramBurstCycles.
+inline constexpr uint32_t kDramBanks = 16;
+inline constexpr uint32_t kDramRowBytes = 4096;
+inline constexpr uint32_t kDramBurstBytes = 64;
+inline constexpr Cycle kDramRowHitCycles = 8;
+inline constexpr Cycle kDramRowMissCycles = 28;
+inline constexpr Cycle kDramBurstCycles = 2;
+inline constexpr uint32_t kDramBankQueueDepth = 16;
+
 struct DramConfig {
   uint64_t capacity_bytes = 4ull << 30;  // 4 GiB channel.
-  uint32_t num_banks = 16;
-  uint32_t row_bytes = 4096;       // Row buffer size.
-  uint32_t burst_bytes = 64;       // Bytes transferred per burst.
-  Cycle row_hit_cycles = 8;        // CAS latency for an open-row access.
-  Cycle row_miss_cycles = 28;      // Precharge + activate + CAS.
-  Cycle burst_cycles = 2;          // Data transfer time per extra burst.
-  uint32_t per_bank_queue_depth = 16;
 };
 
 // A single DRAM channel. Requests complete asynchronously via callback; the
@@ -34,7 +38,7 @@ class DramChannel : public Clocked {
  public:
   using Completion = std::function<void(Cycle)>;
 
-  explicit DramChannel(DramConfig config);
+  DramChannel();
 
   // Enqueues an access of `bytes` starting at `addr`. Returns false if the
   // target bank queue is full (caller must retry / apply backpressure).
@@ -46,7 +50,6 @@ class DramChannel : public Clocked {
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   std::string DebugName() const override { return "dram"; }
 
-  const DramConfig& config() const { return config_; }
   const CounterSet& counters() const { return counters_; }
 
   // Address decomposition helpers (row-major interleave across banks).
@@ -70,7 +73,6 @@ class DramChannel : public Clocked {
 
   Cycle ServiceLatency(Bank& bank, const Request& req);
 
-  DramConfig config_;
   std::vector<Bank> banks_;
   CounterSet counters_;
 };

@@ -5,10 +5,8 @@
 
 namespace apiary {
 
-InterleavedMemory::InterleavedMemory(DramConfig per_channel, uint32_t channels,
-                                     uint64_t stripe_bytes)
-    : stripe_bytes_(stripe_bytes),
-      capacity_(static_cast<uint64_t>(channels) * per_channel.capacity_bytes) {
+InterleavedMemory::InterleavedMemory(DramConfig per_channel, uint32_t channels)
+    : capacity_(static_cast<uint64_t>(channels) * per_channel.capacity_bytes) {
   for (uint32_t c = 0; c < channels; ++c) {
     channels_.push_back(std::make_unique<MemoryController>(per_channel));
   }
@@ -21,11 +19,11 @@ std::vector<InterleavedMemory::Chunk> InterleavedMemory::Split(uint64_t addr,
   uint64_t offset = 0;
   while (offset < len) {
     const uint64_t global = addr + offset;
-    const uint64_t stripe_index = global / stripe_bytes_;
+    const uint64_t stripe_index = global / kInterleaveStripeBytes;
     const uint32_t channel = static_cast<uint32_t>(stripe_index % n);
     const uint64_t local =
-        (stripe_index / n) * stripe_bytes_ + global % stripe_bytes_;
-    const uint64_t room = stripe_bytes_ - global % stripe_bytes_;
+        (stripe_index / n) * kInterleaveStripeBytes + global % kInterleaveStripeBytes;
+    const uint64_t room = kInterleaveStripeBytes - global % kInterleaveStripeBytes;
     const uint64_t chunk_len = std::min(room, len - offset);
     chunks.push_back(Chunk{channel, local, offset, chunk_len});
     offset += chunk_len;

@@ -18,12 +18,13 @@
 
 namespace apiary {
 
+// Stripe granularity: consecutive stripes rotate across channels.
+inline constexpr uint64_t kInterleaveStripeBytes = 4096;
+
 class InterleavedMemory : public Clocked, public MemoryBackend {
  public:
-  // Total capacity = channels x per_channel.capacity_bytes. Stripes of
-  // `stripe_bytes` rotate across channels.
-  InterleavedMemory(DramConfig per_channel, uint32_t channels,
-                    uint64_t stripe_bytes = 4096);
+  // Total capacity = channels x per_channel.capacity_bytes.
+  InterleavedMemory(DramConfig per_channel, uint32_t channels);
 
   bool SubmitRead(uint64_t addr, std::span<uint8_t> out,
                   std::function<void(Cycle)> done) override;
@@ -83,7 +84,6 @@ class InterleavedMemory : public Clocked, public MemoryBackend {
     return addr <= capacity_ && len <= capacity_ - addr;
   }
 
-  uint64_t stripe_bytes_;
   uint64_t capacity_;
   std::vector<std::unique_ptr<MemoryController>> channels_;
   std::deque<std::shared_ptr<Op>> pending_;

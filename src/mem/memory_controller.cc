@@ -5,8 +5,7 @@
 
 namespace apiary {
 
-MemoryController::MemoryController(DramConfig config)
-    : dram_(config), store_(config.capacity_bytes, 0) {}
+MemoryController::MemoryController(DramConfig config) : store_(config.capacity_bytes, 0) {}
 
 bool MemoryController::SubmitRead(uint64_t addr, std::span<uint8_t> out,
                                   std::function<void(Cycle)> done) {

@@ -35,7 +35,6 @@ class MemoryController : public Clocked, public MemoryBackend {
 
   BitFlipResult InjectBitFlip(uint64_t addr, uint32_t bit) override;
   void SetEccEnabled(bool enabled) override { ecc_enabled_ = enabled; }
-  bool ecc_enabled() const { return ecc_enabled_; }
 
   void Tick(Cycle now) override { dram_.Tick(now); }
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {

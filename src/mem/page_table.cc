@@ -2,8 +2,6 @@
 
 namespace apiary {
 
-PageTable::PageTable(PageTableConfig config) : config_(config) {}
-
 void PageTable::Map(uint64_t vpn, uint64_t pfn) { mappings_[vpn] = pfn; }
 
 void PageTable::Unmap(uint64_t vpn) {
@@ -30,30 +28,29 @@ void PageTable::TouchTlb(uint64_t vpn) {
   }
   tlb_lru_.push_front(vpn);
   tlb_index_[vpn] = tlb_lru_.begin();
-  if (tlb_lru_.size() > config_.tlb_entries) {
+  if (tlb_lru_.size() > kTlbEntries) {
     tlb_index_.erase(tlb_lru_.back());
     tlb_lru_.pop_back();
   }
 }
 
 std::optional<PageTable::Translation> PageTable::Translate(uint64_t vaddr) {
-  const uint64_t vpn = vaddr / config_.page_bytes;
-  const uint64_t offset = vaddr % config_.page_bytes;
+  const uint64_t vpn = vaddr / kPageTablePageBytes;
+  const uint64_t offset = vaddr % kPageTablePageBytes;
   auto map_it = mappings_.find(vpn);
   if (map_it == mappings_.end()) {
     counters_.Add("pt.faults");
     return std::nullopt;
   }
   Translation result;
-  result.physical_addr = map_it->second * config_.page_bytes + offset;
+  result.physical_addr = map_it->second * kPageTablePageBytes + offset;
   if (TlbLookup(vpn)) {
     counters_.Add("pt.tlb_hits");
-    result.latency = config_.tlb_hit_cycles;
+    result.latency = kTlbHitCycles;
     result.tlb_hit = true;
   } else {
     counters_.Add("pt.tlb_misses");
-    result.latency = config_.tlb_hit_cycles +
-                     static_cast<Cycle>(config_.levels) * config_.cycles_per_level;
+    result.latency = kTlbHitCycles + static_cast<Cycle>(kPageTableLevels) * kPageWalkCyclesPerLevel;
     result.tlb_hit = false;
     TouchTlb(vpn);
   }

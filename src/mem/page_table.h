@@ -15,20 +15,18 @@
 
 namespace apiary {
 
-struct PageTableConfig {
-  uint64_t page_bytes = 4096;
-  uint32_t levels = 4;             // x86-64-style radix depth.
-  Cycle cycles_per_level = 20;     // Memory access per level of the walk.
-  uint32_t tlb_entries = 64;
-  Cycle tlb_hit_cycles = 1;
-};
+// An x86-64-style four-level radix walk, one memory access per level, behind
+// a 64-entry TLB.
+inline constexpr uint64_t kPageTablePageBytes = 4096;
+inline constexpr uint32_t kPageTableLevels = 4;
+inline constexpr Cycle kPageWalkCyclesPerLevel = 20;
+inline constexpr uint32_t kTlbEntries = 64;
+inline constexpr Cycle kTlbHitCycles = 1;
 
 // Per-address-space translation structure mapping virtual page numbers to
 // physical frame numbers, with an LRU TLB in front.
 class PageTable {
  public:
-  explicit PageTable(PageTableConfig config);
-
   void Map(uint64_t vpn, uint64_t pfn);
   void Unmap(uint64_t vpn);
 
@@ -41,14 +39,12 @@ class PageTable {
   // Translates a virtual address; nullopt on an unmapped page (a fault).
   std::optional<Translation> Translate(uint64_t vaddr);
 
-  uint64_t page_bytes() const { return config_.page_bytes; }
   const CounterSet& counters() const { return counters_; }
 
  private:
   void TouchTlb(uint64_t vpn);
   bool TlbLookup(uint64_t vpn);
 
-  PageTableConfig config_;
   // Ordered maps so translation state never depends on hash iteration order
   // (the radix walk they model is order-deterministic anyway).
   std::map<uint64_t, uint64_t> mappings_;

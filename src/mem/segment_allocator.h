@@ -52,7 +52,6 @@ class SegmentAllocator {
   uint64_t bytes_allocated() const { return bytes_allocated_; }
   uint64_t bytes_free() const { return capacity_ - bytes_allocated_; }
   size_t free_chunks() const { return free_by_base_.size(); }
-  size_t live_segments() const { return allocated_.size(); }
 
   // Largest single allocation that could currently succeed.
   uint64_t LargestFreeChunk() const;

@@ -107,42 +107,29 @@ void Autoscaler::Poll() {
   const double avg_queue =
       static_cast<double>(queue_delta) / static_cast<double>(config_.poll_period);
   const double per_live = live == 0 ? avg_queue : avg_queue / live;
-  bool want_up = false;
-  bool want_down = false;
-  switch (config_.policy) {
-    case ScalePolicy::kTargetUtilization: {
-      want_up = per_live > config_.up_queue_per_replica;
-      want_down = per_live < config_.down_queue_per_replica;
-      break;
-    }
-    case ScalePolicy::kSloLatency: {
-      const double slo = static_cast<double>(config_.slo_p99_cycles);
-      bool latency_high = false;
-      bool latency_low = false;
-      if (window.count() == 0) {
-        // No completions this window: wedged if work is queued, surplus if
-        // truly idle.
-        latency_high = avg_queue > static_cast<double>(live);
-        latency_low = queue_delta == 0;
-      } else {
-        const auto p99 = static_cast<double>(window.P99());
-        latency_high = p99 > slo;
-        latency_low = p99 < config_.slo_down_fraction * slo;
-      }
-      // Utilization headroom complements the latency signal: grow before
-      // queues turn into tail latency, and shrink only when the survivors
-      // would still run comfortably below down_utilization without the
-      // retired replica.
-      want_up = latency_high || per_live > config_.up_utilization;
-      const double after = live > 1 ? avg_queue / (live - 1) : avg_queue;
-      want_down = latency_low && after < config_.down_utilization;
-      break;
-    }
+  const double slo = static_cast<double>(config_.slo_p99_cycles);
+  bool latency_high = false;
+  bool latency_low = false;
+  if (window.count() == 0) {
+    // No completions this window: wedged if work is queued, surplus if truly
+    // idle.
+    latency_high = avg_queue > static_cast<double>(live);
+    latency_low = queue_delta == 0;
+  } else {
+    const auto p99 = static_cast<double>(window.P99());
+    latency_high = p99 > slo;
+    latency_low = p99 < config_.slo_down_fraction * slo;
   }
+  // Utilization headroom complements the latency signal: grow before queues
+  // turn into tail latency, and shrink only when the survivors would still
+  // run comfortably below kScaleDownUtilization without the retired replica.
+  const bool want_up = latency_high || per_live > kScaleUpUtilization;
+  const double after = live > 1 ? avg_queue / (live - 1) : avg_queue;
+  const bool want_down = latency_low && after < kScaleDownUtilization;
   // Scale-up is uncooled: the serialized ICAP already paces it to one
   // reconfiguration at a time, and queue blow-ups cost far more than an
   // extra replica. Scale-down is deliberate: the shrink signal must hold
-  // for down_stable_polls consecutive windows AND a cooldown since the
+  // for kScaleDownStablePolls consecutive windows AND a cooldown since the
   // last scaling action, or the loop oscillates on the diurnal ramps.
   if (want_up && live < config_.max_replicas) {
     down_streak_ = 0;
@@ -150,7 +137,7 @@ void Autoscaler::Poll() {
     return;
   }
   down_streak_ = want_down ? down_streak_ + 1 : 0;
-  if (down_streak_ >= config_.down_stable_polls && live > config_.min_replicas &&
+  if (down_streak_ >= kScaleDownStablePolls && live > config_.min_replicas &&
       now - last_scale_at_ >= config_.cooldown_cycles) {
     down_streak_ = 0;
     ScaleDown();

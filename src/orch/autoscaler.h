@@ -1,10 +1,10 @@
 // Metrics-driven autoscaler: grows and shrinks a replica set behind a
-// LoadBalancer based on observed queue depth or tail latency.
+// LoadBalancer based on tail latency and queue depth.
 //
 // The control loop closes the elastic-orchestration story: the load
 // balancer measures (queue-depth integral, per-window latency histogram),
-// the autoscaler decides (target-utilization or SLO-latency policy, with
-// hysteresis bands and a cooldown so reconfiguration latency does not cause
+// the autoscaler decides (an SLO-latency policy with utilization headroom,
+// hysteresis and a cooldown so reconfiguration latency does not cause
 // oscillation), the placer chooses a region (near the balancer, apart from
 // the other replicas), and the reconfiguration scheduler executes through
 // the serialized ICAP. Capability wiring goes through the kernel: each new
@@ -27,39 +27,29 @@
 
 namespace apiary {
 
-enum class ScalePolicy : uint8_t {
-  // Track average queue depth per replica between hysteresis bands.
-  kTargetUtilization = 0,
-  // Scale up when windowed p99 latency exceeds the SLO; scale down when it
-  // falls well under (slo_down_fraction of the SLO).
-  kSloLatency = 1,
-};
+// Utilization headroom: scale up when average in-flight requests per live
+// replica exceed kScaleUpUtilization even if latency still looks fine; only
+// scale down when the set would stay under kScaleDownUtilization per
+// replica after losing one.
+inline constexpr double kScaleUpUtilization = 0.7;
+inline constexpr double kScaleDownUtilization = 0.5;
+// Scale-down hysteresis: the shrink condition must hold this many
+// consecutive polls.
+inline constexpr uint32_t kScaleDownStablePolls = 3;
 
 struct AutoscalerConfig {
-  ScalePolicy policy = ScalePolicy::kTargetUtilization;
   uint32_t min_replicas = 1;
   uint32_t max_replicas = 8;
   // Control-loop period; metrics are windowed over it.
   Cycle poll_period = 10'000;
-  // kTargetUtilization bands: average in-flight requests per live replica.
-  double up_queue_per_replica = 3.0;
-  double down_queue_per_replica = 0.5;
-  // kSloLatency: the p99 target, and the fraction of it under which a
-  // replica is considered latency-surplus.
+  // The p99 target, and the fraction of it under which a replica is
+  // considered latency-surplus.
   Cycle slo_p99_cycles = 0;
   double slo_down_fraction = 0.4;
-  // kSloLatency headroom signals: scale up when average in-flight per live
-  // replica (utilization proxy) exceeds up_utilization even if latency
-  // still looks fine; only scale down when the set would stay under
-  // down_utilization per replica after losing one.
-  double up_utilization = 0.7;
-  double down_utilization = 0.5;
-  // Scale-down hysteresis: the shrink condition must hold this many
-  // consecutive polls, and cooldown_cycles must have passed since the last
-  // scaling action. Scale-up has no cooldown — it is paced naturally by the
+  // cooldown_cycles must have passed since the last scaling action before a
+  // scale-down. Scale-up has no cooldown — it is paced naturally by the
   // serialized ICAP (one reconfiguration in flight at a time), and demand
   // spikes should not wait out a timer.
-  uint32_t down_stable_polls = 3;
   Cycle cooldown_cycles = 150'000;
   // Logic-cell footprint of one replica (placement admission).
   uint32_t replica_logic_cells = 20'000;

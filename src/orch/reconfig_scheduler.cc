@@ -38,45 +38,7 @@ void ReconfigScheduler::ScheduleTeardown(TileId tile, std::function<bool()> drai
 }
 
 void ReconfigScheduler::SetRateQuota(uint32_t loads_per_window, Cycle window_cycles) {
-  quota_loads_per_window_ = loads_per_window;
-  quota_window_cycles_ = window_cycles == 0 ? 1 : window_cycles;
-  quota_window_index_ = 0;
-  quota_used_ = 0;
-}
-
-bool ReconfigScheduler::QuotaAllows(Cycle now) {
-  if (quota_loads_per_window_ == 0) {
-    return true;
-  }
-  const Cycle idx = now / quota_window_cycles_;
-  if (idx != quota_window_index_) {
-    quota_window_index_ = idx;
-    quota_used_ = 0;
-  }
-  return quota_used_ < quota_loads_per_window_;
-}
-
-void ReconfigScheduler::ChargeQuota(Cycle now) {
-  if (quota_loads_per_window_ == 0) {
-    return;
-  }
-  const Cycle idx = now / quota_window_cycles_;
-  if (idx != quota_window_index_) {
-    quota_window_index_ = idx;
-    quota_used_ = 0;
-  }
-  ++quota_used_;
-}
-
-bool ReconfigScheduler::IcapFree() const {
-  // One configuration port per part: any tile mid-reconfiguration — ours or
-  // a Supervisor recovery — owns it.
-  for (TileId t = 0; t < os_->num_tiles(); ++t) {
-    if (os_->tile(t).reconfiguring()) {
-      return false;
-    }
-  }
-  return true;
+  quota_ = loads_per_window == 0 ? WindowMeter() : WindowMeter(loads_per_window, window_cycles);
 }
 
 void ReconfigScheduler::StartNext(Cycle now) {
@@ -153,11 +115,11 @@ void ReconfigScheduler::Tick(Cycle now) {
     }
     // Phase 2: the blanking bitstream goes through the same serialized port,
     // and counts against the tenant's ICAP rate quota like any other push.
-    if (!QuotaAllows(now)) {
+    if (!quota_.WouldAllow(now, 1)) {
       counters_.Add("orch.quota_stall_cycles");
       return;
     }
-    if (!IcapFree()) {
+    if (!os_->IcapFree()) {
       counters_.Add("orch.icap_stall_cycles");
       return;
     }
@@ -165,18 +127,18 @@ void ReconfigScheduler::Tick(Cycle now) {
       FinishActive(false);  // Already vacant (e.g. torn down by recovery).
       return;
     }
-    ChargeQuota(now);
+    quota_.TryConsume(now, 1);
     a.loading = true;
     counters_.Add("orch.teardowns_started");
     return;
   }
 
   // Load job: claim the ICAP, then deploy with real reconfiguration latency.
-  if (!QuotaAllows(now)) {
+  if (!quota_.WouldAllow(now, 1)) {
     counters_.Add("orch.quota_stall_cycles");
     return;
   }
-  if (!IcapFree()) {
+  if (!os_->IcapFree()) {
     counters_.Add("orch.icap_stall_cycles");
     return;
   }
@@ -194,7 +156,7 @@ void ReconfigScheduler::Tick(Cycle now) {
     FinishActive(false);
     return;
   }
-  ChargeQuota(now);
+  quota_.TryConsume(now, 1);
   a.service = service;
   a.loading = true;
   counters_.Add("orch.loads_started");

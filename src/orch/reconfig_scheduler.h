@@ -23,6 +23,7 @@
 
 #include "src/core/kernel.h"
 #include "src/sim/clocked.h"
+#include "src/sim/rate_limiter.h"
 #include "src/stats/summary.h"
 
 namespace apiary {
@@ -75,15 +76,8 @@ class ReconfigScheduler : public Clocked {
   // blanks) per `window_cycles` window. Jobs over quota wait at the head of
   // the queue ("orch.quota_stall_cycles") instead of being dropped — a
   // reconfig-thrashing tenant throttles itself without losing work. Zero
-  // `loads_per_window` clears the quota. The window counter is kept inline
-  // (not a noc WindowMeter): orchestration sits below noc in the layering
-  // DAG and must not include it.
+  // `loads_per_window` clears the quota.
   void SetRateQuota(uint32_t loads_per_window, Cycle window_cycles);
-  uint64_t quota_loads_in_window(Cycle now) const {
-    return quota_window_cycles_ != 0 && now / quota_window_cycles_ == quota_window_index_
-               ? quota_used_
-               : 0;
-  }
 
  private:
   enum class JobKind : uint8_t { kLoad, kTeardown };
@@ -106,12 +100,6 @@ class ReconfigScheduler : public Clocked {
 
   static constexpr Cycle kInvalidCycle = ~Cycle{0};
 
-  // True when no tile on the board is mid-reconfiguration — the ICAP is
-  // free. Supervisor recoveries claim it through the same board state.
-  bool IcapFree() const;
-  // Rate-quota window accounting (see SetRateQuota).
-  bool QuotaAllows(Cycle now);
-  void ChargeQuota(Cycle now);
   void StartNext(Cycle now);
   void FinishActive(bool ok);
 
@@ -120,10 +108,7 @@ class ReconfigScheduler : public Clocked {
   ReconfigSchedulerConfig config_;
   std::deque<Job> jobs_;
   std::optional<Active> active_;
-  uint32_t quota_loads_per_window_ = 0;  // 0 = unlimited.
-  Cycle quota_window_cycles_ = 0;
-  Cycle quota_window_index_ = 0;
-  uint64_t quota_used_ = 0;
+  WindowMeter quota_;  // Bitstream pushes per window; unlimited by default.
   CounterSet counters_;
 };
 

@@ -61,7 +61,7 @@ void DmaService::Tick(TileApi& api) {
     // Issue chunked reads; each completed read chains a write of the chunk.
     while (job->read_issued < job->total) {
       const uint32_t offset = job->read_issued;
-      const uint32_t chunk = std::min(chunk_bytes_, job->total - offset);
+      const uint32_t chunk = std::min(kDmaChunkBytes, job->total - offset);
       auto span = std::span<uint8_t>(job->staging.data() + offset, chunk);
       auto job_ref = job;
       const bool ok = memory_->SubmitRead(

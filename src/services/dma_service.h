@@ -25,12 +25,13 @@ namespace apiary {
 // Reply: u32 bytes_copied.
 inline constexpr uint16_t kOpDmaCopy = 0x0601;
 
+// The engine's burst size: the copy is issued to DRAM in chunks, so timing
+// reflects both the read and write streams.
+inline constexpr uint32_t kDmaChunkBytes = 512;
+
 class DmaService : public Accelerator {
  public:
-  // `chunk_bytes` is the engine's burst size: the copy is issued to DRAM in
-  // chunks, so timing reflects both the read and write streams.
-  explicit DmaService(MemoryBackend* memory, uint32_t chunk_bytes = 512)
-      : memory_(memory), chunk_bytes_(chunk_bytes) {}
+  explicit DmaService(MemoryBackend* memory) : memory_(memory) {}
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
@@ -56,7 +57,6 @@ class DmaService : public Accelerator {
   void ReplyError(const Message& msg, TileApi& api, MsgStatus status);
 
   MemoryBackend* memory_;
-  uint32_t chunk_bytes_;
   std::deque<std::shared_ptr<Job>> jobs_;
   CounterSet counters_;
 };

@@ -16,8 +16,8 @@
 #include "src/core/accelerator.h"
 #include "src/core/kernel.h"
 #include "src/mem/memory_controller.h"
-#include "src/noc/rate_limiter.h"
 #include "src/services/opcodes.h"
+#include "src/sim/rate_limiter.h"
 #include "src/stats/summary.h"
 
 namespace apiary {

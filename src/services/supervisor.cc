@@ -55,15 +55,6 @@ void Supervisor::Quarantine(TileId tile, const std::string& reason) {
   APIARY_LOG(kWarn) << "supervisor: tile " << tile << " quarantined (" << reason << ")";
 }
 
-bool Supervisor::IcapFree() const {
-  for (TileId t = 0; t < os_->num_tiles(); ++t) {
-    if (os_->tile(t).reconfiguring()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
   auto it = managed_.find(tile);
   if (it == managed_.end()) {
@@ -136,9 +127,8 @@ void Supervisor::BeginRecovery(TileId tile, Managed& m, Cycle now) {
   // bandwidth.
   Cycle delay = 0;
   if (m.recent_faults > 1) {
-    const uint32_t doublings =
-        std::min(m.recent_faults - 2, config_.backoff_max_doublings);
-    delay = config_.backoff_base_cycles << doublings;
+    const uint32_t doublings = std::min(m.recent_faults - 2, kSupervisorBackoffMaxDoublings);
+    delay = kSupervisorBackoffBaseCycles << doublings;
     counters_.Add("supervisor.backoff_delays");
   }
   m.restart_at = now + delay;
@@ -171,8 +161,8 @@ Cycle Supervisor::NextActivity(Cycle now) const {
     }
   }
   if (poll_has_work) {
-    const Cycle rem = now % config_.poll_period;
-    const Cycle poll = rem == 0 ? now : now + (config_.poll_period - rem);
+    const Cycle rem = now % kSupervisorPollPeriod;
+    const Cycle poll = rem == 0 ? now : now + (kSupervisorPollPeriod - rem);
     next = poll < next ? poll : next;
   }
   return next;
@@ -181,7 +171,7 @@ Cycle Supervisor::NextActivity(Cycle now) const {
 void Supervisor::Tick(Cycle now) {
   // Poll for tiles that fail-stopped themselves (crash faults surface this
   // way; wedges arrive via the MgmtService watchdog instead).
-  if (now % config_.poll_period == 0) {
+  if (now % kSupervisorPollPeriod == 0) {
     for (auto& [tile, m] : managed_) {
       if (m.state == TileState::kHealthy &&
           os_->monitor(tile).fault_state() == TileFaultState::kStopped) {
@@ -193,7 +183,7 @@ void Supervisor::Tick(Cycle now) {
     switch (m.state) {
       case TileState::kBackoff:
         if (now >= m.restart_at) {
-          if (!IcapFree()) {
+          if (!os_->IcapFree()) {
             // Another region owns the configuration port; recovery waits
             // its turn rather than stacking a second load on the ICAP.
             counters_.Add("supervisor.icap_wait_cycles");

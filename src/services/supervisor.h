@@ -26,13 +26,14 @@
 
 namespace apiary {
 
+// How often the supervisor scans managed tiles for self-fail-stops.
+inline constexpr Cycle kSupervisorPollPeriod = 256;
+// Backoff before the 2nd, 3rd, ... restart inside one crash-loop window:
+// base, 2*base, 4*base, ... capped at base << kSupervisorBackoffMaxDoublings.
+inline constexpr Cycle kSupervisorBackoffBaseCycles = 20'000;
+inline constexpr uint32_t kSupervisorBackoffMaxDoublings = 6;
+
 struct SupervisorConfig {
-  // How often the supervisor scans managed tiles for self-fail-stops.
-  Cycle poll_period = 256;
-  // Backoff before the 2nd, 3rd, ... restart inside one crash-loop window:
-  // base, 2*base, 4*base, ... capped at base << backoff_max_doublings.
-  Cycle backoff_base_cycles = 50'000;
-  uint32_t backoff_max_doublings = 6;
   // More than this many faults inside `crash_loop_window` quarantines the
   // tile (no further restarts; requires operator intervention).
   uint32_t quarantine_after = 4;
@@ -116,11 +117,6 @@ class Supervisor : public Clocked {
   };
 
   void BeginRecovery(TileId tile, Managed& m, Cycle now);
-  // True when no tile on the board is mid-reconfiguration: the recovery
-  // reconfiguration shares the single ICAP with the orchestrator's
-  // scheduler, so a due restart waits its turn instead of double-claiming
-  // the port.
-  bool IcapFree() const;
 
   ApiaryOs* os_;
   SupervisorConfig config_;

@@ -79,7 +79,7 @@ std::vector<ReliableTransport::OutFrame> ReliableTransport::Poll(Cycle now) {
   std::vector<OutFrame> out;
   for (auto& [peer, state] : peers_) {
     // Launch fresh data while window space remains.
-    while (!state.send_queue.empty() && state.unacked.size() < config_.window) {
+    while (!state.send_queue.empty() && state.unacked.size() < kTransportWindow) {
       const uint32_t seq = state.next_seq++;
       std::vector<uint8_t> payload = std::move(state.send_queue.front());
       state.send_queue.pop_front();
@@ -91,7 +91,7 @@ std::vector<ReliableTransport::OutFrame> ReliableTransport::Poll(Cycle now) {
     // Retransmit expired frames.
     for (auto& [seq, frame] : state.unacked) {
       if (now >= frame.sent_at + config_.rto_cycles) {
-        if (frame.retries >= config_.max_retries) {
+        if (frame.retries >= kTransportMaxRetries) {
           counters_.Add("rt.gave_up");
           continue;
         }

@@ -25,10 +25,13 @@
 
 namespace apiary {
 
+// Max unacked data frames per peer.
+inline constexpr uint32_t kTransportWindow = 16;
+// Give up on a frame after this many retransmissions.
+inline constexpr uint32_t kTransportMaxRetries = 16;
+
 struct TransportConfig {
-  uint32_t window = 16;          // Max unacked data frames per peer.
-  Cycle rto_cycles = 25000;      // Retransmission timeout (~100us).
-  uint32_t max_retries = 16;     // Give up after this many retransmissions.
+  Cycle rto_cycles = 25000;  // Retransmission timeout (~100us).
 };
 
 class ReliableTransport {

@@ -1,4 +1,4 @@
-#include "src/noc/rate_limiter.h"
+#include "src/sim/rate_limiter.h"
 
 #include <algorithm>
 

@@ -1,9 +1,11 @@
-// Token-bucket rate limiter. Instantiated per flow by the Apiary monitor to
-// bound an accelerator's injection rate (Section 4.5: "having permissioned
-// access and rate limiting are necessary to prevent malicious accelerators
-// from ... causing resource exhaustion").
-#ifndef SRC_NOC_RATE_LIMITER_H_
-#define SRC_NOC_RATE_LIMITER_H_
+// Rate limiters. The token bucket is instantiated per flow by the Apiary
+// monitor to bound an accelerator's injection rate (Section 4.5: "having
+// permissioned access and rate limiting are necessary to prevent malicious
+// accelerators from ... causing resource exhaustion"); the window meter
+// bounds per-tenant shares (memory operations, ICAP loads). Both depend only
+// on the cycle count, so every layer may use them.
+#ifndef SRC_SIM_RATE_LIMITER_H_
+#define SRC_SIM_RATE_LIMITER_H_
 
 #include <cstdint>
 
@@ -26,7 +28,6 @@ class TokenBucket {
   bool WouldAllow(Cycle now, uint64_t cost);
 
   bool unlimited() const { return unlimited_; }
-  uint64_t rate_per_1k() const { return rate_per_1k_; }
 
  private:
   void Refill(Cycle now);
@@ -87,4 +88,4 @@ class WindowMeter {
 
 }  // namespace apiary
 
-#endif  // SRC_NOC_RATE_LIMITER_H_
+#endif  // SRC_SIM_RATE_LIMITER_H_

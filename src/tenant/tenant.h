@@ -25,12 +25,12 @@
 #include <vector>
 
 #include "src/core/kernel.h"
-#include "src/noc/rate_limiter.h"
 #include "src/orch/autoscaler.h"
 #include "src/orch/reconfig_scheduler.h"
 #include "src/services/memory_service.h"
 #include "src/services/supervisor.h"
 #include "src/sim/clocked.h"
+#include "src/sim/rate_limiter.h"
 #include "src/stats/summary.h"
 
 namespace apiary {

@@ -91,7 +91,6 @@ void ClientHost::HandleResponsePayload(const std::vector<uint8_t>& payload, Cycl
   latency_.Record(now - it->second.first_issued);
   outstanding_.erase(it);
   ++received_;
-  ++status_counts_[status];
   if (status != 0) {
     ++errors_;
   } else {

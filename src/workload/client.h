@@ -71,7 +71,6 @@ class ClientHost : public Clocked, public ExternalEndpoint {
   uint64_t timeouts() const { return timeouts_; }
   uint64_t outstanding() const { return outstanding_.size(); }
   const Histogram& latency() const { return latency_; }
-  const std::map<uint8_t, uint64_t>& status_counts() const { return status_counts_; }
 
   // Last successful response payload (for functional checks in examples).
   const std::vector<uint8_t>& last_response() const { return last_response_; }
@@ -107,7 +106,6 @@ class ClientHost : public Clocked, public ExternalEndpoint {
   uint64_t timeouts_ = 0;
   uint64_t stray_responses_ = 0;
   std::map<uint64_t, Outstanding> outstanding_;
-  std::map<uint8_t, uint64_t> status_counts_;
   Histogram latency_;
   std::vector<uint8_t> last_response_;
 };

@@ -37,7 +37,7 @@ std::vector<uint8_t> KvValueForIndex(uint64_t index, uint32_t value_bytes) {
 ClientHost::RequestFactory MakeKvRequestFactory(KvWorkloadConfig config) {
   return [config](uint64_t index, Rng& rng) -> ClientRequest {
     (void)index;
-    const uint64_t key_index = rng.NextZipf(config.keyspace, config.zipf_theta);
+    const uint64_t key_index = rng.NextZipf(config.keyspace, kKvZipfTheta);
     const std::string key = KvKeyForIndex(key_index);
     ClientRequest req;
     if (rng.NextBool(config.read_fraction)) {
@@ -45,7 +45,7 @@ ClientHost::RequestFactory MakeKvRequestFactory(KvWorkloadConfig config) {
       req.payload = MakeKvGetPayload(key);
     } else {
       req.opcode = kOpKvPut;
-      req.payload = MakeKvPutPayload(key, KvValueForIndex(key_index, config.value_bytes));
+      req.payload = MakeKvPutPayload(key, KvValueForIndex(key_index, kKvValueBytes));
     }
     return req;
   };

@@ -15,11 +15,12 @@
 
 namespace apiary {
 
+inline constexpr double kKvZipfTheta = 0.99;
+inline constexpr uint32_t kKvValueBytes = 100;
+
 struct KvWorkloadConfig {
   uint64_t keyspace = 1000;
-  double zipf_theta = 0.99;
   double read_fraction = 0.95;
-  uint32_t value_bytes = 100;
 };
 
 // Builds the payload of a kOpKvGet/kOpKvPut request for `key`.

@@ -67,14 +67,12 @@ TEST(MonitorLimitsTest, OutboxFillsUnderBurst) {
 }
 
 TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
-  MonitorConfig cfg;
-  cfg.inbox_messages = 4;
-  TestBoard tb;  // Default board, but we build a custom kernel below.
-  // Use the board's mesh directly with a custom-config monitor.
-  Monitor monitor(&tb.sim, 0, &tb.board.mesh().ni(0), cfg);
+  TestBoard tb;
+  // A standalone monitor on tile 0's NI, so no accelerator drains its inbox.
+  Monitor monitor(&tb.sim, 0, &tb.board.mesh().ni(0));
   monitor.AllowSender(1);
   monitor.BeginCycle();
-  for (int i = 0; i < 6; ++i) {
+  for (uint32_t i = 0; i < kMonitorInboxMessages + 2; ++i) {
     Message msg;
     msg.kind = MsgKind::kRequest;
     msg.src_tile = 1;
@@ -89,9 +87,43 @@ TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
     tb.board.mesh().ni(0).EjectFlit(Flit{packet, packet->flit_count - 1}, 0);
   }
   monitor.BeginCycle();
-  EXPECT_EQ(monitor.counters().Get("monitor.delivered"), 4u);
+  EXPECT_EQ(monitor.counters().Get("monitor.delivered"), kMonitorInboxMessages);
   EXPECT_EQ(monitor.counters().Get("monitor.inbox_overflow"), 2u);
   EXPECT_EQ(monitor.counters().Get("monitor.error_bounces"), 2u);
+}
+
+// A send moves its message into the outbox: payloads past the inline tier
+// are not copied into a second arena chunk on the way to the NoC.
+TEST(MonitorLimitsTest, LargeSendsTakeNoChunkOfTheirOwn) {
+  TestBoard tb;
+  AppId app = tb.os.CreateApp("a");
+  ServiceId sink_svc = 0;
+  auto* sink = new ProbeAccelerator();  // Records requests, never replies.
+  tb.os.Deploy(app, std::unique_ptr<Accelerator>(sink), &sink_svc);
+  const TileId pt = tb.os.Deploy(app, std::make_unique<ProbeAccelerator>());
+  const CapRef cap = tb.os.GrantSendToService(pt, sink_svc);
+  tb.sim.Run(3);
+
+  constexpr uint32_t kSends = kMonitorOutboxMessages;
+  std::vector<Message> msgs(kSends);
+  for (Message& msg : msgs) {
+    msg.opcode = kOpEcho;
+    msg.payload.assign(4 * PayloadBuf::kInlineBytes, 7);
+  }
+  auto acquires = [&] {
+    return PayloadBuf::ArenaStats().chunk_acquires +
+           tb.sim.context().arena().stats().chunk_acquires;
+  };
+  const uint64_t before = acquires();
+  for (Message& msg : msgs) {
+    ASSERT_TRUE(tb.os.monitor(pt).Send(std::move(msg), cap).ok());
+  }
+  EXPECT_EQ(acquires() - before, 0u);
+
+  // The whole trip to the sink takes one chunk per send: the sink's own
+  // recorded copy. Deserialization moves the payload out of the packet.
+  ASSERT_TRUE(tb.sim.RunUntil([&] { return sink->received.size() == kSends; }, 50'000));
+  EXPECT_EQ(acquires() - before, kSends);
 }
 
 TEST(MonitorLimitsTest, ServiceAccessorReflectsIdentity) {
@@ -253,13 +285,12 @@ TEST(HostedEdgeTest, IngressOverflowDrops) {
   ExternalNetwork net(1);
   sim.Register(&net);
   HostedConfig cfg;
-  cfg.max_queue_depth = 8;
   HostedSystem hosted(cfg, sim, &net);
   struct Sink : ExternalEndpoint {
     void OnFrame(EthFrame, Cycle) override {}
   } client;
   const uint32_t client_addr = net.RegisterEndpoint(&client);
-  for (int i = 0; i < 50; ++i) {
+  for (uint32_t i = 0; i < kHostMaxQueueDepth + 42; ++i) {
     EthFrame f;
     f.src_endpoint = client_addr;
     f.dst_endpoint = 0;

@@ -196,8 +196,6 @@ ChaosResult RunChaosScenario(uint64_t plan_seed) {
   const TileId ct = os.Deploy(app, std::unique_ptr<Accelerator>(client));
   (void)os.GrantSendToService(ct, svc);
 
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
   Supervisor sup(&os);
   sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(5); });
 

@@ -365,10 +365,10 @@ TEST(DramFaultTest, BitFlipCorruptsWithoutEccAndEccCorrects) {
 TEST(DramFaultTest, InterleavedMemoryFlipsChannelLocalByte) {
   DramConfig per_channel;
   per_channel.capacity_bytes = 1ull << 20;
-  InterleavedMemory mem(per_channel, /*channels=*/4, /*stripe_bytes=*/4096);
+  InterleavedMemory mem(per_channel, /*channels=*/4);
 
   // An address deep in a non-zero channel's stripe.
-  const uint64_t addr = 4096 * 5 + 7;
+  const uint64_t addr = kInterleaveStripeBytes * 5 + 7;
   const uint8_t original = 0xA5;
   mem.DebugWrite(addr, std::span<const uint8_t>(&original, 1));
 
@@ -442,10 +442,7 @@ TEST(SupervisorTest, CrashRecoveryReinstallsCapsAndResumesService) {
   // recovery path must bring back.
   ASSERT_NE(fb.os.GrantSendToService(st, peer_svc), kInvalidCapRef);
 
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  scfg.backoff_base_cycles = 1000;
-  Supervisor sup(&fb.os, scfg);
+  Supervisor sup(&fb.os);
   sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(0); });
 
   probe->EnqueueSend(EchoRequest(), cap);
@@ -477,8 +474,6 @@ TEST(SupervisorTest, BacksOffThenQuarantinesCrashLooper) {
   const TileId t = fb.os.Deploy(app, std::make_unique<CrashLooper>());
 
   SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  scfg.backoff_base_cycles = 1000;
   scfg.quarantine_after = 3;
   scfg.crash_loop_window = 10'000'000;
   Supervisor sup(&fb.os, scfg);
@@ -511,9 +506,7 @@ TEST(SupervisorTest, HotStandbyFailoverRepointsServiceAndRearms) {
   const TileId ct = fb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
   const CapRef cap = fb.os.GrantSendToService(ct, svc);
 
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  Supervisor sup(&fb.os, scfg);
+  Supervisor sup(&fb.os);
   sup.Manage(pt, [] { return std::make_unique<EchoAccelerator>(0); });
   sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(0); });
   sup.SetStandby(svc, st);
@@ -566,10 +559,7 @@ TEST(SupervisorTest, StandbyMidReconfigurationIsNeverAFailoverTarget) {
   const TileId ct = fb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
   const CapRef cap = fb.os.GrantSendToService(ct, svc);
 
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  scfg.backoff_base_cycles = 1000;
-  Supervisor sup(&fb.os, scfg);
+  Supervisor sup(&fb.os);
   sup.Manage(pt, [] { return std::make_unique<EchoAccelerator>(0); });
   sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(0); });
   sup.SetStandby(svc, st);
@@ -612,9 +602,7 @@ TEST(SupervisorTest, WatchdogWedgeDetectionFeedsRecovery) {
       app, std::make_unique<WedgeAccelerator>(~0ull, kInvalidCapRef, 100));
   (void)fb.os.GrantSendToService(wt, kMgmtService);
 
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  Supervisor sup(&fb.os, scfg);
+  Supervisor sup(&fb.os);
   sup.Manage(wt, [] {
     return std::make_unique<WedgeAccelerator>(~0ull, kInvalidCapRef, 100);
   });

@@ -216,19 +216,19 @@ TEST(InterleavedMemoryTest, ReadBackAcrossStripes) {
   Simulator sim;
   DramConfig per_channel;
   per_channel.capacity_bytes = 1 << 20;
-  InterleavedMemory mem(per_channel, 4, /*stripe=*/256);
+  InterleavedMemory mem(per_channel, 4);
   sim.Register(&mem);
   EXPECT_EQ(mem.capacity(), 4u << 20);
 
   // A write spanning several stripes (and thus several channels).
-  std::vector<uint8_t> data(2000);
+  std::vector<uint8_t> data(3 * kInterleaveStripeBytes);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 13);
   }
   bool wrote = false;
   ASSERT_TRUE(mem.SubmitWrite(100, data, [&](Cycle) { wrote = true; }));
   ASSERT_TRUE(sim.RunUntil([&] { return wrote; }, 10000));
-  std::vector<uint8_t> out(2000);
+  std::vector<uint8_t> out(data.size());
   bool read = false;
   ASSERT_TRUE(mem.SubmitRead(100, out, [&](Cycle) { read = true; }));
   ASSERT_TRUE(sim.RunUntil([&] { return read; }, 10000));
@@ -239,16 +239,16 @@ TEST(InterleavedMemoryTest, DebugPathMatchesTimedPath) {
   Simulator sim;
   DramConfig per_channel;
   per_channel.capacity_bytes = 1 << 20;
-  InterleavedMemory mem(per_channel, 3, 512);
+  InterleavedMemory mem(per_channel, 3);
   sim.Register(&mem);
-  std::vector<uint8_t> data(5000, 0);
+  std::vector<uint8_t> data(3 * kInterleaveStripeBytes, 0);
   Rng rng(3);
   for (auto& b : data) {
     b = static_cast<uint8_t>(rng.NextBelow(256));
   }
   mem.DebugWrite(777, data);
   EXPECT_EQ(mem.DebugRead(777, data.size()), data);
-  std::vector<uint8_t> out(5000);
+  std::vector<uint8_t> out(data.size());
   bool read = false;
   ASSERT_TRUE(mem.SubmitRead(777, out, [&](Cycle) { read = true; }));
   ASSERT_TRUE(sim.RunUntil([&] { return read; }, 10000));
@@ -258,7 +258,7 @@ TEST(InterleavedMemoryTest, DebugPathMatchesTimedPath) {
 TEST(InterleavedMemoryTest, OutOfBoundsRejected) {
   DramConfig per_channel;
   per_channel.capacity_bytes = 1 << 20;
-  InterleavedMemory mem(per_channel, 2, 4096);
+  InterleavedMemory mem(per_channel, 2);
   std::vector<uint8_t> buf(64);
   EXPECT_FALSE(mem.SubmitRead((2u << 20) - 32, buf, nullptr));
   EXPECT_TRUE(mem.DebugRead(3u << 20, 4).empty());
@@ -271,7 +271,7 @@ TEST(InterleavedMemoryTest, MoreChannelsMoreBandwidth) {
     Simulator sim;
     DramConfig per_channel;
     per_channel.capacity_bytes = 8 << 20;
-    InterleavedMemory mem(per_channel, channels, 4096);
+    InterleavedMemory mem(per_channel, channels);
     sim.Register(&mem);
     int done = 0;
     std::vector<std::vector<uint8_t>> bufs(64, std::vector<uint8_t>(4096));
@@ -285,33 +285,6 @@ TEST(InterleavedMemoryTest, MoreChannelsMoreBandwidth) {
   const Cycle one = run(1);
   const Cycle four = run(4);
   EXPECT_LT(four * 2, one);  // At least 2x faster with 4 channels.
-}
-
-TEST(InterleavedBoardTest, BoardWithHbmServesKv) {
-  Simulator sim(250.0);
-  BoardConfig cfg;
-  cfg.part_number = "VU29P";
-  cfg.mesh = MeshConfig{2, 2, 8, 512};
-  cfg.dram.capacity_bytes = 8 << 20;
-  cfg.memory_channels = 8;
-  cfg.mac_kind = MacKind::kNone;
-  Board board(cfg, sim, nullptr);
-  ASSERT_TRUE(board.ok()) << board.build_error();
-  EXPECT_EQ(board.memory().capacity(), 64u << 20);
-  ApiaryOs os(board);
-  auto* probe = new ProbeAccelerator();
-  os.DeployService(kMemoryService, std::make_unique<MemoryService>(&os, &board.memory()));
-  AppId app = os.CreateApp("a");
-  const TileId pt = os.Deploy(app, std::unique_ptr<Accelerator>(probe));
-  const CapRef cap = os.GrantSendToService(pt, kMemoryService);
-  const CapRef mem = *os.GrantMemory(pt, 1 << 20, kRightRead | kRightWrite);
-  Message write;
-  write.opcode = kOpMemWrite;
-  PutU64(write.payload, 12345);
-  write.payload.insert(write.payload.end(), {1, 2, 3});
-  probe->EnqueueSend(write, cap, mem);
-  ASSERT_TRUE(sim.RunUntil([&] { return !probe->received.empty(); }, 100000));
-  EXPECT_EQ(probe->received[0].status, MsgStatus::kOk);
 }
 
 }  // namespace

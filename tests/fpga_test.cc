@@ -230,8 +230,7 @@ TEST(EthMacTest, TxSerializationRespectsLineRate) {
 
 TEST(PcieTest, LatencyIncludesCrossingAndSerialization) {
   Simulator sim;
-  PcieConfig cfg;
-  PcieEndpoint pcie(cfg);
+  PcieEndpoint pcie;
   sim.Register(&pcie);
   Cycle done = 0;
   ASSERT_TRUE(pcie.Submit(4800, [&](Cycle c) { done = c; }));
@@ -243,8 +242,7 @@ TEST(PcieTest, LatencyIncludesCrossingAndSerialization) {
 
 TEST(PcieTest, TransfersSerializeOnLink) {
   Simulator sim;
-  PcieConfig cfg;
-  PcieEndpoint pcie(cfg);
+  PcieEndpoint pcie;
   sim.Register(&pcie);
   Cycle first = 0;
   Cycle second = 0;
@@ -258,11 +256,10 @@ TEST(PcieTest, TransfersSerializeOnLink) {
 }
 
 TEST(PcieTest, QueueDepthEnforced) {
-  PcieConfig cfg;
-  cfg.queue_depth = 2;
-  PcieEndpoint pcie(cfg);
-  EXPECT_TRUE(pcie.Submit(64, nullptr));
-  EXPECT_TRUE(pcie.Submit(64, nullptr));
+  PcieEndpoint pcie;
+  for (uint32_t i = 0; i < kPcieQueueDepth; ++i) {
+    EXPECT_TRUE(pcie.Submit(64, nullptr));
+  }
   EXPECT_FALSE(pcie.Submit(64, nullptr));
 }
 

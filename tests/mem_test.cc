@@ -199,7 +199,7 @@ TEST(PageAllocatorTest, ZeroByteRequestRejected) {
 }
 
 TEST(PageTableTest, TranslateMappedPage) {
-  PageTable pt(PageTableConfig{});
+  PageTable pt;
   pt.Map(5, 9);
   auto t = pt.Translate(5 * 4096 + 123);
   ASSERT_TRUE(t.has_value());
@@ -207,43 +207,40 @@ TEST(PageTableTest, TranslateMappedPage) {
 }
 
 TEST(PageTableTest, UnmappedFaults) {
-  PageTable pt(PageTableConfig{});
+  PageTable pt;
   EXPECT_FALSE(pt.Translate(0).has_value());
   EXPECT_EQ(pt.counters().Get("pt.faults"), 1u);
 }
 
 TEST(PageTableTest, TlbMissThenHit) {
-  PageTableConfig cfg;
-  PageTable pt(cfg);
+  PageTable pt;
   pt.Map(1, 2);
   auto miss = pt.Translate(4096);
   ASSERT_TRUE(miss.has_value());
   EXPECT_FALSE(miss->tlb_hit);
-  EXPECT_EQ(miss->latency, cfg.tlb_hit_cycles + cfg.levels * cfg.cycles_per_level);
+  EXPECT_EQ(miss->latency, kTlbHitCycles + kPageTableLevels * kPageWalkCyclesPerLevel);
   auto hit = pt.Translate(4096 + 8);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->tlb_hit);
-  EXPECT_EQ(hit->latency, cfg.tlb_hit_cycles);
+  EXPECT_EQ(hit->latency, kTlbHitCycles);
 }
 
 TEST(PageTableTest, TlbEvictsLru) {
-  PageTableConfig cfg;
-  cfg.tlb_entries = 2;
-  PageTable pt(cfg);
-  pt.Map(1, 1);
-  pt.Map(2, 2);
-  pt.Map(3, 3);
-  pt.Translate(1 * 4096);  // TLB: {1}
-  pt.Translate(2 * 4096);  // TLB: {2,1}
-  pt.Translate(3 * 4096);  // Evicts 1. TLB: {3,2}
-  auto t1 = pt.Translate(1 * 4096);
-  EXPECT_FALSE(t1->tlb_hit);
-  auto t3 = pt.Translate(3 * 4096);
-  EXPECT_TRUE(t3->tlb_hit);
+  PageTable pt;
+  // Touch one page more than the TLB holds: the last evicts page 0, the
+  // least recently used.
+  for (uint64_t vpn = 0; vpn <= kTlbEntries; ++vpn) {
+    pt.Map(vpn, vpn);
+    pt.Translate(vpn * kPageTablePageBytes);
+  }
+  auto first = pt.Translate(0);
+  EXPECT_FALSE(first->tlb_hit);
+  auto last = pt.Translate(kTlbEntries * kPageTablePageBytes);
+  EXPECT_TRUE(last->tlb_hit);
 }
 
 TEST(PageTableTest, UnmapInvalidatesTlb) {
-  PageTable pt(PageTableConfig{});
+  PageTable pt;
   pt.Map(1, 1);
   pt.Translate(4096);
   pt.Unmap(1);
@@ -252,8 +249,7 @@ TEST(PageTableTest, UnmapInvalidatesTlb) {
 
 TEST(DramTest, RowHitFasterThanMiss) {
   Simulator sim;
-  DramConfig cfg;
-  DramChannel dram(cfg);
+  DramChannel dram;
   sim.Register(&dram);
   Cycle first_done = 0;
   Cycle second_done = 0;
@@ -263,46 +259,43 @@ TEST(DramTest, RowHitFasterThanMiss) {
   sim.Run(200);
   ASSERT_GT(first_done, 0u);
   ASSERT_GT(second_done, first_done);
-  EXPECT_EQ(second_done - first_done, cfg.row_hit_cycles);
+  EXPECT_EQ(second_done - first_done, kDramRowHitCycles);
   EXPECT_EQ(dram.counters().Get("dram.row_hits"), 1u);
   EXPECT_EQ(dram.counters().Get("dram.row_misses"), 1u);
 }
 
 TEST(DramTest, BanksServiceInParallel) {
   Simulator sim;
-  DramConfig cfg;
-  DramChannel dram(cfg);
+  DramChannel dram;
   sim.Register(&dram);
   int completed = 0;
   // One request per bank: they should all complete around the same time.
-  for (uint32_t b = 0; b < cfg.num_banks; ++b) {
-    ASSERT_TRUE(dram.Enqueue(static_cast<uint64_t>(b) * cfg.row_bytes, 64, false,
+  for (uint32_t b = 0; b < kDramBanks; ++b) {
+    ASSERT_TRUE(dram.Enqueue(static_cast<uint64_t>(b) * kDramRowBytes, 64, false,
                              [&](Cycle) { ++completed; }));
   }
-  sim.Run(cfg.row_miss_cycles + 5);
-  EXPECT_EQ(completed, static_cast<int>(cfg.num_banks));
+  sim.Run(kDramRowMissCycles + 5);
+  EXPECT_EQ(completed, static_cast<int>(kDramBanks));
 }
 
 TEST(DramTest, QueueBackpressure) {
-  DramConfig cfg;
-  cfg.per_bank_queue_depth = 2;
-  DramChannel dram(cfg);
-  EXPECT_TRUE(dram.Enqueue(0, 64, false, nullptr));
-  EXPECT_TRUE(dram.Enqueue(0, 64, false, nullptr));
+  DramChannel dram;
+  for (uint32_t i = 0; i < kDramBankQueueDepth; ++i) {
+    EXPECT_TRUE(dram.Enqueue(0, 64, false, nullptr));
+  }
   EXPECT_FALSE(dram.Enqueue(0, 64, false, nullptr));
   EXPECT_EQ(dram.counters().Get("dram.backpressure"), 1u);
 }
 
 TEST(DramTest, LargeTransferTakesBurstCycles) {
   Simulator sim;
-  DramConfig cfg;
-  DramChannel dram(cfg);
+  DramChannel dram;
   sim.Register(&dram);
   Cycle small_done = 0;
   Cycle big_done = 0;
   ASSERT_TRUE(dram.Enqueue(0, 64, false, [&](Cycle c) { small_done = c; }));
   // Different bank so they run independently.
-  ASSERT_TRUE(dram.Enqueue(cfg.row_bytes, 1024, false, [&](Cycle c) { big_done = c; }));
+  ASSERT_TRUE(dram.Enqueue(kDramRowBytes, 1024, false, [&](Cycle c) { big_done = c; }));
   sim.Run(300);
   ASSERT_GT(small_done, 0u);
   ASSERT_GT(big_done, 0u);

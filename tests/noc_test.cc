@@ -11,9 +11,9 @@
 #include "src/noc/mesh.h"
 #include "src/noc/packet.h"
 #include "src/noc/packet_pool.h"
-#include "src/noc/rate_limiter.h"
 #include "src/sim/payload_arena.h"
 #include "src/sim/random.h"
+#include "src/sim/rate_limiter.h"
 #include "src/sim/simulator.h"
 
 namespace apiary {

@@ -144,8 +144,6 @@ TEST(PlacerTest, NeverTargetsATileTheSupervisorCondemned) {
   const TileId t = tb.os.Deploy(app, std::make_unique<CrashLooper>());
 
   SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  scfg.backoff_base_cycles = 500;
   scfg.quarantine_after = 2;
   Supervisor sup(&tb.os, scfg);
   sup.Manage(t, [] { return std::make_unique<CrashLooper>(); });
@@ -350,15 +348,12 @@ struct ElasticFixture {
   std::unique_ptr<Autoscaler> autoscaler;
 };
 
-AutoscalerConfig FastUtilizationConfig() {
+AutoscalerConfig FastSloConfig() {
   AutoscalerConfig acfg;
-  acfg.policy = ScalePolicy::kTargetUtilization;
   acfg.min_replicas = 1;
   acfg.max_replicas = 2;
   acfg.poll_period = 1'000;
-  acfg.up_queue_per_replica = 2.0;
-  acfg.down_queue_per_replica = 0.2;
-  acfg.down_stable_polls = 2;
+  acfg.slo_p99_cycles = 2'000;  // Ten echo service times.
   acfg.cooldown_cycles = 4'000;
   acfg.replica_logic_cells = 1'000;
   return acfg;
@@ -366,8 +361,7 @@ AutoscalerConfig FastUtilizationConfig() {
 
 TEST(AutoscalerTest, ScalesUpUnderSustainedLoad) {
   TestBoard tb(OrchOptions());
-  ElasticFixture fx(tb, /*initial_replicas=*/1, FastUtilizationConfig(),
-                    /*echo_cycles=*/200);
+  ElasticFixture fx(tb, /*initial_replicas=*/1, FastSloConfig(), /*echo_cycles=*/200);
   // One request per 100 cycles against a 200-cycle engine: a single replica
   // saturates (queue grows without bound), two run at comfortable load.
   auto* flooder = new Flooder(fx.lb_svc, /*period=*/100);
@@ -390,8 +384,7 @@ TEST(AutoscalerTest, ScalesUpUnderSustainedLoad) {
 
 TEST(AutoscalerTest, ScalesDownWhenIdleWithoutLosingResponses) {
   TestBoard tb(OrchOptions());
-  ElasticFixture fx(tb, /*initial_replicas=*/2, FastUtilizationConfig(),
-                    /*echo_cycles=*/300);
+  ElasticFixture fx(tb, /*initial_replicas=*/2, FastSloConfig(), /*echo_cycles=*/300);
 
   // A burst of slow requests, all in flight when the trace goes quiet.
   auto* probe = new ProbeAccelerator();
@@ -429,12 +422,9 @@ TEST(AutoscalerTest, ScalesDownWhenIdleWithoutLosingResponses) {
 
 TEST(AutoscalerTest, ScaleUpRidesOutAConcurrentFaultRecovery) {
   TestBoard tb(OrchOptions());
-  SupervisorConfig scfg;
-  scfg.poll_period = 64;
-  scfg.backoff_base_cycles = 500;
-  Supervisor sup(&tb.os, scfg);
+  Supervisor sup(&tb.os);
 
-  AutoscalerConfig acfg = FastUtilizationConfig();
+  AutoscalerConfig acfg = FastSloConfig();
   ElasticFixture fx(tb, /*initial_replicas=*/1, acfg, /*echo_cycles=*/200, &sup);
 
   // An unrelated supervised service crashes right as load ramps: its
@@ -464,7 +454,7 @@ TEST(AutoscalerTest, ScaleUpRidesOutAConcurrentFaultRecovery) {
 TEST(AutoscalerTest, IdenticalRunsAreDeterministic) {
   auto run_once = [] {
     TestBoard tb(OrchOptions());
-    ElasticFixture fx(tb, 1, FastUtilizationConfig(), 200);
+    ElasticFixture fx(tb, 1, FastSloConfig(), 200);
     auto* flooder = new Flooder(fx.lb_svc, /*period=*/100);
     const TileId ft = tb.os.Deploy(fx.app, std::unique_ptr<Accelerator>(flooder));
     (void)tb.os.GrantSendToService(ft, fx.lb_svc);
@@ -489,7 +479,7 @@ TEST(AutoscalerTest, RegionCyclesMatchWithAndWithoutSkipping) {
   auto run_once = [](bool skip) {
     TestBoard tb(OrchOptions());
     tb.sim.SetSkipEnabled(skip);
-    ElasticFixture fx(tb, 1, FastUtilizationConfig(), 200);
+    ElasticFixture fx(tb, 1, FastSloConfig(), 200);
     const TileId ft =
         tb.os.Deploy(fx.app, std::make_unique<Flooder>(fx.lb_svc, /*period=*/100));
     (void)tb.os.GrantSendToService(ft, fx.lb_svc);
@@ -516,7 +506,7 @@ TEST(AutoscalerTest, RegionCyclesMatchWithAndWithoutSkipping) {
 
 TEST(OrchServiceTest, ScaleAndStatusRoundTrip) {
   TestBoard tb(OrchOptions());
-  AutoscalerConfig acfg = FastUtilizationConfig();
+  AutoscalerConfig acfg = FastSloConfig();
   acfg.max_replicas = 3;
   ElasticFixture fx(tb, /*initial_replicas=*/1, acfg, /*echo_cycles=*/100);
 

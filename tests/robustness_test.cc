@@ -283,7 +283,7 @@ TEST(TenantQuotaTest, TileQuotaBlocksAutoscaleUp) {
   acfg.min_replicas = 1;
   acfg.max_replicas = 4;
   acfg.poll_period = 1'000;
-  acfg.up_queue_per_replica = 2.0;
+  acfg.slo_p99_cycles = 2'000;
   acfg.replica_logic_cells = 1'000;
   Autoscaler autoscaler(&tb.os, lb, lb_tile, app, factory, &placer, &scheduler, acfg);
   autoscaler.AdoptReplica(rsvc, rt, ep);

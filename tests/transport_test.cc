@@ -115,28 +115,24 @@ TEST(TransportTest, ReorderingHealed) {
 }
 
 TEST(TransportTest, WindowLimitsOutstanding) {
-  TransportConfig cfg;
-  cfg.window = 4;
-  ReliableTransport tx(cfg);
-  for (uint8_t i = 0; i < 10; ++i) {
-    tx.SendData(0, {i}, 0);
+  ReliableTransport tx;
+  for (uint32_t i = 0; i < kTransportWindow + 6; ++i) {
+    tx.SendData(0, {static_cast<uint8_t>(i)}, 0);
   }
-  EXPECT_EQ(tx.Poll(0).size(), 4u);  // Only a window's worth leaves.
-  EXPECT_TRUE(tx.Poll(1).empty());   // Nothing more until ACKs arrive.
+  EXPECT_EQ(tx.Poll(0).size(), kTransportWindow);  // Only a window's worth leaves.
+  EXPECT_TRUE(tx.Poll(1).empty());                 // Nothing more until ACKs arrive.
 }
 
 TEST(TransportTest, AcksOpenTheWindow) {
-  TransportConfig cfg;
-  cfg.window = 2;
   Pipe pipe;
-  pipe.a = ReliableTransport(cfg);
-  for (uint8_t i = 0; i < 6; ++i) {
-    pipe.a.SendData(0, {i}, 0);
+  const uint32_t frames = 3 * kTransportWindow;
+  for (uint32_t i = 0; i < frames; ++i) {
+    pipe.a.SendData(0, {static_cast<uint8_t>(i)}, 0);
   }
   for (Cycle t = 0; t < 10; ++t) {
     pipe.Exchange(t);
   }
-  EXPECT_EQ(pipe.delivered_at_b.size(), 6u);
+  EXPECT_EQ(pipe.delivered_at_b.size(), frames);
 }
 
 TEST(TransportTest, NonTransportFramesIgnored) {
