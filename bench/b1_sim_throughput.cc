@@ -305,6 +305,7 @@ int main(int argc, char** argv) {
     json.Metric("express_hits", on.express.delivered);
     json.Metric("express_launches", on.express.launches);
     json.Metric("materializations", on.express.materializations);
+    json.Metric("express_checks", on.express.checks);
     json.Metric("mean_corridor_hops", on.MeanCorridorHops());
   }
   table.Print();

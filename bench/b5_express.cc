@@ -16,6 +16,12 @@
 //     identical seeded scenario and cross-checks end cycle, request and
 //     response counts, and total flits routed. The acceptance bar is
 //     >= 1.5x wall throughput at the light and mid points.
+//   * Crossing: the same board with flows that share links — two pairs send
+//     east along row 2 over a common segment (and reply west over it) at
+//     coprime periods, and a third crosses that row down column 4. A
+//     corridor that meets the other flow's head on a link it holds
+//     materializes, so this row's launch, materialization and check counts
+//     gate the lane's interference paths, not just its clean ones.
 //   * Saturated guardrail: the B2/B4 shape — closed-loop windowed clients
 //     on a 4x4 board. The clients' inject queues never hold a single lone
 //     packet, so their requests never launch; the echo services' replies
@@ -152,8 +158,33 @@ struct RunResult {
   }
 };
 
-// Corridor sweep leg: four row-aligned echo pairs on an 8x8 board.
-RunResult RunSweepPoint(Cycle period, bool express, Cycle run_cycles) {
+// One paced echo pair: the client's tile, the service's tile, and the
+// client's request period.
+struct PairSpec {
+  TileId client;
+  TileId service;
+  Cycle period;
+};
+
+// Corridor sweep leg: four row-aligned echo pairs (odd rows: tiles 0-1
+// hold the standard OS services, so row 0 is taken).
+std::vector<PairSpec> RowPairs(Cycle period) {
+  std::vector<PairSpec> pairs;
+  for (const uint32_t row : {1u, 3u, 5u, 7u}) {
+    pairs.push_back({row * 8, row * 8 + 7, period});
+  }
+  return pairs;
+}
+
+// Crossing leg: tiles 16 -> 23 and 18 -> 22 share row 2's links from x=2
+// to x=6 (and the replies share them westward); 4 -> 60 runs down column 4
+// across that row.
+std::vector<PairSpec> CrossingPairs() {
+  return {{16, 23, 150}, {18, 22, 161}, {4, 60, 150}};
+}
+
+// Paced echo pairs on an 8x8 board.
+RunResult RunPairs(const std::vector<PairSpec>& pairs, bool express, Cycle run_cycles) {
   BenchBoardOptions options;
   options.width = 8;
   options.height = 8;
@@ -169,18 +200,17 @@ RunResult RunSweepPoint(Cycle period, bool express, Cycle run_cycles) {
     return o;
   };
 
-  // Odd rows: tiles 0-1 hold the standard OS services, so row 0 is taken.
   std::vector<PacedClient*> clients;
-  for (const uint32_t row : {1u, 3u, 5u, 7u}) {
+  for (const PairSpec& pair : pairs) {
     ServiceId svc = 0;
     const TileId st = os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/4),
-                                &svc, pin(row * 8 + 7));
-    auto client = std::make_unique<PacedClient>(svc, period);
+                                &svc, pin(pair.service));
+    auto client = std::make_unique<PacedClient>(svc, pair.period);
     clients.push_back(client.get());
-    const TileId ct = os.Deploy(app, std::move(client), nullptr, pin(row * 8));
+    const TileId ct = os.Deploy(app, std::move(client), nullptr, pin(pair.client));
     if (st == kInvalidTile || ct == kInvalidTile) {
-      std::fprintf(stderr, "B5 FAIL: deploy refused on row %u (svc tile %u, client tile %u)\n",
-                   row, st, ct);
+      std::fprintf(stderr, "B5 FAIL: deploy refused (svc tile %u, client tile %u)\n",
+                   pair.service, pair.client);
       std::exit(2);
     }
     (void)os.GrantSendToService(ct, svc);
@@ -292,7 +322,7 @@ int main(int argc, char** argv) {
   };
   bool consistent = true;
   for (const Point p : {Point{"light", 600}, Point{"mid", 150}}) {
-    const RunResult off = RunSweepPoint(p.period, /*express=*/false, sweep_cycles);
+    const RunResult off = RunPairs(RowPairs(p.period), /*express=*/false, sweep_cycles);
     if (baseline_only) {
       table.AddRow({p.label, Table::Int(p.period), Table::Num(off.mcycles_per_sec, 1),
                     "-", "-", "-", "-"});
@@ -302,7 +332,7 @@ int main(int argc, char** argv) {
       json.Metric("noexpress_mcycles_per_sec", off.mcycles_per_sec);
       continue;
     }
-    const RunResult on = RunSweepPoint(p.period, /*express=*/true, sweep_cycles);
+    const RunResult on = RunPairs(RowPairs(p.period), /*express=*/true, sweep_cycles);
     consistent = CrossCheck(p.label, on, off) && consistent;
     const double speedup =
         off.mcycles_per_sec > 0 ? on.mcycles_per_sec / off.mcycles_per_sec : 0;
@@ -319,11 +349,42 @@ int main(int argc, char** argv) {
     json.Metric("express_hits", on.express.delivered);
     json.Metric("express_launches", on.express.launches);
     json.Metric("materializations", on.express.materializations);
+    json.Metric("express_checks", on.express.checks);
     json.Metric("mean_corridor_hops", on.MeanCorridorHops());
     json.Metric("express_flits", on.express.flits_delivered);
     json.Metric("responses", on.received);
   }
   table.Print();
+
+  // Crossing: flows that share links, so corridors really materialize.
+  const RunResult coff = RunPairs(CrossingPairs(), /*express=*/false, sweep_cycles);
+  if (!baseline_only) {
+    const RunResult con = RunPairs(CrossingPairs(), /*express=*/true, sweep_cycles);
+    consistent = CrossCheck("crossing", con, coff) && consistent;
+    const double ratio =
+        coff.mcycles_per_sec > 0 ? con.mcycles_per_sec / coff.mcycles_per_sec : 0;
+    Table cross_table("B5: crossing flows (corridors that materialize)");
+    cross_table.SetHeader({"config", "no-express Mcyc/s", "express Mcyc/s", "speedup",
+                           "launches", "materializations", "express hits"});
+    cross_table.AddRow({"crossing", Table::Num(coff.mcycles_per_sec, 1),
+                        Table::Num(con.mcycles_per_sec, 1), Table::Num(ratio, 2),
+                        Table::Int(con.express.launches),
+                        Table::Int(con.express.materializations),
+                        Table::Int(con.express.delivered)});
+    cross_table.Print();
+    json.BeginRow();
+    json.Metric("scenario", "crossing");
+    json.Metric("noexpress_mcycles_per_sec", coff.mcycles_per_sec);
+    json.Metric("express_mcycles_per_sec", con.mcycles_per_sec);
+    json.Metric("speedup", ratio);
+    json.Metric("express_hits", con.express.delivered);
+    json.Metric("express_launches", con.express.launches);
+    json.Metric("materializations", con.express.materializations);
+    json.Metric("express_checks", con.express.checks);
+    json.Metric("mean_corridor_hops", con.MeanCorridorHops());
+    json.Metric("express_flits", con.express.flits_delivered);
+    json.Metric("responses", con.received);
+  }
 
   // Saturated guardrail: only the services' lone replies launch, and
   // express must cost nothing (target >= 0.97x).
@@ -348,6 +409,7 @@ int main(int argc, char** argv) {
     json.Metric("express_hits", son.express.delivered);
     json.Metric("express_launches", son.express.launches);
     json.Metric("materializations", son.express.materializations);
+    json.Metric("express_checks", son.express.checks);
     json.Metric("mean_corridor_hops", son.MeanCorridorHops());
   }
 

@@ -1,7 +1,9 @@
 #include "src/noc/express.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdlib>
 
 #include "src/noc/mesh.h"
 #include "src/noc/network_interface.h"
@@ -10,7 +12,7 @@
 namespace apiary {
 
 void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles) {
-  assert(active_count_ == 0 && "reconfiguring a lane with corridors in flight");
+  assert(active_ == 0 && "reconfiguring a lane with corridors in flight");
   mesh_ = mesh;
   num_tiles_ = num_tiles;
   max_path_ = mesh->width() + mesh->height() - 1;
@@ -18,28 +20,53 @@ void ExpressLane::Configure(Mesh* mesh, uint32_t num_tiles) {
   paths_.assign(static_cast<size_t>(kMaxCorridors) * max_path_, Hop{});
   link_owner_.assign(static_cast<size_t>(num_tiles) * kNumPorts, 0);
   source_owner_.assign(num_tiles, 0);
-  active_count_ = 0;
+  suspect_ = 0;
+  for (uint32_t t = 0; t < num_tiles; ++t) {
+    Router& r = *mesh->routers_[t];
+    r.link_holders_ = &link_owner_[static_cast<size_t>(t) * kNumPorts];
+    r.express_suspect_ = &suspect_;
+  }
 }
 
-void ExpressLane::SetHop(Hop* hop, TileId tile, TileId dst, RouterPort in) const {
-  hop->router = mesh_->routers_[tile].get();
-  hop->out = hop->router->RoutePort(dst);
-  hop->in = in;
-  hop->link = tile * kNumPorts + static_cast<uint32_t>(hop->out);
+bool ExpressLane::RouterBusy(TileId tile) const {
+  return ((mesh_->live_[tile / 64].routers >> (tile % 64)) & 1) != 0;
 }
 
-bool ExpressLane::OutputIdle(const Hop& hop) {
+bool ExpressLane::OutputIdle(const Hop& hop) const {
   const Router& r = *hop.router;
   for (int v = 0; v < kNumVcs; ++v) {
     if (r.outputs_[hop.out][v].owner_port != -1) {
       return false;
     }
   }
-  return r.heads_[hop.out] == 0;
+  // A router that buffers no flit holds no resident head.
+  return !RouterBusy(hop.link / kNumPorts) || r.heads_[hop.out] == 0;
+}
+
+bool ExpressLane::BacklogDrains(const Hop& hop, uint32_t k) const {
+  const Router& r = *hop.router;
+  uint32_t backlog = 0;
+  uint32_t front_heads = 0;
+  for (int v = 0; v < kNumVcs; ++v) {
+    for (uint32_t req = r.Requests(hop.out, v); req != 0; req &= req - 1) {
+      const Flit& f = r.inputs_[std::countr_zero(req)][v].flits.front();
+      backlog += f.packet->flit_count - f.index;
+      front_heads += f.is_head() ? 1 : 0;
+    }
+  }
+  return backlog < k && r.heads_[hop.out] == front_heads;
+}
+
+bool ExpressLane::HolderReleases(uint32_t holder, uint32_t link, uint32_t k, Cycle now) const {
+  // The holder's tail leaves this router at its launch + F + its hop index
+  // here, which on an XY route is the distance from its source; the link is
+  // released at the top of the next cycle.
+  const Corridor& h = corridors_[holder];
+  return h.launch + h.flits + mesh_->Hops(h.source, link / kNumPorts) <= now + k;
 }
 
 bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
-  if (!enabled_ || active_count_ >= kMaxCorridors) {
+  if (!enabled_ || active_ == kAllSlots) {
     return false;
   }
   // A closed fault window draws no RNG and charges no counter, so skipping
@@ -80,45 +107,60 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   if (!mesh_->routers_[src]->inputs_[kPortLocal][q].flits.empty()) {
     return false;
   }
-  uint32_t slot = 0;
-  while (corridors_[slot].active) {
-    ++slot;  // active_count_ < kMaxCorridors: a free slot exists.
-  }
-  Hop* path = Path(slot);
-  SetHop(&path[0], src, dst, kPortLocal);
-  // Launch policy: hop 0's output must be free when the head reaches it at
-  // D+1 — idle in the routers, and either unheld or held by a corridor whose
-  // tail left it by `now` (released at the top of D+1).
-  if (!OutputIdle(path[0])) {
+  // Walk the XY route from coordinates (x first, then y), checking each hop
+  // as it is laid down: launch policy only (see the file comment). Hop k's
+  // output carries the head at now + k + 1.
+  const uint32_t width = mesh_->width();
+  const uint32_t dx = dst % width;
+  const uint32_t dy = dst / width;
+  uint32_t x = src % width;
+  uint32_t y = src / width;
+  const uint32_t hops = (dx > x ? dx - x : x - dx) + (dy > y ? dy - y : y - dy);
+  // A corridor flit can transiently share an input buffer with its
+  // successor (the walk reaches the upstream router, which forwards the
+  // successor, before the downstream one forwards the flit), so multi-hop
+  // corridors need two slots per buffer.
+  if (hops != 0 && mesh_->config_.router_buffer_depth < 2) {
     return false;
   }
-  if (const uint16_t holder = link_owner_[path[0].link]; holder != 0) {
-    const Corridor& h = corridors_[holder - 1];
-    const Hop* hp = Path(holder - 1);
-    uint32_t k = h.released;
-    while (hp[k].link != path[0].link) {
-      ++k;
-    }
-    if (h.launch + h.flits + k > now) {
+  const uint32_t slot = static_cast<uint32_t>(std::countr_zero(~active_));
+  Hop* path = Path(slot);
+  TileId tile = src;
+  RouterPort in = kPortLocal;
+  for (uint32_t k = 0; k <= hops; ++k) {
+    const RouterPort out = dx > x   ? kPortEast
+                           : dx < x ? kPortWest
+                           : dy > y ? kPortSouth
+                           : dy < y ? kPortNorth
+                                    : kPortLocal;
+    Hop& hop = path[k];
+    hop.router = mesh_->routers_[tile].get();
+    hop.link = tile * kNumPorts + static_cast<uint32_t>(out);
+    hop.out = out;
+    hop.in = in;
+    // Hop 0's output is idle; a later hop's backlog drains in time, and the
+    // buffer the head enters at D+1 is empty. A router that buffers no flit
+    // passes both.
+    if (k == 0) {
+      if (!OutputIdle(hop)) {
+        return false;
+      }
+    } else if (RouterBusy(tile) &&
+               (!BacklogDrains(hop, k) ||
+                (k == 1 && !hop.router->inputs_[in][q].flits.empty()))) {
       return false;
     }
-  }
-  uint32_t hops = 0;
-  while (path[hops].out != kPortLocal) {
-    // A corridor flit can transiently share an input buffer with its
-    // successor (the walk reaches the upstream router, which forwards the
-    // successor, before the downstream one forwards the flit), so
-    // multi-hop corridors need two slots per buffer.
-    if (mesh_->config_.router_buffer_depth < 2) {
+    if (const uint16_t holder = link_owner_[hop.link];
+        holder != 0 && !HolderReleases(holder - 1, hop.link, k, now)) {
       return false;
     }
-    const Hop& prev = path[hops];
-    ++hops;
-    SetHop(&path[hops], prev.router->neighbors_[prev.out]->tile(), dst, kOppositePort[prev.out]);
-    // Launch policy: the buffer the head enters at D+1 is empty.
-    if (hops == 1 && !path[1].router->inputs_[path[1].in][q].flits.empty()) {
-      return false;
+    if (out == kPortLocal) {
+      break;
     }
+    x += out == kPortEast ? 1 : out == kPortWest ? -1 : 0;
+    y += out == kPortSouth ? 1 : out == kPortNorth ? -1 : 0;
+    tile = y * width + x;
+    in = kOppositePort[out];
   }
   // Install: the queue drains into the corridor (one ref pins the packet),
   // and inject_rr_ takes the value any number of real injection cycles from
@@ -134,18 +176,30 @@ bool ExpressLane::TryLaunch(NetworkInterface& ni, Cycle now) {
   c.hops = hops;
   c.released = 0;
   c.reserved = 0;
+  c.next_release = now + flits;
   c.vc = q;
   c.source = src;
   // The corridor delivers when the tail ejects (D+F+H).
   c.due = now + flits + hops;
-  c.active = true;
-  ++active_count_;
+  active_ |= 1u << slot;
   source_owner_[src] = static_cast<uint16_t>(slot + 1);
   ++stats_.launches;
   return true;
 }
 
+bool ExpressLane::HeldLinkWanted(uint32_t index) const {
+  const Corridor& c = corridors_[index];
+  const Hop* path = Path(index);
+  for (uint32_t k = c.released; k < c.reserved; ++k) {
+    if (path[k].router->heads_[path[k].out] != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool ExpressLane::Clear(uint32_t index, Cycle now) {
+  ++stats_.checks;
   Corridor& c = corridors_[index];
   const Hop* path = Path(index);
   // The head leaves R_j through out_j this cycle (j > H: it has ejected).
@@ -158,60 +212,67 @@ bool ExpressLane::Clear(uint32_t index, Cycle now) {
     link_owner_[hop.link] = static_cast<uint16_t>(index + 1);
     ++c.reserved;
   }
-  for (uint32_t k = c.released; k < c.reserved; ++k) {
-    if (path[k].router->heads_[path[k].out] != 0) {
+  // Only a marked corridor can have a resident head routed to a held link.
+  const uint32_t bit = 1u << index;
+  if ((suspect_ & bit) != 0) {
+    if (HeldLinkWanted(index)) {
       return false;
     }
+    suspect_ &= ~bit;  // The marked link was released since.
   }
   if (j < c.hops) {
     const Hop& next = path[j + 1];
-    if (!next.router->inputs_[next.in][c.vc].flits.empty()) {
+    if (RouterBusy(next.link / kNumPorts) && !next.router->inputs_[next.in][c.vc].flits.empty()) {
       return false;
     }
   }
   return true;
 }
 
-void ExpressLane::TickTop(Cycle now) {
-  if (active_count_ != 0) {
-    // The mesh ticks every executed cycle while a corridor is active
-    // (NextActivity == now), so the state time is the previous cycle.
-    assert(state_time_ + 1 == now && "corridor missed a mesh tick");
-    // 1. Release the hops every tail has left.
-    for (uint32_t i = 0; i < kMaxCorridors; ++i) {
-      Corridor& c = corridors_[i];
-      if (!c.active) {
-        continue;
-      }
-      const Hop* path = Path(i);
-      while (c.released < c.reserved && state_time_ >= c.launch + c.flits + c.released) {
-        const Hop& hop = path[c.released];
-        hop.router->ExpressCatchUp(hop.out, hop.in, c.vc, c.flits, c.flits);
-        link_owner_[hop.link] = 0;
-        ++c.released;
-      }
+void ExpressLane::TickCorridors(Cycle now) {
+  // The mesh ticks every executed cycle while a corridor is active
+  // (NextActivity == now), so the state time is the previous cycle.
+  assert(state_time_ + 1 == now && "corridor missed a mesh tick");
+  // 1. One walk over the live slots: release the hops every tail has
+  // left, and pick the corridors whose head is still travelling (checked
+  // every cycle) and whose tail ejects this cycle.
+  uint32_t travelling = 0;
+  uint32_t completing = 0;
+  for (uint32_t live = active_; live != 0; live &= live - 1) {
+    const uint32_t i = static_cast<uint32_t>(std::countr_zero(live));
+    Corridor& c = corridors_[i];
+    for (; c.released < c.reserved && state_time_ >= c.next_release; ++c.released) {
+      const Hop& hop = Path(i)[c.released];
+      hop.router->ExpressCatchUp(hop.out, hop.in, c.vc, c.flits, c.flits);
+      link_owner_[hop.link] = 0;
+      ++c.next_release;
     }
-    // 2. Check until nothing materializes: a materialized corridor's flits
-    // are real from here on, and may fail another corridor's check.
-    for (bool changed = true; changed;) {
-      changed = false;
-      for (uint32_t i = 0; i < kMaxCorridors; ++i) {
-        if (corridors_[i].active && !Clear(i, now)) {
-          Materialize(i);
-          changed = true;
-        }
-      }
+    if (now <= c.launch + 1 + c.hops) {
+      travelling |= 1u << i;
     }
-    // 3. Completions: corridors whose tail ejects this cycle deliver.
-    for (uint32_t i = 0; i < kMaxCorridors; ++i) {
-      if (corridors_[i].active && corridors_[i].due == now) {
-        Deliver(i);
-      }
+    if (c.due == now) {
+      completing |= 1u << i;
     }
   }
-  // Every observer until the next tick sees end-of-`now` state, really or
-  // analytically — the uniform materialization boundary.
-  state_time_ = now;
+  // 2. Check until nothing materializes: a materialized corridor's flits
+  // are real from here on, and may fail another corridor's check (marking
+  // it suspect, or filling its entry buffer). Each pass re-reads the marks
+  // above its cursor, so it checks what a full ascending pass would fail.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (uint32_t pending = (travelling | suspect_) & active_; pending != 0;) {
+      const uint32_t i = static_cast<uint32_t>(std::countr_zero(pending));
+      if (!Clear(i, now)) {
+        Materialize(i);
+        changed = true;
+      }
+      pending = (travelling | suspect_) & active_ & ~((2u << i) - 1);
+    }
+  }
+  // 3. Completions: corridors whose tail ejects this cycle deliver.
+  for (uint32_t done = completing & active_; done != 0; done &= done - 1) {
+    Deliver(static_cast<uint32_t>(std::countr_zero(done)));
+  }
 }
 
 void ExpressLane::Deliver(uint32_t index) {
@@ -288,12 +349,12 @@ void ExpressLane::Remove(uint32_t index) {
     source_owner_[c.source] = 0;
   }
   c.packet = PacketRef();
-  c.active = false;
-  --active_count_;
+  active_ &= ~(1u << index);
+  suspect_ &= ~(1u << index);
 }
 
 void ExpressLane::MaterializeSource(TileId tile) {
-  if (active_count_ == 0 || source_owner_[tile] == 0) {
+  if (active_ == 0 || source_owner_[tile] == 0) {
     return;
   }
   // Only a corridor with flits still (virtually) queued holds the source; a
@@ -305,15 +366,13 @@ void ExpressLane::MaterializeSource(TileId tile) {
 }
 
 void ExpressLane::MaterializeAll() {
-  for (uint32_t i = 0; i < kMaxCorridors && active_count_ != 0; ++i) {
-    if (corridors_[i].active) {
-      Materialize(i);
-    }
+  while (active_ != 0) {
+    Materialize(static_cast<uint32_t>(std::countr_zero(active_)));
   }
 }
 
 uint32_t ExpressLane::VirtualPending(TileId tile, int vc_index) const {
-  if (active_count_ == 0 || tile >= source_owner_.size() || source_owner_[tile] == 0) {
+  if (active_ == 0 || tile >= source_owner_.size() || source_owner_[tile] == 0) {
     return 0;
   }
   const Corridor& c = corridors_[source_owner_[tile] - 1];
@@ -328,11 +387,8 @@ uint32_t ExpressLane::VirtualPending(TileId tile, int vc_index) const {
 
 uint64_t ExpressLane::InFlightRouted() const {
   uint64_t routed = 0;
-  for (uint32_t i = 0; i < kMaxCorridors && active_count_ != 0; ++i) {
-    const Corridor& c = corridors_[i];
-    if (!c.active) {
-      continue;
-    }
+  for (uint32_t live = active_; live != 0; live &= live - 1) {
+    const Corridor& c = corridors_[std::countr_zero(live)];
     const uint64_t elapsed = state_time_ - c.launch;
     for (uint64_t k = c.released; k < c.reserved; ++k) {
       routed += elapsed > k ? std::min<uint64_t>(c.flits, elapsed - k) : 0;
@@ -343,9 +399,9 @@ uint64_t ExpressLane::InFlightRouted() const {
 
 uint64_t ExpressLane::InFlightEjected() const {
   uint64_t ejected = 0;
-  for (uint32_t i = 0; i < kMaxCorridors && active_count_ != 0; ++i) {
-    const Corridor& c = corridors_[i];
-    if (c.active && state_time_ - c.launch > c.hops) {
+  for (uint32_t live = active_; live != 0; live &= live - 1) {
+    const Corridor& c = corridors_[std::countr_zero(live)];
+    if (state_time_ - c.launch > c.hops) {
       ejected += std::min<uint64_t>(c.flits, state_time_ - c.launch - c.hops);
     }
   }

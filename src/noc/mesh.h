@@ -82,6 +82,8 @@ class Mesh : public Clocked {
   void MaterializeExpress();
   // Express lane statistics (launches, deliveries, materializations).
   ExpressStats AggregateExpressStats() const { return express_.stats(); }
+  // Which of the lane's corridor slots are live (ExpressLane::live_slots).
+  uint32_t ExpressLiveSlots() const { return express_.live_slots(); }
 
   // Minimal hop count between two tiles under XY routing.
   uint32_t Hops(TileId a, TileId b) const;

@@ -113,7 +113,11 @@ bool Router::AcceptFlit(RouterPort in_port, Flit&& flit, Cycle arrival) {
   // HeadVisible relies on one arrival per buffer per cycle.
   assert(buf.flits.empty() || buf.last_arrival < arrival);
   if (flit.is_head()) {
-    ++heads_[RoutePort(flit.dst())];
+    const RouterPort out = RoutePort(flit.dst());
+    ++heads_[out];
+    if (const uint16_t holder = link_holders_[out]; holder != 0) {
+      *express_suspect_ |= 1u << (holder - 1);
+    }
   }
   buf.flits.push_back(std::move(flit));
   buf.last_arrival = arrival;

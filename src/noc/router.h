@@ -116,9 +116,9 @@ class Router {
 
  private:
   // The express lane reads wormhole owners, input buffers and resident-head
-  // counts when it reserves a link, and replays batched traversal effects
-  // through ExpressCatchUp (src/noc/express.h documents why the batch is
-  // byte-exact).
+  // counts when it reserves a link, wires the push hook below, and replays
+  // batched traversal effects through ExpressCatchUp (src/noc/express.h
+  // documents why the batch is byte-exact).
   friend class ExpressLane;
 
   // Applies the externally observable effects of `departed` corridor flits
@@ -248,6 +248,13 @@ class Router {
   // the express lane reads this count, not the front-only request bits,
   // when it asks whether any real packet may contend for an output.
   std::array<uint32_t, kNumPorts> heads_{};
+  // The express lane's push hook (src/noc/express.h): this router's row of
+  // the lane's link table (holder corridor + 1 per output, 0 = free) and the
+  // lane's suspect mask. Counting a head routed to a held link marks its
+  // holder suspect. A router no lane wired sees every link free.
+  static constexpr uint16_t kNoLinkHolders[kNumPorts] = {};
+  const uint16_t* link_holders_ = kNoLinkHolders;
+  uint32_t* express_suspect_ = nullptr;
   // This tile's word and bit in the owning mesh's busy-router bitset.
   uint64_t* live_word_ = nullptr;
   uint64_t live_bit_ = 0;

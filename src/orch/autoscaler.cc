@@ -1,6 +1,7 @@
 #include "src/orch/autoscaler.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "src/sim/logging.h"
@@ -19,6 +20,11 @@ Autoscaler::Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app
       placer_(placer),
       scheduler_(scheduler),
       config_(config) {
+  // With a zero target every window that saw a completion reads as
+  // latency-high, so the loop would scale up on every poll.
+  if (config_.slo_p99_cycles == 0) {
+    throw std::invalid_argument("AutoscalerConfig::slo_p99_cycles is unset");
+  }
   target_ = config_.min_replicas;
   // Anchor the integral at creation so the first tick does not back-fill
   // region-cycles for cycles that predate us.

@@ -43,7 +43,8 @@ struct AutoscalerConfig {
   // Control-loop period; metrics are windowed over it.
   Cycle poll_period = 10'000;
   // The p99 target, and the fraction of it under which a replica is
-  // considered latency-surplus.
+  // considered latency-surplus. There is no default target: 0 means unset,
+  // and the Autoscaler constructor rejects it.
   Cycle slo_p99_cycles = 0;
   double slo_down_fraction = 0.4;
   // cooldown_cycles must have passed since the last scaling action before a
@@ -61,10 +62,11 @@ class Autoscaler : public Clocked {
 
   // The balancer lives on `lb_tile`; new replicas deploy under `app` and are
   // granted to the balancer through the kernel. `placer` and `scheduler`
-  // are shared orchestration infrastructure (not owned).
+  // are shared orchestration infrastructure (not owned). Throws
+  // std::invalid_argument when `config` sets no SLO target.
   Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app,
              ReplicaFactory factory, Placer* placer, ReconfigScheduler* scheduler,
-             AutoscalerConfig config = AutoscalerConfig{});
+             AutoscalerConfig config);
 
   // Registers an already-deployed replica (initial wiring at time zero; the
   // caller has AddBackend'ed its endpoint on the balancer).

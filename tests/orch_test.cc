@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -357,6 +358,20 @@ AutoscalerConfig FastSloConfig() {
   acfg.cooldown_cycles = 4'000;
   acfg.replica_logic_cells = 1'000;
   return acfg;
+}
+
+// A zero SLO would read every window that saw a completion as latency-high
+// and scale up on every poll, so the constructor refuses it.
+TEST(AutoscalerTest, RejectsConfigWithoutSlo) {
+  TestBoard tb(OrchOptions());
+  const AppId app = tb.os.CreateApp("elastic");
+  Placer placer(&tb.os);
+  ReconfigScheduler scheduler(&tb.os, app);
+  AutoscalerConfig acfg = FastSloConfig();
+  acfg.slo_p99_cycles = 0;
+  auto factory = [] { return std::make_unique<EchoAccelerator>(200); };
+  EXPECT_THROW(Autoscaler(&tb.os, nullptr, kInvalidTile, app, factory, &placer, &scheduler, acfg),
+               std::invalid_argument);
 }
 
 TEST(AutoscalerTest, ScalesUpUnderSustainedLoad) {
