@@ -27,7 +27,6 @@
 #include "src/core/service_ids.h"
 #include "src/fpga/board.h"
 #include "src/orch/autoscaler.h"
-#include "src/orch/orch_service.h"
 #include "src/orch/placer.h"
 #include "src/orch/reconfig_scheduler.h"
 #include "src/services/load_balancer.h"

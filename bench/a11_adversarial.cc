@@ -204,7 +204,7 @@ ScenarioResult RunScenario(AttackKind attack, Mode mode, uint64_t seed,
   }
   const TenantId victim = tmgr.CreateTenant("victim", victim_quota);
   const AppId victim_app = tmgr.CreateApp(victim, "kv");
-  auto kv_factory = [] { return std::make_unique<KvStoreAccelerator>(1 << 20, 1 << 16); };
+  auto kv_factory = [] { return std::make_unique<KvStoreAccelerator>(1 << 20); };
   ServiceId kv_svc = 0;
   DeployOptions at_kv;
   at_kv.tile = kVictimTile;

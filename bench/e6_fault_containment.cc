@@ -140,7 +140,7 @@ Row RunWildWrite(bool isolated) {
   ApiaryOs& os = bb.os;
 
   AppId kv_app = os.CreateApp("kv");
-  auto* kv = new KvStoreAccelerator(1 << 20, 1 << 16);
+  auto* kv = new KvStoreAccelerator(1 << 20);
   ServiceId kv_svc = 0;
   const TileId kv_tile = os.Deploy(kv_app, std::unique_ptr<Accelerator>(kv), &kv_svc);
   (void)os.GrantSendToService(kv_tile, kMemoryService);

@@ -96,7 +96,7 @@ int main() {
 
   // ---- Tenant B: the KV store, network-facing, plus a snooper tile. ----
   AppId kv_app = os.CreateApp("tenant-B-kv");
-  auto* kv = new KvStoreAccelerator(1 << 20, 1 << 16);
+  auto* kv = new KvStoreAccelerator(1 << 20);
   ServiceId kv_svc = 0;
   const TileId kv_tile = os.Deploy(kv_app, std::unique_ptr<Accelerator>(kv), &kv_svc);
   (void)os.GrantSendToService(kv_tile, kMemoryService);

@@ -71,7 +71,7 @@ void KvStoreAccelerator::HandlePut(const Message& msg, TileApi& api) {
     return;
   }
   const uint64_t vlen = msg.payload.size() - voff;
-  if (index_.size() >= max_index_entries_ && index_.find(key) == index_.end()) {
+  if (index_.size() >= kKvMaxIndexEntries && index_.find(key) == index_.end()) {
     counters_.Add("kv.index_full");
     api.ReplyStatus(msg, MsgStatus::kNoMemory);
     return;

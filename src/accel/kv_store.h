@@ -26,11 +26,14 @@
 
 namespace apiary {
 
+// Capacity of the on-tile key index; a PUT of a new key beyond it is
+// refused with kNoMemory.
+inline constexpr size_t kKvMaxIndexEntries = 65536;
+
 class KvStoreAccelerator : public Accelerator {
  public:
-  explicit KvStoreAccelerator(uint64_t value_log_bytes = 1 << 20,
-                              size_t max_index_entries = 65536)
-      : value_log_bytes_(value_log_bytes), max_index_entries_(max_index_entries) {}
+  explicit KvStoreAccelerator(uint64_t value_log_bytes = 1 << 20)
+      : value_log_bytes_(value_log_bytes) {}
 
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
@@ -73,7 +76,6 @@ class KvStoreAccelerator : public Accelerator {
   bool ParseKey(const Message& msg, std::string* key, size_t* value_offset) const;
 
   uint64_t value_log_bytes_;
-  size_t max_index_entries_;
 
   CapRef memsvc_cap_ = kInvalidCapRef;
   CapRef mem_cap_ = kInvalidCapRef;

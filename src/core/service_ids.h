@@ -13,10 +13,9 @@ namespace apiary {
 
 inline constexpr ServiceId kMemoryService = 1;
 inline constexpr ServiceId kNetworkService = 2;
-inline constexpr ServiceId kNameService = 3;
+// Ids 3 and 6 are retired; the others keep their values.
 inline constexpr ServiceId kMgmtService = 4;
 inline constexpr ServiceId kDmaService = 5;
-inline constexpr ServiceId kOrchService = 6;
 inline constexpr ServiceId kTenantService = 7;
 
 // Application endpoints are assigned logical ids starting here.

@@ -25,7 +25,6 @@ Autoscaler::Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app
   if (config_.slo_p99_cycles == 0) {
     throw std::invalid_argument("AutoscalerConfig::slo_p99_cycles is unset");
   }
-  target_ = config_.min_replicas;
   // Anchor the integral at creation so the first tick does not back-fill
   // region-cycles for cycles that predate us.
   last_tick_ = os_->sim().now() - 1;
@@ -39,12 +38,6 @@ void Autoscaler::AdoptReplica(ServiceId service, TileId tile, CapRef endpoint) {
   r.endpoint = endpoint;
   r.state = ReplicaState::kLive;
   replicas_.push_back(r);
-  target_ = std::max(target_, live_replicas());
-}
-
-void Autoscaler::SetBounds(uint32_t min_replicas, uint32_t max_replicas) {
-  config_.min_replicas = min_replicas;
-  config_.max_replicas = std::max(min_replicas, max_replicas);
 }
 
 uint64_t Autoscaler::replica_tile_cycles() const {
@@ -99,8 +92,9 @@ void Autoscaler::Poll() {
   }
   const uint32_t live = live_replicas();
 
-  // Bound enforcement (SetBounds / kOpOrchScale) bypasses the cooldown: the
-  // operator's floor and ceiling are not advisory.
+  // Bound enforcement bypasses the cooldown: the operator's floor and
+  // ceiling are not advisory, and replicas adopted outside them are
+  // corrected here.
   if (live > config_.max_replicas) {
     ScaleDown();
     return;
@@ -172,7 +166,6 @@ void Autoscaler::ScaleUp() {
   placer_->Reserve(tile);
   op_pending_ = true;
   last_scale_at_ = os_->sim().now();
-  target_ = live_replicas() + 1;
   Replica r;
   r.tile = tile;
   r.state = ReplicaState::kLoading;
@@ -216,7 +209,6 @@ void Autoscaler::ScaleDown() {
   victim.state = ReplicaState::kDraining;
   op_pending_ = true;
   last_scale_at_ = os_->sim().now();
-  target_ = live_replicas();
   // Out of the rotation immediately: no new work lands on a draining
   // replica, while its in-flight requests finish through the recorded
   // endpoint.

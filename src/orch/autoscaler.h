@@ -72,10 +72,6 @@ class Autoscaler : public Clocked {
   // caller has AddBackend'ed its endpoint on the balancer).
   void AdoptReplica(ServiceId service, TileId tile, CapRef endpoint);
 
-  // Runtime bound adjustment (kOpOrchScale); out-of-bounds live counts are
-  // corrected on the next poll, bypassing cooldown.
-  void SetBounds(uint32_t min_replicas, uint32_t max_replicas);
-
   // Admission control for scale-ups: when set, a scale-up proceeds only if
   // the predicate returns true (the tenant manager wires its tile-quota
   // check here). A denied attempt counts "orch.scale_up_quota_denied" and
@@ -103,7 +99,6 @@ class Autoscaler : public Clocked {
   }
 
   uint32_t live_replicas() const;
-  uint32_t target_replicas() const { return target_; }
   uint64_t scale_ups() const { return scale_ups_; }
   uint64_t scale_downs() const { return scale_downs_; }
   // Tile-cycles consumed by the replica set (live + loading + draining
@@ -140,7 +135,6 @@ class Autoscaler : public Clocked {
   std::function<bool()> admit_;
 
   std::vector<Replica> replicas_;
-  uint32_t target_ = 0;
   bool op_pending_ = false;   // One scaling operation in flight at a time.
   uint32_t down_streak_ = 0;  // Consecutive polls that wanted to shrink.
   Cycle last_scale_at_ = 0;

@@ -35,6 +35,14 @@ class DmaService : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Tick issues reads, retries refused writes and completes jobs; with no
+  // job queued it has nothing to do.
+  // APIARY-WAKE(tile): copy requests arrive through the owning Tile's NI
+  // sink, whose wake ends the park on delivery. DRAM callbacks only touch
+  // jobs still in jobs_, and the tile stays active while any is queued.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return jobs_.empty() ? kNoActivity : now;
+  }
 
   std::string name() const override { return "dma_service"; }
   uint32_t LogicCellCost() const override { return 9000; }

@@ -18,10 +18,6 @@ inline constexpr uint16_t kOpMemWrite = 0x0104;   // req: u64 offset, data (+gra
 // resp: u32 cap_ref minted in the target tile's table.
 inline constexpr uint16_t kOpMemShare = 0x0105;
 
-// --- Name service ---
-inline constexpr uint16_t kOpNameRegister = 0x0201;  // req: u32 service_id, name
-inline constexpr uint16_t kOpNameLookup = 0x0202;    // req: name; resp: u32 service_id
-
 // --- Management service ---
 inline constexpr uint16_t kOpMgmtHeartbeat = 0x0301;  // req: (empty)
 inline constexpr uint16_t kOpMgmtReport = 0x0302;     // req: event string
@@ -40,11 +36,6 @@ inline constexpr uint16_t kOpLbConfig = 0x0501;    // kernel-side: backend list
 // Load-balancer metric export. resp: u32 backends, u64 in_flight,
 // u64 responses, u64 p50_cycles, u64 p99_cycles.
 inline constexpr uint16_t kOpOrchStats = 0x0601;
-// Adjust autoscaler replica bounds. req: u32 min, u32 max; resp: u32 live.
-inline constexpr uint16_t kOpOrchScale = 0x0602;
-// Autoscaler status. resp: u32 live, u32 target, u64 scale_ups,
-// u64 scale_downs.
-inline constexpr uint16_t kOpOrchStatus = 0x0603;
 
 // --- Tenant accounting (src/tenant) ---
 // Per-tenant metering export. req: u32 tenant_id; resp: u32 tenant_id,

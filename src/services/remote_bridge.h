@@ -41,6 +41,14 @@ class RemoteBridge : public Accelerator {
 
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
+  // No Tick: the bridge only relays messages.
+  // APIARY-WAKE(tile): purely reactive service — local calls, peer frames
+  // and service responses all arrive through the owning Tile's NI sink,
+  // whose wake ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    (void)now;
+    return kNoActivity;
+  }
 
   std::string name() const override { return "remote_bridge"; }
   uint32_t LogicCellCost() const override { return 10000; }

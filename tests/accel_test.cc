@@ -479,7 +479,7 @@ struct KvFixture {
     tb.os.DeployService(kMemoryService,
                         std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
     app = tb.os.CreateApp("kv");
-    kv = new KvStoreAccelerator(1 << 16, 1024);
+    kv = new KvStoreAccelerator(1 << 16);
     kv_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &kv_svc);
     (void)tb.os.GrantSendToService(kv_tile, kMemoryService);
     probe = new ProbeAccelerator();
@@ -573,7 +573,7 @@ TEST(KvStoreTest, LogExhaustionReportsNoMemory) {
   tb.os.DeployService(kMemoryService,
                       std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
   AppId app = tb.os.CreateApp("kv");
-  auto* kv = new KvStoreAccelerator(/*value_log_bytes=*/256, 1024);
+  auto* kv = new KvStoreAccelerator(/*value_log_bytes=*/256);
   ServiceId svc = 0;
   const TileId kt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &svc);
   (void)tb.os.GrantSendToService(kt, kMemoryService);
@@ -602,7 +602,7 @@ TEST(KvStoreTest, StateSurvivesPreemption) {
 
   // Preempt-swap the KV store with a fresh instance: the externalized state
   // (index + capability refs) must carry over.
-  auto* fresh = new KvStoreAccelerator(1 << 16, 1024);
+  auto* fresh = new KvStoreAccelerator(1 << 16);
   ASSERT_TRUE(tb.os.PreemptSwap(fx.kv_tile, std::unique_ptr<Accelerator>(fresh)));
   EXPECT_EQ(fresh->index_size(), 1u);
 

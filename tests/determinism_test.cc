@@ -42,7 +42,7 @@ ScenarioResult RunScenario(uint64_t seed) {
                                        std::make_unique<Mac100GAdapter>(tb.board.mac100g()),
                                        /*reliable=*/true));
   AppId app = tb.os.CreateApp("kv");
-  auto* kv = new KvStoreAccelerator(1 << 18, 4096);
+  auto* kv = new KvStoreAccelerator(1 << 18);
   ServiceId kv_svc = 0;
   const TileId kt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &kv_svc);
   (void)tb.os.GrantSendToService(kt, kMemoryService);

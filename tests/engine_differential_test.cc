@@ -31,9 +31,9 @@
 //   * SeededDifferentialTest: the 8x8 workload, 3 seeds.
 //   * ExpressDifferentialTest: serial chaos and mid-corridor Undeploy.
 //   * SkipDifferentialTest: IPC valleys, the RawQueue ready cycle, a KV
-//     store behind a network gateway (both parked between messages), and
-//     the serial-engine accelerators (encoder -> compressor forwarding under
-//     a rate limit, checksum, crypto), which park between jobs.
+//     store behind a network gateway (both parked between messages), the
+//     serial-engine accelerators (encoder -> compressor forwarding under
+//     a rate limit, checksum), which park between jobs, and a DMA copy.
 //   * ActiveSetDifferentialTest: the planted missed wake.
 //   * WakeDifferentialTest: external input into a parked block, one case
 //     per wake path (harness PCIe and RawQueue submissions, MAC TX and
@@ -53,7 +53,6 @@
 
 #include "src/accel/checksum.h"
 #include "src/accel/compressor.h"
-#include "src/accel/crypto.h"
 #include "src/accel/echo.h"
 #include "src/accel/kv_store.h"
 #include "src/accel/video_encoder.h"
@@ -62,6 +61,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/mem/interleaved_memory.h"
+#include "src/services/dma_service.h"
 #include "src/services/gateway.h"
 #include "src/services/memory_service.h"
 #include "src/services/network_service.h"
@@ -575,7 +575,7 @@ TEST(SkipDifferentialTest, KvBehindGatewayMatches) {
               &tb.os, std::make_unique<Mac100GAdapter>(tb.board.mac100g()), /*reliable=*/false));
       const AppId app = tb.os.CreateApp("kv");
       ServiceId kv_svc = 0;
-      const TileId kt = tb.os.Deploy(app, std::make_unique<KvStoreAccelerator>(1 << 18, 4096),
+      const TileId kt = tb.os.Deploy(app, std::make_unique<KvStoreAccelerator>(1 << 18),
                                      &kv_svc);
       (void)tb.os.GrantSendToService(kt, kMemoryService);
       auto* gw = new NetGateway();
@@ -673,14 +673,15 @@ void ExpectEnginesMatch(const std::string& name, const TestBoardOptions& options
 // delivery to it is a wake into a parked tile.
 class ScriptedSender : public Accelerator {
  public:
-  void Add(Cycle at, Message msg, CapRef endpoint, CapRef mem = kInvalidCapRef) {
-    script_.push_back(Step{at, std::move(msg), endpoint, mem});
+  void Add(Cycle at, Message msg, CapRef endpoint, CapRef mem = kInvalidCapRef,
+           CapRef mem2 = kInvalidCapRef) {
+    script_.push_back(Step{at, std::move(msg), endpoint, mem, mem2});
   }
 
   void Tick(TileApi& api) override {
     while (next_ < script_.size() && script_[next_].at <= api.now()) {
       Step& step = script_[next_++];
-      const SendResult sent = api.Send(std::move(step.msg), step.endpoint, step.mem);
+      const SendResult sent = api.Send(std::move(step.msg), step.endpoint, step.mem, step.mem2);
       log += "send@" + std::to_string(api.now());
       log += ":" + std::to_string(static_cast<int>(sent.status)) + ' ';
     }
@@ -709,6 +710,7 @@ class ScriptedSender : public Accelerator {
     Message msg;
     CapRef endpoint;
     CapRef mem;
+    CapRef mem2;
   };
   std::vector<Step> script_;
   size_t next_ = 0;
@@ -1067,7 +1069,7 @@ TEST(WakeDifferentialTest, FailStopOfAParkedWedgedTileMatches) {
 
 // The accelerators built on SerialEngine park between jobs: the encoder
 // forwards each frame to the compressor, which forwards the compressed
-// stream to the sender; checksum and crypto reply to it. The encoder's rate
+// stream to the sender; the checksum tile replies to it. The encoder's rate
 // limit refuses forwards, which retry every cycle until the bucket refills.
 TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
   auto scenario = [](TestBoard& tb, auto&, RunResult* r) {
@@ -1084,15 +1086,11 @@ TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
     auto* crc = new ChecksumAccelerator();
     ServiceId crc_svc = 0;
     tb.os.Deploy(app, std::unique_ptr<Accelerator>(crc), &crc_svc);
-    auto* xtea = new CryptoAccelerator({1, 2, 3, 4});
-    ServiceId xtea_svc = 0;
-    tb.os.Deploy(app, std::unique_ptr<Accelerator>(xtea), &xtea_svc);
     enc->SetNextStage(tb.os.GrantSendToService(et, comp_svc), kOpCompress);
     comp->SetNextStage(tb.os.GrantSendToService(ct, sender_svc), kOpCompress);
     tb.os.SetRateLimit(et, /*flits_per_1k=*/10, /*burst=*/24);
     const CapRef to_enc = tb.os.GrantSendToService(st, enc_svc);
     const CapRef to_crc = tb.os.GrantSendToService(st, crc_svc);
-    const CapRef to_xtea = tb.os.GrantSendToService(st, xtea_svc);
     Cycle at = kValley;
     for (uint32_t round = 0; round < 2; ++round) {
       // Three frames back to back queue in the encoder's engine.
@@ -1107,17 +1105,12 @@ TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
       sum.payload = PayloadBuf(200 + 100 * round, static_cast<uint8_t>(round));
       sender->Add(at, std::move(sum), to_crc);
       Message bad;
-      bad.opcode = kOpEncrypt;  // Wrong opcode for the checksum tile.
+      bad.opcode = kOpCompress;  // Wrong opcode for the checksum tile.
       sender->Add(at, std::move(bad), to_crc);
-      Message secret;
-      secret.opcode = kOpEncrypt;
-      PutU64(secret.payload, 99 + round);
-      secret.payload.insert(secret.payload.end(), 120, 0x5a);
-      sender->Add(at + 1, std::move(secret), to_xtea);
       at += 5 * kValley;
     }
     tb.sim.Run(at + kValley);
-    EXPECT_EQ(sender->received, 12u);  // 6 compressed frames + 6 replies.
+    EXPECT_EQ(sender->received, 10u);  // 6 compressed frames + 4 replies.
     r->external = sender->log;
     r->host_client = "frames=" + std::to_string(enc->frames_encoded());
     r->host_client += " [" + enc->counters().ToString() + "]";
@@ -1126,7 +1119,6 @@ TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
     r->host_client += " out=" + std::to_string(comp->bytes_out());
     r->host_client += " [" + comp->counters().ToString() + "]";
     r->host_client += " crc=" + std::to_string(crc->served());
-    r->host_client += " xtea=" + std::to_string(xtea->served());
   };
   ExpectEnginesMatch("serial-engine accelerators", TestBoardOptions{}, scenario);
   // The rate limit did refuse forwards, so the retry path ran.
@@ -1134,6 +1126,53 @@ TEST(SkipDifferentialTest, SerialEngineAcceleratorsMatch) {
   EXPECT_NE(got.monitor_counters.find("monitor.send_rate_limited="), std::string::npos)
       << got.monitor_counters;
   EXPECT_EQ(got.host_client.rfind("frames=6 ", 0), 0u) << got.host_client;
+}
+
+// DMA copies between two segments, one per round with an idle valley
+// between them. The DMA service ticks only while a job is queued, so the
+// board parks in the valleys and wakes on the next copy request.
+TEST(SkipDifferentialTest, DmaCopyMatches) {
+  constexpr uint32_t kBytes = 3'000;  // Not a multiple of kDmaChunkBytes.
+  auto run = [](const Engine& engine) {
+    return RunScenario(engine, TestBoardOptions{}, [](TestBoard& tb, auto&, RunResult* r) {
+      auto* dma = new DmaService(&tb.board.memory());
+      tb.os.DeployService(kDmaService, std::unique_ptr<Accelerator>(dma));
+      TileId st = kInvalidTile;
+      ScriptedSender* sender = DeploySender(tb, "dma", &st);
+      const CapRef to_dma = tb.os.GrantSendToService(st, kDmaService);
+      const CapRef src_cap = *tb.os.GrantMemory(st, 8'192, kRightRead | kRightWrite);
+      const CapRef dst_cap = *tb.os.GrantMemory(st, 8'192, kRightRead | kRightWrite);
+      const Segment src = tb.os.monitor(st).cap_table().Lookup(src_cap)->segment;
+      const Segment dst = tb.os.monitor(st).cap_table().Lookup(dst_cap)->segment;
+      std::vector<uint8_t> pattern(kBytes);
+      for (size_t i = 0; i < pattern.size(); ++i) {
+        pattern[i] = static_cast<uint8_t>(i * 7 + 3);
+      }
+      tb.board.memory().DebugWrite(src.base, pattern);
+      Cycle at = kValley;
+      for (uint64_t round = 0; round < 2; ++round) {
+        Message copy;
+        copy.opcode = kOpDmaCopy;
+        PutU64(copy.payload, 0);                   // src offset
+        PutU64(copy.payload, 4'096 * round + 17);  // dst offset
+        PutU32(copy.payload, kBytes - 1'000 * static_cast<uint32_t>(round));
+        sender->Add(at, std::move(copy), to_dma, src_cap, dst_cap);
+        at += 5 * kValley;
+      }
+      tb.sim.Run(at + kValley);
+      EXPECT_EQ(sender->received, 2u);
+      r->external = sender->log;
+      const bool first_ok = tb.board.memory().DebugRead(dst.base + 17, kBytes) == pattern;
+      r->host_client = "first_copy=" + std::string(first_ok ? "ok" : "corrupt");
+      r->host_client += " [" + dma->counters().ToString() + "]";
+    });
+  };
+  const RunResult want = run(kReference);
+  const RunResult got = run(kOptimized);
+  EXPECT_EQ(Mismatch("dma copy", kReference, want, kOptimized, got), "");
+  EXPECT_EQ(want.host_client.rfind("first_copy=ok ", 0), 0u) << want.host_client;
+  EXPECT_GT(got.skips, 0u);
+  EXPECT_EQ(want.skipped_cycles, 0u);
 }
 
 // Sets a flag it shares with a ParkedSleeper at a seeded cycle — without

@@ -1,10 +1,8 @@
-// Tests for the extension subsystems: the DMA service (two-grant copies),
-// the remote bridge (cross-board service invocation), and the multi-context
-// process host (per-context fault isolation).
+// Tests for the extension subsystems: the DMA service (two-grant copies)
+// and the remote bridge (cross-board service invocation).
 #include <gtest/gtest.h>
 
 #include "src/accel/echo.h"
-#include "src/accel/multi_context.h"
 #include "src/core/service_ids.h"
 #include "src/services/dma_service.h"
 #include "src/services/memory_service.h"
@@ -274,120 +272,6 @@ TEST(RemoteBridgeTest, ManyConcurrentCallsAllComplete) {
   }
   EXPECT_EQ(ok, 20);
   EXPECT_EQ(echo->served(), 20u);
-}
-
-// ---------------------------------------------------------------------
-// Multi-context host.
-// ---------------------------------------------------------------------
-
-struct MchFixture {
-  explicit MchFixture(TestBoard& tb, bool per_context = true) {
-    host = new MultiContextHost(per_context);
-    echo_pid = host->AddContext(std::make_unique<EchoContext>());
-    counter_pid = host->AddContext(std::make_unique<CounterContext>());
-    faulty_pid = host->AddContext(std::make_unique<FaultyContext>(2));
-    app = tb.os.CreateApp("mch");
-    host_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(host), &host_svc);
-    probe = new ProbeAccelerator();
-    probe_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
-    cap = tb.os.GrantSendToService(probe_tile, host_svc);
-  }
-
-  Message For(ProcessId pid, std::vector<uint8_t> payload) {
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.dst_process = pid;
-    msg.payload = std::move(payload);
-    return msg;
-  }
-
-  MultiContextHost* host;
-  ProbeAccelerator* probe;
-  AppId app = kInvalidApp;
-  ServiceId host_svc = 0;
-  TileId host_tile = kInvalidTile;
-  TileId probe_tile = kInvalidTile;
-  ProcessId echo_pid = 0;
-  ProcessId counter_pid = 0;
-  ProcessId faulty_pid = 0;
-  CapRef cap = kInvalidCapRef;
-};
-
-TEST(MultiContextTest, RoutesByProcessId) {
-  TestBoard tb;
-  MchFixture fx(tb);
-  fx.probe->EnqueueSend(fx.For(fx.echo_pid, {1, 2, 3}), fx.cap);
-  std::vector<uint8_t> delta;
-  PutU64(delta, 5);
-  fx.probe->EnqueueSend(fx.For(fx.counter_pid, delta), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return fx.probe->received.size() >= 2; }, 50000));
-  EXPECT_EQ(fx.probe->received[0].payload, (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_EQ(GetU64(fx.probe->received[1].payload, 0), 5u);
-}
-
-TEST(MultiContextTest, UnknownProcessRejected) {
-  TestBoard tb;
-  MchFixture fx(tb);
-  fx.probe->EnqueueSend(fx.For(99, {}), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 50000));
-  EXPECT_EQ(fx.probe->received[0].status, MsgStatus::kBadRequest);
-}
-
-TEST(MultiContextTest, FaultKillsOnlyThatContext) {
-  TestBoard tb;
-  MchFixture fx(tb, /*per_context=*/true);
-  // Two healthy requests, then the context faults on the third.
-  for (int i = 0; i < 3; ++i) {
-    fx.probe->EnqueueSend(fx.For(fx.faulty_pid, {9}), fx.cap);
-  }
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return fx.probe->received.size() >= 3; }, 50000));
-  EXPECT_EQ(fx.probe->received[2].status, MsgStatus::kDestFailed);
-  EXPECT_FALSE(fx.host->context_alive(fx.faulty_pid));
-  // Siblings keep serving; the tile is NOT fail-stopped.
-  EXPECT_EQ(tb.os.monitor(fx.host_tile).fault_state(), TileFaultState::kHealthy);
-  fx.probe->received.clear();
-  fx.probe->EnqueueSend(fx.For(fx.echo_pid, {4}), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 50000));
-  EXPECT_EQ(fx.probe->received[0].status, MsgStatus::kOk);
-  // Requests to the dead context are answered with errors, not silence.
-  fx.probe->received.clear();
-  fx.probe->EnqueueSend(fx.For(fx.faulty_pid, {1}), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 50000));
-  EXPECT_EQ(fx.probe->received[0].status, MsgStatus::kDestFailed);
-}
-
-TEST(MultiContextTest, ConcurrentOnlyModelFailStopsWholeTile) {
-  TestBoard tb;
-  MchFixture fx(tb, /*per_context=*/false);
-  for (int i = 0; i < 3; ++i) {
-    fx.probe->EnqueueSend(fx.For(fx.faulty_pid, {9}), fx.cap);
-  }
-  ASSERT_TRUE(tb.sim.RunUntil(
-      [&] { return tb.os.monitor(fx.host_tile).fault_state() == TileFaultState::kStopped; },
-      50000));
-}
-
-TEST(MultiContextTest, StateSurvivesPreemptSwap) {
-  TestBoard tb;
-  MchFixture fx(tb);
-  std::vector<uint8_t> delta;
-  PutU64(delta, 41);
-  fx.probe->EnqueueSend(fx.For(fx.counter_pid, delta), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 50000));
-  fx.probe->received.clear();
-
-  // Preempt-swap in a fresh host with the same context layout.
-  auto* fresh = new MultiContextHost(true);
-  fresh->AddContext(std::make_unique<EchoContext>());
-  fresh->AddContext(std::make_unique<CounterContext>());
-  fresh->AddContext(std::make_unique<FaultyContext>(2));
-  ASSERT_TRUE(tb.os.PreemptSwap(fx.host_tile, std::unique_ptr<Accelerator>(fresh)));
-
-  std::vector<uint8_t> delta2;
-  PutU64(delta2, 1);
-  fx.probe->EnqueueSend(fx.For(fx.counter_pid, delta2), fx.cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 50000));
-  EXPECT_EQ(GetU64(fx.probe->received[0].payload, 0), 42u);  // 41 carried over.
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,7 @@
-// Tests for the second wave of extensions: XTEA crypto accelerator,
-// capability delegation (kOpMemShare), and multi-channel interleaved memory.
+// Tests for the second wave of extensions: capability delegation
+// (kOpMemShare) and multi-channel interleaved memory.
 #include <gtest/gtest.h>
 
-#include "src/accel/crypto.h"
 #include "src/core/service_ids.h"
 #include "src/mem/interleaved_memory.h"
 #include "src/services/memory_service.h"
@@ -11,77 +10,6 @@
 
 namespace apiary {
 namespace {
-
-// ---------------------------------------------------------------------
-// XTEA primitives.
-// ---------------------------------------------------------------------
-
-TEST(XteaTest, KnownVector) {
-  // Canonical XTEA test vector: key 00010203 04050607 08090a0b 0c0d0e0f,
-  // plaintext 41424344 45464748 -> ciphertext 497df3d0 72612cb5.
-  const std::array<uint32_t, 4> key = {0x00010203, 0x04050607, 0x08090a0b, 0x0c0d0e0f};
-  uint32_t v[2] = {0x41424344, 0x45464748};
-  XteaEncryptBlock(key, v);
-  EXPECT_EQ(v[0], 0x497df3d0u);
-  EXPECT_EQ(v[1], 0x72612cb5u);
-}
-
-TEST(XteaTest, CtrIsItsOwnInverse) {
-  const std::array<uint32_t, 4> key = {1, 2, 3, 4};
-  Rng rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<uint8_t> plain(rng.NextBelow(500) + 1);
-    for (auto& b : plain) {
-      b = static_cast<uint8_t>(rng.NextBelow(256));
-    }
-    const auto cipher = XteaCtr(key, 0xdeadbeef, plain);
-    EXPECT_NE(cipher, plain);
-    EXPECT_EQ(XteaCtr(key, 0xdeadbeef, cipher), plain);
-  }
-}
-
-TEST(XteaTest, DifferentNoncesDifferentStreams) {
-  const std::array<uint32_t, 4> key = {1, 2, 3, 4};
-  const std::vector<uint8_t> plain(64, 0);
-  EXPECT_NE(XteaCtr(key, 1, plain), XteaCtr(key, 2, plain));
-}
-
-TEST(XteaTest, DifferentKeysDifferentStreams) {
-  const std::vector<uint8_t> plain(64, 0);
-  EXPECT_NE(XteaCtr({1, 2, 3, 4}, 7, plain), XteaCtr({1, 2, 3, 5}, 7, plain));
-}
-
-TEST(CryptoAcceleratorTest, EncryptDecryptOverMessages) {
-  TestBoard tb;
-  const std::array<uint32_t, 4> key = {9, 9, 9, 9};
-  AppId app = tb.os.CreateApp("sec");
-  ServiceId svc = 0;
-  tb.os.Deploy(app, std::make_unique<CryptoAccelerator>(key), &svc);
-  auto* probe = new ProbeAccelerator();
-  const TileId pt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
-  const CapRef cap = tb.os.GrantSendToService(pt, svc);
-
-  const std::vector<uint8_t> secret = {'t', 'o', 'p', ' ', 's', 'e', 'c', 'r', 'e', 't'};
-  Message enc;
-  enc.opcode = kOpEncrypt;
-  PutU64(enc.payload, 42);  // nonce
-  enc.payload.insert(enc.payload.end(), secret.begin(), secret.end());
-  probe->EnqueueSend(enc, cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !probe->received.empty(); }, 50000));
-  const auto cipher = probe->received[0].payload;
-  EXPECT_NE(cipher, secret);
-  EXPECT_EQ(cipher, XteaCtr(key, 42, secret));
-  probe->received.clear();
-
-  // Same nonce through the accelerator decrypts.
-  Message dec;
-  dec.opcode = kOpEncrypt;
-  PutU64(dec.payload, 42);
-  dec.payload.insert(dec.payload.end(), cipher.begin(), cipher.end());
-  probe->EnqueueSend(dec, cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !probe->received.empty(); }, 50000));
-  EXPECT_EQ(probe->received[0].payload, secret);
-}
 
 // ---------------------------------------------------------------------
 // Capability delegation through the memory service.

@@ -37,7 +37,7 @@ TEST(IntegrationTest, ClientDrivesKvStoreOverTheNetwork) {
   DeployBaseServices(tb);
 
   AppId app = tb.os.CreateApp("kv-tenant");
-  auto* kv = new KvStoreAccelerator(1 << 18, 4096);
+  auto* kv = new KvStoreAccelerator(1 << 18);
   ServiceId kv_svc = 0;
   const TileId kv_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &kv_svc);
   (void)tb.os.GrantSendToService(kv_tile, kMemoryService);

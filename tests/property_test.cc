@@ -301,7 +301,7 @@ TEST_P(KvModelTest, AgreesWithReferenceMap) {
   tb.os.DeployService(kMemoryService,
                       std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
   AppId app = tb.os.CreateApp("kv");
-  auto* kv = new KvStoreAccelerator(1 << 20, 4096);
+  auto* kv = new KvStoreAccelerator(1 << 20);
   ServiceId svc = 0;
   const TileId kt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &svc);
   (void)tb.os.GrantSendToService(kt, kMemoryService);

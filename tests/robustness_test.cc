@@ -169,7 +169,7 @@ TEST(KvParallelTest, ManyOutstandingGetsAllCorrect) {
   tb.os.DeployService(kMemoryService,
                       std::make_unique<MemoryService>(&tb.os, &tb.board.memory()));
   AppId app = tb.os.CreateApp("kv");
-  auto* kv = new KvStoreAccelerator(1 << 18, 4096);
+  auto* kv = new KvStoreAccelerator(1 << 18);
   ServiceId svc = 0;
   const TileId kt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(kv), &svc);
   (void)tb.os.GrantSendToService(kt, kMemoryService);

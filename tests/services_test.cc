@@ -8,7 +8,6 @@
 #include "src/services/load_balancer.h"
 #include "src/services/memory_service.h"
 #include "src/services/mgmt_service.h"
-#include "src/services/name_service.h"
 #include "src/services/network_service.h"
 #include "tests/test_util.h"
 
@@ -174,49 +173,6 @@ TEST(MemoryServiceTest, AllocBeyondCapacityFails) {
   fx.probe->EnqueueSend(alloc, fx.cap);
   ASSERT_TRUE(tb.sim.RunUntil([&] { return !fx.probe->received.empty(); }, 5000));
   EXPECT_EQ(fx.probe->received[0].status, MsgStatus::kNoMemory);
-}
-
-TEST(NameServiceTest, RegisterAndLookup) {
-  TestBoard tb;
-  tb.os.DeployService(kNameService, std::make_unique<NameService>());
-  auto* probe = new ProbeAccelerator();
-  AppId app = tb.os.CreateApp("a");
-  const TileId pt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
-  const CapRef cap = tb.os.GrantSendToService(pt, kNameService);
-
-  Message reg;
-  reg.opcode = kOpNameRegister;
-  PutU32(reg.payload, 4242);
-  const std::string svc_name = "video/encoder";
-  reg.payload.insert(reg.payload.end(), svc_name.begin(), svc_name.end());
-  probe->EnqueueSend(reg, cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !probe->received.empty(); }, 5000));
-  EXPECT_EQ(probe->received[0].status, MsgStatus::kOk);
-  probe->received.clear();
-
-  Message lookup;
-  lookup.opcode = kOpNameLookup;
-  lookup.payload.assign(svc_name.begin(), svc_name.end());
-  probe->EnqueueSend(lookup, cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !probe->received.empty(); }, 5000));
-  EXPECT_EQ(probe->received[0].status, MsgStatus::kOk);
-  EXPECT_EQ(GetU32(probe->received[0].payload, 0), 4242u);
-}
-
-TEST(NameServiceTest, LookupMissReturnsNoSuchService) {
-  TestBoard tb;
-  tb.os.DeployService(kNameService, std::make_unique<NameService>());
-  auto* probe = new ProbeAccelerator();
-  AppId app = tb.os.CreateApp("a");
-  const TileId pt = tb.os.Deploy(app, std::unique_ptr<Accelerator>(probe));
-  const CapRef cap = tb.os.GrantSendToService(pt, kNameService);
-  Message lookup;
-  lookup.opcode = kOpNameLookup;
-  const std::string svc_name = "nope";
-  lookup.payload.assign(svc_name.begin(), svc_name.end());
-  probe->EnqueueSend(lookup, cap);
-  ASSERT_TRUE(tb.sim.RunUntil([&] { return !probe->received.empty(); }, 5000));
-  EXPECT_EQ(probe->received[0].status, MsgStatus::kNoSuchService);
 }
 
 TEST(MgmtServiceTest, WatchdogFailStopsSilentTile) {

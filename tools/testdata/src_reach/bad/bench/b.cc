@@ -1,0 +1,2 @@
+// Reached from bench/.
+#include "src/a/x.h"

@@ -1,0 +1,2 @@
+// Reached through perfbench/local.h, a relative include.
+#include "local.h"

@@ -1,0 +1,1 @@
+// Reached only through x.cc.

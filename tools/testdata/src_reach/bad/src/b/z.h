@@ -1,0 +1,1 @@
+// Reached through perfbench/local.h.
