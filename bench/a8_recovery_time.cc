@@ -19,45 +19,6 @@ using namespace apiary;
 
 namespace {
 
-// Closed-loop client that records the cycle of each successful op.
-class AvailClient : public Accelerator {
- public:
-  explicit AvailClient(ServiceId svc) : svc_(svc) {}
-  void Tick(TileApi& api) override {
-    if (in_flight_ && api.now() < timeout_at_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {1};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      in_flight_ = true;
-      timeout_at_ = api.now() + 10000;
-    } else {
-      in_flight_ = false;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    if (msg.kind != MsgKind::kResponse) {
-      return;
-    }
-    in_flight_ = false;
-    if (msg.status == MsgStatus::kOk) {
-      last_ok = api.now();
-      ++ok_count;
-    }
-  }
-  std::string name() const override { return "avail_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-  Cycle last_ok = 0;
-  uint64_t ok_count = 0;
-
- private:
-  ServiceId svc_;
-  bool in_flight_ = false;
-  Cycle timeout_at_ = 0;
-};
-
 struct Timeline {
   Cycle last_ok_before = 0;
   Cycle detected = 0;
@@ -82,7 +43,7 @@ Timeline Run(bool hot_standby, Cycle reconfig_cycles) {
     ServiceId spare_svc = 0;
     standby = os.Deploy(app, std::make_unique<EchoAccelerator>(10), &spare_svc);
   }
-  auto* client = new AvailClient(svc);
+  auto* client = new LoadClient({.targets = {svc}, .timeout = 10000});
   const TileId ct = os.Deploy(app, std::unique_ptr<Accelerator>(client));
   (void)os.GrantSendToService(ct, svc);
 

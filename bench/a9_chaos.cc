@@ -34,59 +34,6 @@ constexpr Cycle kReconfigCycles = 50'000;  // Scaled-down PR latency so several
 constexpr Cycle kHeartbeatPeriod = 500;
 constexpr uint64_t kNeverWedge = ~0ull;
 
-// Closed-loop client: one request in flight, 10k-cycle timeout, latency
-// histogram over successful echoes.
-class ChaosClient : public Accelerator {
- public:
-  explicit ChaosClient(ServiceId svc) : svc_(svc) {}
-
-  void Tick(TileApi& api) override {
-    if (in_flight_ && api.now() < timeout_at_) {
-      return;
-    }
-    if (in_flight_) {
-      ++timeouts;  // Request (or its reply) lost to a fault.
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {0xAB};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      in_flight_ = true;
-      sent_at_ = api.now();
-      timeout_at_ = api.now() + 10'000;
-    } else {
-      in_flight_ = false;
-    }
-  }
-
-  void OnMessage(const Message& msg, TileApi& api) override {
-    if (msg.kind != MsgKind::kResponse) {
-      return;
-    }
-    in_flight_ = false;
-    if (msg.status == MsgStatus::kOk) {
-      ++ok;
-      latency.Record(api.now() - sent_at_);
-    } else {
-      ++errors;  // Fail-stop bounce: fast failure instead of a timeout.
-    }
-  }
-
-  std::string name() const override { return "chaos_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-  uint64_t timeouts = 0;
-  Histogram latency;
-
- private:
-  ServiceId svc_;
-  bool in_flight_ = false;
-  Cycle sent_at_ = 0;
-  Cycle timeout_at_ = 0;
-};
-
 // Crash-loops: every fresh deployment dies ~2k cycles after boot. The
 // supervisor must give up on it (quarantine), not reconfigure forever.
 class SelfCrasher : public Accelerator {
@@ -188,7 +135,7 @@ CampaignResult RunCampaign(bool chaos, uint64_t seed) {
   struct App {
     ServiceId svc = 0;
     TileId svc_tile = 0;
-    ChaosClient* client = nullptr;
+    LoadClient* client = nullptr;
   };
   std::vector<App> apps(4);
   const TileId svc_tiles[4] = {1, 4, 5, 13};
@@ -200,7 +147,9 @@ CampaignResult RunCampaign(bool chaos, uint64_t seed) {
     at_tile.tile = svc_tiles[i];
     a.svc_tile = os.Deploy(app, supervised_echo(), &a.svc, at_tile);
     (void)os.GrantSendToService(a.svc_tile, kMgmtService);
-    a.client = new ChaosClient(a.svc);
+    // One request in flight, 10k-cycle timeout (a request or reply lost to
+    // a fault); a fail-stop bounce is a fast error instead.
+    a.client = new LoadClient({.targets = {a.svc}, .timeout = 10'000});
     DeployOptions at_client;
     at_client.tile = client_tiles[i];
     os.Deploy(app, std::unique_ptr<Accelerator>(a.client), nullptr, at_client);

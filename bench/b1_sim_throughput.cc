@@ -26,7 +26,6 @@
 // including corridor hit/materialization/length counters.
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -42,96 +41,6 @@ namespace {
 
 constexpr Cycle kEchoServiceCycles = 200;
 constexpr uint32_t kPayloadBytes = 64;
-
-// Fires `burst` echo requests every `period` cycles, then sleeps until the
-// next pulse. The NextActivity override is what lets the whole board go
-// quiescent between pulses; responses re-arm nothing because the client only
-// counts them.
-class PulseClient : public Accelerator {
- public:
-  PulseClient(ServiceId svc, Cycle period, uint32_t burst)
-      : svc_(svc), period_(period), burst_(burst) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_burst_at_) {
-      return;
-    }
-    for (uint32_t i = 0; i < burst_; ++i) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(kPayloadBytes, static_cast<uint8_t>(i));
-      msg.request_id = ++next_id_;
-      if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        ++sent_;
-      }
-    }
-    next_burst_at_ += period_;
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      ++received_;
-    }
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    return next_burst_at_ > now ? next_burst_at_ : now;
-  }
-  std::string name() const override { return "pulse_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  uint32_t burst_;
-  Cycle next_burst_at_ = 1000;  // First pulse after boot settles.
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
-// Closed-loop driver with a fixed outstanding window; inherits the default
-// always-active NextActivity, so it pins the clock — the saturated shape.
-class WindowedClient : public Accelerator {
- public:
-  WindowedClient(ServiceId svc, uint32_t window) : svc_(svc), window_(window) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < window_) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(kPayloadBytes, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "windowed_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t window_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
 
 enum class Scenario { kIdle, kLight, kSaturated };
 
@@ -174,23 +83,23 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express, Cycle run_c
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b1");
 
-  PulseClient* pulse = nullptr;
-  WindowedClient* windowed = nullptr;
+  LoadClient* client = nullptr;
   if (scenario != Scenario::kIdle) {
     ServiceId echo_svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(kEchoServiceCycles), &echo_svc);
+    // light-load pulses 4 requests every 10k cycles and parks in between;
+    // saturated keeps 8 outstanding and pins the clock.
+    LoadSpec spec{.targets = {echo_svc}, .payload_bytes = kPayloadBytes};
     if (scenario == Scenario::kLight) {
-      auto client = std::make_unique<PulseClient>(echo_svc, /*period=*/10'000,
-                                                  /*burst=*/4);
-      pulse = client.get();
-      const TileId ct = os.Deploy(app, std::move(client));
-      (void)os.GrantSendToService(ct, echo_svc);
+      spec.period = 10'000;
+      spec.burst = 4;
     } else {
-      auto client = std::make_unique<WindowedClient>(echo_svc, /*window=*/8);
-      windowed = client.get();
-      const TileId ct = os.Deploy(app, std::move(client));
-      (void)os.GrantSendToService(ct, echo_svc);
+      spec.window = 8;
     }
+    auto owned = std::make_unique<LoadClient>(std::move(spec));
+    client = owned.get();
+    const TileId ct = os.Deploy(app, std::move(owned));
+    (void)os.GrantSendToService(ct, echo_svc);
   }
 
   // Host wall time is the measurand here (simulated cycles per wall-second);
@@ -210,12 +119,9 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express, Cycle run_c
   r.wake_calls = bb.sim.wake_calls();
   r.block_count = bb.sim.block_count();
   r.express = bb.board.mesh().AggregateExpressStats();
-  if (pulse != nullptr) {
-    r.sent = pulse->sent();
-    r.received = pulse->received();
-  } else if (windowed != nullptr) {
-    r.sent = windowed->sent();
-    r.received = windowed->received();
+  if (client != nullptr) {
+    r.sent = client->sent;
+    r.received = client->replies();
   }
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;

@@ -42,48 +42,6 @@ constexpr uint32_t kWindow = 16;         // Outstanding requests per client.
 constexpr uint32_t kSmallPayload = 48;   // Inline tier (<= PayloadBuf::kInlineBytes).
 constexpr uint32_t kLargePayload = 240;  // Arena tier.
 
-// Closed-loop echo driver: keeps `window` requests outstanding forever, so
-// the mesh never goes quiescent — every cycle is an executed cycle.
-class SaturatingClient : public Accelerator {
- public:
-  SaturatingClient(ServiceId svc, uint32_t payload_bytes)
-      : svc_(svc), payload_bytes_(payload_bytes) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < kWindow) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(payload_bytes_, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "saturating_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t payload_bytes_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 struct RunResult {
   double wall_seconds = 0;
   uint64_t sent = 0;
@@ -121,13 +79,16 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b2");
 
-  std::vector<SaturatingClient*> clients;
+  // Closed-loop echo drivers keep kWindow requests outstanding forever, so
+  // the mesh never goes quiescent: every cycle is an executed cycle.
+  std::vector<LoadClient*> clients;
   for (uint32_t i = 0; i < kPairs; ++i) {
     ServiceId echo_svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/0), &echo_svc);
     // Half the pairs exercise the inline tier, half the arena tier.
     const uint32_t bytes = (i % 2 == 0) ? kSmallPayload : kLargePayload;
-    auto client = std::make_unique<SaturatingClient>(echo_svc, bytes);
+    auto client = std::make_unique<LoadClient>(
+        LoadSpec{.targets = {echo_svc}, .payload_bytes = bytes, .window = kWindow});
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client));
     (void)os.GrantSendToService(ct, echo_svc);
@@ -141,9 +102,9 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   bb.sim.context().arena().ResetStats();
   uint64_t sent0 = 0;
   uint64_t received0 = 0;
-  for (const SaturatingClient* c : clients) {
-    sent0 += c->sent();
-    received0 += c->received();
+  for (const LoadClient* c : clients) {
+    sent0 += c->sent;
+    received0 += c->replies();
   }
   const uint64_t flits0 = bb.board.mesh().TotalFlitsRouted();
   const uint64_t probes0 = bb.board.mesh().TotalArbProbes();
@@ -160,9 +121,9 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
 
   RunResult r;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const SaturatingClient* c : clients) {
-    r.sent += c->sent();
-    r.received += c->received();
+  for (const LoadClient* c : clients) {
+    r.sent += c->sent;
+    r.received += c->replies();
   }
   r.sent -= sent0;
   r.received -= received0;

@@ -56,90 +56,6 @@ namespace {
 
 constexpr uint32_t kPayloadBytes = 300;  // 11 flits: a realistic DMA chunk.
 
-// Sends one echo request every `period` cycles (no overlap at the sweep's
-// periods: round trip ~45 cycles). Parks between sends so idle valleys are
-// skipped identically in both modes — the measurand is the cost of the
-// cycles where packets are actually in flight.
-class PacedClient : public Accelerator {
- public:
-  PacedClient(ServiceId svc, Cycle period) : svc_(svc), period_(period) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload.assign(kPayloadBytes, static_cast<uint8_t>(sent_));
-    msg.request_id = ++next_id_;
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      ++sent_;
-    }
-    next_ = api.now() + period_;
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    if (msg.kind == MsgKind::kResponse) {
-      ++received_;
-    }
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    return next_ > now ? next_ : now;
-  }
-  std::string name() const override { return "paced_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  Cycle next_ = 1'000;  // First send after boot settles.
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
-// Closed-loop driver with a fixed outstanding window (the saturated shape):
-// the inject queue always holds more than one packet, so its requests never
-// launch a corridor.
-class WindowedClient : public Accelerator {
- public:
-  explicit WindowedClient(ServiceId svc) : svc_(svc) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < 16) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(48, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "windowed_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 struct RunResult {
   double wall_seconds = 0;
   double mcycles_per_sec = 0;
@@ -200,12 +116,17 @@ RunResult RunPairs(const std::vector<PairSpec>& pairs, bool express, Cycle run_c
     return o;
   };
 
-  std::vector<PacedClient*> clients;
+  // One echo request every `period` cycles (no overlap at the sweep's
+  // periods: round trip ~45 cycles). The clients park between sends so idle
+  // valleys are skipped identically in both modes: the measurand is the cost
+  // of the cycles where packets are actually in flight.
+  std::vector<LoadClient*> clients;
   for (const PairSpec& pair : pairs) {
     ServiceId svc = 0;
     const TileId st = os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/4),
                                 &svc, pin(pair.service));
-    auto client = std::make_unique<PacedClient>(svc, pair.period);
+    auto client = std::make_unique<LoadClient>(
+        LoadSpec{.targets = {svc}, .payload_bytes = kPayloadBytes, .period = pair.period});
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client), nullptr, pin(pair.client));
     if (st == kInvalidTile || ct == kInvalidTile) {
@@ -226,9 +147,9 @@ RunResult RunPairs(const std::vector<PairSpec>& pairs, bool express, Cycle run_c
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
   r.end_cycle = bb.sim.now();
   r.skipped_cycles = bb.sim.skipped_cycles();
-  for (const PacedClient* c : clients) {
-    r.sent += c->sent();
-    r.received += c->received();
+  for (const LoadClient* c : clients) {
+    r.sent += c->sent;
+    r.received += c->replies();
   }
   r.flits = bb.board.mesh().TotalFlitsRouted();
   r.express = bb.board.mesh().AggregateExpressStats();
@@ -242,11 +163,14 @@ RunResult RunSaturated(bool express, Cycle run_cycles) {
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b5sat");
 
-  std::vector<WindowedClient*> clients;
+  // Closed loop, 16 outstanding: the inject queue always holds more than
+  // one packet, so these requests never launch a corridor.
+  std::vector<LoadClient*> clients;
   for (uint32_t i = 0; i < 4; ++i) {
     ServiceId svc = 0;
     const TileId st = os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/0), &svc);
-    auto client = std::make_unique<WindowedClient>(svc);
+    auto client = std::make_unique<LoadClient>(
+        LoadSpec{.targets = {svc}, .payload_bytes = 48, .window = 16});
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client));
     if (st == kInvalidTile || ct == kInvalidTile) {
@@ -265,9 +189,9 @@ RunResult RunSaturated(bool express, Cycle run_cycles) {
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
   r.end_cycle = bb.sim.now();
-  for (const WindowedClient* c : clients) {
-    r.sent += c->sent();
-    r.received += c->received();
+  for (const LoadClient* c : clients) {
+    r.sent += c->sent;
+    r.received += c->replies();
   }
   r.flits = bb.board.mesh().TotalFlitsRouted();
   r.express = bb.board.mesh().AggregateExpressStats();

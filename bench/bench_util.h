@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -12,12 +13,15 @@
 #include <utility>
 #include <vector>
 
+#include "src/accel/accel_opcodes.h"
+#include "src/core/accelerator.h"
 #include "src/core/kernel.h"
 #include "src/core/service_ids.h"
 #include "src/fpga/board.h"
 #include "src/services/memory_service.h"
 #include "src/services/network_service.h"
 #include "src/sim/simulator.h"
+#include "src/stats/histogram.h"
 #include "src/stats/table.h"
 
 namespace apiary {
@@ -169,6 +173,115 @@ class BenchJson {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> params_;
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
+};
+
+// What a LoadClient sends and when. Every field is one that two or more
+// benches set to different values; everything else is fixed.
+struct LoadSpec {
+  std::vector<ServiceId> targets;  // Requests go to these round-robin.
+  uint16_t opcode = kOpEcho;
+  uint32_t payload_bytes = 1;
+  // Closed loop (period 0): keep up to `window` requests outstanding,
+  // topping the window up every tick.
+  uint32_t window = 1;
+  // Open loop when non-zero: `burst` requests every `period` cycles from
+  // cycle kFirstPacedSend, parked (NextActivity) in between.
+  Cycle period = 0;
+  uint32_t burst = 1;
+  // Closed loop: a request with no reply after `timeout` cycles is
+  // abandoned and counted in `timeouts`, freeing its window slot. 0: never.
+  Cycle timeout = 0;
+};
+
+// The request-issuing accelerator every load-driving bench deploys. Replies
+// are matched to requests in send order, not by request id: a late reply to
+// an abandoned request is taken as the reply to the oldest outstanding one.
+// A closed-loop client is active every cycle, as the default NextActivity
+// is; B1/B5's exact tick and wake counters pin both schedules.
+class LoadClient : public Accelerator {
+ public:
+  static constexpr Cycle kFirstPacedSend = 1000;  // After boot settles.
+
+  explicit LoadClient(LoadSpec spec) : spec_(std::move(spec)) {}
+
+  void Tick(TileApi& api) override {
+    const Cycle now = api.now();
+    if (spec_.period != 0) {
+      if (now < next_send_at_) {
+        return;
+      }
+      for (uint32_t i = 0; i < spec_.burst; ++i) {
+        (void)SendOne(api);
+      }
+      next_send_at_ += spec_.period;
+      return;
+    }
+    while (spec_.timeout != 0 && !outstanding_.empty() &&
+           now >= outstanding_.front() + spec_.timeout) {
+      outstanding_.pop_front();
+      ++timeouts;
+    }
+    while (outstanding_.size() < spec_.window) {
+      if (!SendOne(api)) {
+        break;
+      }
+    }
+  }
+
+  void OnMessage(const Message& msg, TileApi& api) override {
+    if (msg.kind != MsgKind::kResponse) {
+      return;
+    }
+    if (msg.status == MsgStatus::kOk) {
+      ++ok;
+      last_ok = api.now();
+      if (!outstanding_.empty()) {
+        latency.Record(api.now() - outstanding_.front());
+      }
+    } else {
+      ++errors;
+    }
+    if (!outstanding_.empty()) {
+      outstanding_.pop_front();
+    }
+  }
+
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return spec_.period != 0 && next_send_at_ > now ? next_send_at_ : now;
+  }
+  std::string name() const override { return "load_client"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+  uint64_t replies() const { return ok + errors; }
+
+  uint64_t sent = 0;
+  uint64_t ok = 0;
+  uint64_t errors = 0;
+  uint64_t timeouts = 0;
+  Histogram latency;  // Send-to-reply cycles of ok replies.
+  Cycle last_ok = 0;
+
+ private:
+  bool SendOne(TileApi& api) {
+    Message msg;
+    msg.opcode = spec_.opcode;
+    msg.request_id = ++last_request_id_;
+    msg.payload.assign(spec_.payload_bytes, static_cast<uint8_t>(last_request_id_));
+    const ServiceId target = spec_.targets[next_target_ % spec_.targets.size()];
+    if (!api.Send(std::move(msg), api.LookupService(target)).ok()) {
+      return false;
+    }
+    ++next_target_;
+    ++sent;
+    outstanding_.push_back(api.now());
+    return true;
+  }
+
+  LoadSpec spec_;
+  Cycle next_send_at_ = kFirstPacedSend;
+  uint64_t last_request_id_ = 0;
+  uint64_t next_target_ = 0;
+  std::deque<Cycle> outstanding_;  // Send cycles, oldest first.
 };
 
 // `--json <path>` argument, or "" when absent.

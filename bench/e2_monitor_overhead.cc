@@ -32,47 +32,13 @@ double MeasureMonitoredRtt() {
   at0.tile = 0;
   bb.os.Deploy(app, std::unique_ptr<Accelerator>(echo), &svc, at0);
   // Pin the client next door.
-  class Pinger : public Accelerator {
-   public:
-    explicit Pinger(ServiceId svc) : svc_(svc) {}
-    void Tick(TileApi& api) override {
-      if (in_flight_) {
-        return;
-      }
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(32, 1);
-      if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        sent_at_ = api.now();
-        in_flight_ = true;
-      }
-    }
-    void OnMessage(const Message& msg, TileApi& api) override {
-      if (msg.kind == MsgKind::kResponse) {
-        total += api.now() - sent_at_;
-        ++count;
-        in_flight_ = false;
-      }
-    }
-    std::string name() const override { return "pinger"; }
-    uint32_t LogicCellCost() const override { return 1000; }
-    uint64_t total = 0;
-    uint64_t count = 0;
-
-   private:
-    ServiceId svc_;
-    bool in_flight_ = false;
-    Cycle sent_at_ = 0;
-  };
-  auto* pinger = new Pinger(svc);
+  auto* pinger = new LoadClient({.targets = {svc}, .payload_bytes = 32});
   DeployOptions at1;
   at1.tile = 1;
   const TileId pt = bb.os.Deploy(app, std::unique_ptr<Accelerator>(pinger), nullptr, at1);
   (void)bb.os.GrantSendToService(pt, svc);
-  bb.sim.RunUntil([&] { return pinger->count >= 500; }, 1'000'000);
-  return pinger->count == 0 ? 0.0
-                            : static_cast<double>(pinger->total) /
-                                  static_cast<double>(pinger->count);
+  bb.sim.RunUntil([&] { return pinger->latency.count() >= 500; }, 1'000'000);
+  return pinger->latency.Mean();
 }
 
 // The same round-trip with bare NoC injection (no monitor pipeline, no

@@ -28,38 +28,6 @@ struct Result {
   uint64_t flood_delivered;
 };
 
-// A polite closed-loop client accelerator measuring its own latencies.
-class PoliteClient : public Accelerator {
- public:
-  explicit PoliteClient(ServiceId svc) : svc_(svc) {}
-  void Tick(TileApi& api) override {
-    if (in_flight_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload.assign(32, 7);
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      sent_at_ = api.now();
-      in_flight_ = true;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    if (msg.kind == MsgKind::kResponse) {
-      latency.Record(api.now() - sent_at_);
-      in_flight_ = false;
-    }
-  }
-  std::string name() const override { return "polite_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-  Histogram latency;
-
- private:
-  ServiceId svc_;
-  bool in_flight_ = false;
-  Cycle sent_at_ = 0;
-};
-
 Result Run(bool with_flooder, uint64_t limit_flits_per_1k) {
   BenchBoard bb(BenchBoardOptions{}, /*deploy_services=*/false);
   ApiaryOs& os = bb.os;
@@ -68,7 +36,7 @@ Result Run(bool with_flooder, uint64_t limit_flits_per_1k) {
   auto* victim = new EchoAccelerator(20);
   ServiceId vsvc = 0;
   const TileId vt = os.Deploy(app, std::unique_ptr<Accelerator>(victim), &vsvc);
-  auto* client = new PoliteClient(vsvc);
+  auto* client = new LoadClient({.targets = {vsvc}, .payload_bytes = 32});
   const TileId ct = os.Deploy(app, std::unique_ptr<Accelerator>(client));
   (void)os.GrantSendToService(ct, vsvc);
 

@@ -29,48 +29,6 @@ using namespace apiary;
 
 namespace {
 
-// Closed-loop client accelerator that tolerates errors and keeps counting.
-class CountingClient : public Accelerator {
- public:
-  explicit CountingClient(ServiceId svc) : svc_(svc) {}
-  void Tick(TileApi& api) override {
-    if (in_flight_ && api.now() < timeout_at_) {
-      return;
-    }
-    if (in_flight_) {
-      ++hangs;  // Request never answered (no fail-stop bounce arrived).
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload.assign(16, 1);
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      in_flight_ = true;
-      timeout_at_ = api.now() + 20000;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    if (msg.kind != MsgKind::kResponse) {
-      return;
-    }
-    in_flight_ = false;
-    if (msg.status == MsgStatus::kOk) {
-      ++ok;
-    } else {
-      ++errors;
-    }
-  }
-  std::string name() const override { return "counting_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-  uint64_t hangs = 0;
-
- private:
-  ServiceId svc_;
-  bool in_flight_ = false;
-  Cycle timeout_at_ = 0;
-};
-
 struct Row {
   std::string scenario;
   uint64_t cotenant_ok;
@@ -83,6 +41,12 @@ struct Row {
 
 constexpr Cycle kRunCycles = 400000;
 
+// Closed-loop client that tolerates errors and keeps counting; a request
+// with no reply (no fail-stop bounce arrived) is a hang.
+LoadSpec CountingSpec(ServiceId svc) {
+  return {.targets = {svc}, .payload_bytes = 16, .timeout = 20000};
+}
+
 // Runs a co-tenant echo pair plus a faulty app; returns the row.
 Row RunMessagingFault(bool wedge) {
   BenchBoard bb(BenchBoardOptions{}, /*deploy_services=*/false);
@@ -93,7 +57,7 @@ Row RunMessagingFault(bool wedge) {
   AppId good = os.CreateApp("good");
   ServiceId good_svc = 0;
   os.Deploy(good, std::make_unique<EchoAccelerator>(20), &good_svc);
-  auto* good_client = new CountingClient(good_svc);
+  auto* good_client = new LoadClient(CountingSpec(good_svc));
   const TileId gct = os.Deploy(good, std::unique_ptr<Accelerator>(good_client));
   (void)os.GrantSendToService(gct, good_svc);
 
@@ -107,7 +71,7 @@ Row RunMessagingFault(bool wedge) {
   } else {
     bad_tile = os.Deploy(bad, std::make_unique<CrashAccelerator>(50), &bad_svc);
   }
-  auto* bad_client = new CountingClient(bad_svc);
+  auto* bad_client = new LoadClient(CountingSpec(bad_svc));
   const TileId bct = os.Deploy(bad, std::unique_ptr<Accelerator>(bad_client));
   (void)os.GrantSendToService(bct, bad_svc);
 
@@ -127,7 +91,7 @@ Row RunMessagingFault(bool wedge) {
   row.cotenant_ok = good_client->ok;
   row.victim_ok = bad_client->ok;
   row.victim_errors = bad_client->errors;
-  row.victim_hangs = bad_client->hangs;
+  row.victim_hangs = bad_client->timeouts;
   row.detection = detected_at == 0 ? "NOT DETECTED" : Table::Int(detected_at) + " cyc";
   row.corruption = "-";
   return row;

@@ -13,7 +13,6 @@
 
 #include "bench/bench_util.h"
 #include "src/accel/checksum.h"
-#include "src/accel/probe.h"
 #include "src/services/load_balancer.h"
 #include "src/stats/table.h"
 
@@ -28,50 +27,6 @@ struct Result {
   uint64_t lb_forwards;
 };
 
-// In-board closed-loop driver with `window` outstanding requests.
-class WindowedClient : public Accelerator {
- public:
-  WindowedClient(ServiceId svc, uint32_t window, uint32_t payload_bytes)
-      : svc_(svc), window_(window), payload_bytes_(payload_bytes) {}
-  void Tick(TileApi& api) override {
-    while (in_flight_ < window_) {
-      Message msg;
-      msg.opcode = kOpChecksum;
-      msg.payload.assign(payload_bytes_, static_cast<uint8_t>(in_flight_));
-      msg.request_id = next_id_++;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      issue_[msg.request_id] = api.now();
-      ++in_flight_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    if (msg.kind != MsgKind::kResponse) {
-      return;
-    }
-    auto it = issue_.find(msg.request_id);
-    if (it != issue_.end()) {
-      latency.Record(api.now() - it->second);
-      issue_.erase(it);
-    }
-    --in_flight_;
-    ++done;
-  }
-  std::string name() const override { return "windowed_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-  Histogram latency;
-  uint64_t done = 0;
-
- private:
-  ServiceId svc_;
-  uint32_t window_;
-  uint32_t payload_bytes_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 1;
-  std::map<uint64_t, Cycle> issue_;
-};
-
 Result Run(uint32_t replicas) {
   BenchBoard bb(BenchBoardOptions{4, 4}, /*deploy_services=*/false);
   ApiaryOs& os = bb.os;
@@ -84,14 +39,15 @@ Result Run(uint32_t replicas) {
     os.Deploy(app, std::make_unique<ChecksumAccelerator>(/*bytes_per_cycle=*/1), &svc);
     lb->AddBackend(os.GrantSendToService(lb_tile, svc));
   }
-  auto* client = new WindowedClient(lb_svc, /*window=*/24, /*payload_bytes=*/2048);
+  auto* client = new LoadClient(
+      {.targets = {lb_svc}, .opcode = kOpChecksum, .payload_bytes = 2048, .window = 24});
   const TileId ct = os.Deploy(app, std::unique_ptr<Accelerator>(client));
   (void)os.GrantSendToService(ct, lb_svc);
 
   constexpr Cycle kRun = 1'500'000;
   bb.sim.Run(kRun);
   Result r;
-  r.ops_per_ms = static_cast<double>(client->done) / (bb.sim.CyclesToNs(kRun) / 1e6);
+  r.ops_per_ms = static_cast<double>(client->replies()) / (bb.sim.CyclesToNs(kRun) / 1e6);
   r.p50 = client->latency.P50();
   r.p99 = client->latency.P99();
   r.lb_forwards = lb->counters().Get("lb.forwards");

@@ -16,7 +16,6 @@
 
 #include "bench/bench_util.h"
 #include "src/accel/echo.h"
-#include "src/accel/probe.h"
 #include "src/stats/table.h"
 
 using namespace apiary;
@@ -44,51 +43,19 @@ uint64_t MeasureAggregateOps(uint32_t services) {
   ApiaryOs& os = bb.os;
   AppId app = os.CreateApp("many-services");
 
-  class FanClient : public Accelerator {
-   public:
-    explicit FanClient(std::vector<ServiceId> targets) : targets_(std::move(targets)) {}
-    void Tick(TileApi& api) override {
-      while (in_flight_ < 32) {
-        Message msg;
-        msg.opcode = kOpEcho;
-        msg.payload.assign(64, 1);
-        const ServiceId target = targets_[next_ % targets_.size()];
-        if (!api.Send(std::move(msg), api.LookupService(target)).ok()) {
-          break;
-        }
-        ++next_;
-        ++in_flight_;
-      }
-    }
-    void OnMessage(const Message& msg, TileApi&) override {
-      if (msg.kind == MsgKind::kResponse) {
-        --in_flight_;
-        ++done;
-      }
-    }
-    std::string name() const override { return "fan_client"; }
-    uint32_t LogicCellCost() const override { return 1000; }
-    uint64_t done = 0;
-
-   private:
-    std::vector<ServiceId> targets_;
-    uint64_t next_ = 0;
-    uint32_t in_flight_ = 0;
-  };
-
   std::vector<ServiceId> targets;
   for (uint32_t i = 0; i < services; ++i) {
     ServiceId svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(300), &svc);
     targets.push_back(svc);
   }
-  auto* client = new FanClient(targets);
+  auto* client = new LoadClient({.targets = targets, .payload_bytes = 64, .window = 32});
   const TileId ct = os.Deploy(app, std::unique_ptr<Accelerator>(client));
   for (ServiceId svc : targets) {
     (void)os.GrantSendToService(ct, svc);
   }
   bb.sim.Run(300000);
-  return client->done;
+  return client->replies();
 }
 
 }  // namespace

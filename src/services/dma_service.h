@@ -20,11 +20,6 @@
 
 namespace apiary {
 
-// Request (kOpDmaCopy): u64 src_offset, u64 dst_offset, u32 len,
-// grant  = source segment (read), grant2 = destination segment (write).
-// Reply: u32 bytes_copied.
-inline constexpr uint16_t kOpDmaCopy = 0x0601;
-
 // The engine's burst size: the copy is issued to DRAM in chunks, so timing
 // reflects both the read and write streams.
 inline constexpr uint32_t kDmaChunkBytes = 512;

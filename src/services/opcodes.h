@@ -44,6 +44,17 @@ inline constexpr uint16_t kOpOrchStats = 0x0601;
 // deterministic billing-record text).
 inline constexpr uint16_t kOpTenantStats = 0x0701;
 
+// --- DMA service ---
+// req: u64 src_offset, u64 dst_offset, u32 len; grant = source segment
+// (read), grant2 = destination segment (write). resp: u32 bytes_copied.
+inline constexpr uint16_t kOpDmaCopy = 0x0801;
+
+// --- Remote bridge ---
+// req: u32 peer_board (external address), u32 peer_bridge_service,
+// u32 target_service, u16 inner_opcode, inner payload. The reply mirrors
+// the remote service's status and payload.
+inline constexpr uint16_t kOpRemoteCall = 0x0901;
+
 // --- Application-defined opcodes start here ---
 inline constexpr uint16_t kOpAppBase = 0x1000;
 

@@ -25,12 +25,6 @@
 
 namespace apiary {
 
-// Local request to the bridge:
-//   kOpRemoteCall: u32 peer_board (external address), u32 peer_bridge_service,
-//                  u32 target_service, u16 inner_opcode, inner payload.
-// Reply mirrors the remote service's status + payload.
-inline constexpr uint16_t kOpRemoteCall = 0x0701;
-
 class RemoteBridge : public Accelerator {
  public:
   // Kernel-side wiring: allow remote callers to reach `service` through the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -1311,43 +1312,148 @@ void CheckDomainConfinement(const std::vector<SourceFile>& files, const LintConf
   }
 }
 
+namespace {
+
+// `constexpr ... kOpName = <init>;` on one code line: fills the name and the
+// initializer text. kOp must be followed by an uppercase letter, so
+// `kOptimized` is not an opcode.
+bool ParseOpcodeDefinition(const std::string& line, std::string* name, std::string* init) {
+  const size_t constexpr_pos = line.find("constexpr");
+  if (constexpr_pos == std::string::npos) {
+    return false;
+  }
+  for (size_t pos = line.find("kOp", constexpr_pos); pos != std::string::npos;
+       pos = line.find("kOp", pos + 3)) {
+    if (IsIdentChar(line[pos - 1]) || pos + 3 >= line.size() ||
+        std::isupper(static_cast<unsigned char>(line[pos + 3])) == 0) {
+      continue;
+    }
+    size_t end = pos;
+    while (end < line.size() && IsIdentChar(line[end])) {
+      ++end;
+    }
+    size_t eq = end;
+    while (eq < line.size() && line[eq] == ' ') {
+      ++eq;
+    }
+    if (eq >= line.size() || line[eq] != '=' || (eq + 1 < line.size() && line[eq + 1] == '=')) {
+      continue;
+    }
+    *name = line.substr(pos, end - pos);
+    *init = Trimmed(line.substr(eq + 1, line.find(';', eq) - (eq + 1)));
+    return true;
+  }
+  return false;
+}
+
+// Value of an initializer made of `+`-joined integer literals and already
+// resolved constants (`kOpAppBase + 1`); false while a term is unknown.
+bool EvalOpcodeInit(const std::string& init, const std::map<std::string, uint64_t>& known,
+                    uint64_t* value) {
+  uint64_t sum = 0;
+  std::istringstream terms(init);
+  std::string term;
+  while (std::getline(terms, term, '+')) {
+    term = Trimmed(term);
+    if (term.empty()) {
+      return false;
+    }
+    if (std::isdigit(static_cast<unsigned char>(term[0])) != 0) {
+      size_t used = 0;
+      sum += std::stoull(term, &used, 0);
+      if (term.find_first_not_of("uUlL", used) != std::string::npos) {
+        return false;
+      }
+    } else {
+      const auto it = known.find(term);
+      if (it == known.end()) {
+        return false;
+      }
+      sum += it->second;
+    }
+  }
+  *value = sum;
+  return true;
+}
+
+}  // namespace
+
 void CheckOpcodeCoverage(const std::vector<SourceFile>& files, const LintConfig& config,
                          std::vector<Finding>* findings) {
   struct OpcodeDef {
     std::string file;
     int line;
   };
+  struct ParsedDef {
+    std::string name;
+    std::string init;
+    OpcodeDef where;
+    bool in_abi;  // Defined in one of config.opcode_def_files.
+  };
+  // Wire opcodes of the ABI headers: these need a handler and a test.
   std::map<std::string, OpcodeDef> defs;
+  // Every kOp* definition under src/, *Base markers included, in corpus order.
+  std::vector<ParsedDef> parsed;
   bool corpus_has_tests = false;
   for (const auto& file : files) {
     if (StartsWith(file.path, "tests/")) {
       corpus_has_tests = true;
     }
-    if (!MatchesAnySuffix(file.path, config.opcode_def_files)) {
+    if (!StartsWith(file.path, "src/")) {
       continue;
     }
+    const bool is_def_file = MatchesAnySuffix(file.path, config.opcode_def_files);
     for (size_t i = 0; i < file.code_lines.size(); ++i) {
-      const std::string& line = file.code_lines[i];
-      if (line.find("constexpr") == std::string::npos) {
+      std::string name;
+      std::string init;
+      if (!ParseOpcodeDefinition(file.code_lines[i], &name, &init)) {
         continue;
       }
-      size_t pos = 0;
-      while ((pos = line.find("kOp", pos)) != std::string::npos) {
-        if (pos > 0 && (IsIdentChar(line[pos - 1]) || line[pos - 1] == ':')) {
-          pos += 3;
-          continue;
-        }
-        size_t end = pos;
-        while (end < line.size() && IsIdentChar(line[end])) {
-          ++end;
-        }
-        const std::string name = line.substr(pos, end - pos);
+      const OpcodeDef where{file.path, static_cast<int>(i) + 1};
+      parsed.push_back({name, init, where, is_def_file});
+      if (!is_def_file) {
+        findings->push_back({where.file, where.line, "apiary-opcode-coverage",
+                             name + " is defined outside the opcode ABI headers — move it "
+                             "into src/services/opcodes.h so its value is checked against "
+                             "every other opcode"});
+      } else if (!EndsWith(name, "Base")) {
         // *Base constants are numbering-space markers, not wire opcodes.
-        if (name.size() > 3 && !EndsWith(name, "Base")) {
-          defs.emplace(name, OpcodeDef{file.path, static_cast<int>(i) + 1});
-        }
-        pos = end;
+        defs.emplace(name, where);
       }
+    }
+  }
+
+  // Resolve values (a constant may name one defined later in the corpus),
+  // then report every wire opcode whose value an earlier one already took;
+  // the ABI headers' constants come first, so they own their values.
+  std::stable_partition(parsed.begin(), parsed.end(),
+                        [](const ParsedDef& def) { return def.in_abi; });
+  std::map<std::string, uint64_t> values;
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (const auto& def : parsed) {
+      uint64_t value = 0;
+      if (values.count(def.name) == 0 && EvalOpcodeInit(def.init, values, &value)) {
+        values[def.name] = value;
+        progress = true;
+      }
+    }
+  }
+  std::map<uint64_t, const ParsedDef*> owner;
+  for (const auto& def : parsed) {
+    const auto value = values.find(def.name);
+    if (EndsWith(def.name, "Base") || value == values.end()) {
+      continue;
+    }
+    const auto [it, fresh] = owner.emplace(value->second, &def);
+    if (!fresh) {
+      char hex[16];
+      std::snprintf(hex, sizeof(hex), "0x%04llx", static_cast<unsigned long long>(value->second));
+      findings->push_back({def.where.file, def.where.line, "apiary-opcode-coverage",
+                           def.name + " has value " + hex + ", already taken by " +
+                               it->second->name + " (" + it->second->where.file + ":" +
+                               std::to_string(it->second->where.line) +
+                               ") — every wire opcode needs its own value"});
     }
   }
   if (defs.empty()) {

@@ -8,7 +8,8 @@
 //   apiary-determinism     no ambient randomness / wall-clock / hash-order
 //                          dependence in simulation state
 //   apiary-layering        the allowed include DAG between src/ subsystems
-//   apiary-opcode-coverage every kOp* constant has a handler and a test
+//   apiary-opcode-coverage every kOp* constant has a handler and a test,
+//                          lives in an ABI header and has its own value
 //   apiary-include-guard   SRC_PATH_H_ include-guard convention
 //   apiary-debug-name      Clocked subclasses override DebugName()
 //   apiary-nodiscard       capability/segment-minting APIs are [[nodiscard]]
@@ -247,7 +248,9 @@ void CheckNolintReason(const SourceFile& file, const LintConfig& config,
 // Corpus-wide: every kOp* constant in an opcode-ABI header must be
 // referenced by a handler under src/ and by at least one file under tests/.
 // The tests/ requirement is enforced only when the corpus includes tests/
-// (so `apiary_lint src` alone stays meaningful).
+// (so `apiary_lint src` alone stays meaningful). A kOp* constant defined
+// elsewhere under src/, and two under src/ with one value (literals and
+// `kOpAppBase + n` resolved), are findings too.
 void CheckOpcodeCoverage(const std::vector<SourceFile>& files, const LintConfig& config,
                          std::vector<Finding>* findings);
 

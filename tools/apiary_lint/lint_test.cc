@@ -966,6 +966,69 @@ TEST(OpcodeCoverage, NolintOnDefinitionSuppresses) {
   EXPECT_TRUE(OpcodeFindings(files).empty());
 }
 
+// Values: no two kOp* constants under src/ share one (`kOpAppBase + n`
+// resolved), and none is defined outside the two ABI headers.
+std::vector<Finding> OpcodeFindingsMentioning(const std::vector<SourceFile>& files,
+                                              const std::string& text) {
+  std::vector<Finding> out;
+  for (auto& finding : OpcodeFindings(files)) {
+    if (finding.message.find(text) != std::string::npos) {
+      out.push_back(finding);
+    }
+  }
+  return out;
+}
+
+TEST(OpcodeValues, FlagsDuplicateAcrossAbiHeadersThroughAppBase) {
+  std::vector<SourceFile> files;
+  files.push_back(LexSource("src/accel/accel_opcodes.h",
+                            "inline constexpr uint16_t kOpEcho = kOpAppBase + 1;\n"));
+  files.push_back(LexSource("src/services/opcodes.h",
+                            "inline constexpr uint16_t kOpAppBase = 0x1000;\n"
+                            "inline constexpr uint16_t kOpLegacy = 0x1001;\n"));
+  const auto findings = OpcodeFindingsMentioning(files, "already taken");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, "src/services/opcodes.h");
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("kOpLegacy has value 0x1001, already taken by kOpEcho"),
+            std::string::npos)
+      << findings[0].message;
+}
+
+TEST(OpcodeValues, DistinctValuesAreClean) {
+  std::vector<SourceFile> files;
+  files.push_back(LexSource("src/services/opcodes.h",
+                            "inline constexpr uint16_t kOpAppBase = 0x1000;\n"
+                            "inline constexpr uint16_t kOpStats = 0x0601;\n"));
+  files.push_back(LexSource("src/accel/accel_opcodes.h",
+                            "inline constexpr uint16_t kOpEcho = kOpAppBase + 1;\n"));
+  EXPECT_TRUE(OpcodeFindingsMentioning(files, "already taken").empty());
+}
+
+TEST(OpcodeValues, FlagsDefinitionOutsideAbiHeaders) {
+  std::vector<SourceFile> files;
+  files.push_back(LexSource("src/services/opcodes.h",
+                            "inline constexpr uint16_t kOpOrchStats = 0x0601;\n"));
+  files.push_back(LexSource("src/services/dma_service.h",
+                            "inline constexpr uint16_t kOpDmaCopy = 0x0601;\n"));
+  const auto outside = OpcodeFindingsMentioning(files, "outside the opcode ABI headers");
+  ASSERT_EQ(outside.size(), 1u);
+  EXPECT_EQ(outside[0].file, "src/services/dma_service.h");
+  // The ABI header's constant owns the value; the stray definition is the duplicate.
+  const auto taken = OpcodeFindingsMentioning(files, "already taken");
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_NE(taken[0].message.find("kOpDmaCopy has value 0x0601, already taken by kOpOrchStats"),
+            std::string::npos)
+      << taken[0].message;
+}
+
+TEST(OpcodeValues, IgnoresNonOpcodeNamesAndCodeOutsideSrc) {
+  std::vector<SourceFile> files;
+  files.push_back(LexSource("src/core/x.cc", "constexpr bool kOptimized = true;\n"));
+  files.push_back(LexSource("tests/t.cc", "constexpr uint16_t kOpLocal = 0x0601;\n"));
+  EXPECT_TRUE(OpcodeFindings(files).empty());
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end fixture runs of the binary.
 // ---------------------------------------------------------------------------
@@ -1007,6 +1070,8 @@ TEST(Fixtures, GoodTreesAreCleanBadTreesFail) {
       {"layering/bad", {"src"}, 1, "apiary-layering"},
       {"opcode/good", {"src", "tests"}, 0, ""},
       {"opcode/bad", {"src", "tests"}, 1, "apiary-opcode-coverage"},
+      {"opcode/values_good", {"src", "tests"}, 0, ""},
+      {"opcode/values_bad", {"src", "tests"}, 1, "apiary-opcode-coverage"},
       {"guard/good", {"src"}, 0, ""},
       {"guard/bad", {"src"}, 1, "apiary-include-guard"},
       {"debugname/good", {"src"}, 0, ""},
@@ -1057,6 +1122,22 @@ TEST(Fixtures, OpcodeBadNamesBothGaps) {
   EXPECT_NE(output.find("kOpOrphan has no dispatching handler"), std::string::npos)
       << output;
   EXPECT_NE(output.find("kOpOrphan is never referenced under tests/"), std::string::npos)
+      << output;
+}
+
+// values_bad is the DMA service's old stray kOpDmaCopy = 0x0601, which
+// collided with kOpOrchStats.
+TEST(Fixtures, OpcodeValuesBadNamesStrayDefinitionAndCollision) {
+  std::string output;
+  const int exit_code = RunLintBinary("opcode/values_bad", {"src", "tests"}, &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("src/services/dma_service.h:8: [apiary-opcode-coverage] kOpDmaCopy is "
+                        "defined outside the opcode ABI headers"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("kOpDmaCopy has value 0x0601, already taken by kOpOrchStats "
+                        "(src/services/opcodes.h:9)"),
+            std::string::npos)
       << output;
 }
 
