@@ -19,16 +19,19 @@ import os
 import subprocess
 import sys
 
+# (bench, arguments): the golden is bench/golden/<bench>.txt.
 BENCHES = (
-    "e2_monitor_overhead",
-    "e4_noisy_neighbor",
-    "e6_fault_containment",
-    "e7_scaleout",
-    "e8_interface_scaling",
-    "a4_dma_vs_messages",
-    "a5_remote_service",
-    "a8_recovery_time",
-    "a9_chaos",
+    ("e2_monitor_overhead", []),
+    ("e4_noisy_neighbor", []),
+    ("e6_fault_containment", []),
+    ("e7_scaleout", []),
+    ("e8_interface_scaling", []),
+    ("a4_dma_vs_messages", []),
+    ("a5_remote_service", []),
+    ("a8_recovery_time", []),
+    ("a9_chaos", []),
+    ("a10_autoscale", []),
+    ("a11_adversarial", ["--smoke"]),
 )
 MAX_DIFF_LINES = 40
 
@@ -44,8 +47,8 @@ def main():
     args = parser.parse_args()
 
     failed = []
-    for bench in BENCHES:
-        run = subprocess.run([os.path.join(args.bin_dir, bench)],
+    for bench, bench_args in BENCHES:
+        run = subprocess.run([os.path.join(args.bin_dir, bench)] + bench_args,
                              capture_output=True, text=True, check=False)
         golden_path = os.path.join(args.golden_dir, bench + ".txt")
         if run.returncode != 0:
