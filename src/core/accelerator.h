@@ -115,10 +115,9 @@ class Accelerator {
   // perfbench/trace.h overrides it.
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
-  // No reader: a tile's scheduling policy is fixed at registration, before
-  // any accelerator is loaded, so every accelerator honors the wake contract
-  // (whoever changes what its NextActivity reads wakes its tile). Kept only
-  // because perfbench/trace.h overrides it.
+  // No reader: there is one scheduling contract, and every accelerator
+  // honors it (whoever changes what its NextActivity reads wakes its tile).
+  // Kept only because perfbench/trace.h overrides it.
   [[nodiscard]] virtual Clocked::SchedPolicy SchedulingPolicy() const {
     return Clocked::SchedPolicy::kActiveSet;
   }

@@ -61,6 +61,7 @@ void Monitor::FailStop(const std::string& reason) {
   // onto the NoC — and external callers (kernel, watchdog) reach a parked
   // tile with no wake of their own.
   owner_wake_.Wake();
+  watcher_.Wake();
 }
 
 void Monitor::Restart() {
@@ -72,6 +73,7 @@ void Monitor::Restart() {
   reply_rights_.clear();
   pending_responses_.clear();
   counters_.Add("monitor.restarts");
+  watcher_.Wake();
 }
 
 void Monitor::RaiseFault(const std::string& reason) {

@@ -74,6 +74,11 @@ class Monitor : public TileApi {
   // while the tile sits parked; the state they flip is only acted on at the
   // tile's next tick, so they announce themselves through this hint.
   void SetOwnerWake(WakeHint hint) { owner_wake_ = hint; }
+  // Wake channel to the block that watches this tile's health (the
+  // supervisor managing it): fired on every fault-state change — FailStop,
+  // and Restart when a reconfiguration lands or a preempt swap revives the
+  // tile — so the watcher can park instead of polling.
+  void SetWatcher(WakeHint hint) { watcher_ = hint; }
 
   // Fail-stop: sink the inbox/outbox and bounce future traffic (4.4).
   void FailStop(const std::string& reason);
@@ -167,6 +172,7 @@ class Monitor : public TileApi {
   std::string fault_reason_;
   bool accelerator_faulted_ = false;
   WakeHint owner_wake_;
+  WakeHint watcher_;
 
   std::deque<Message> inbox_;
   struct Outbound {

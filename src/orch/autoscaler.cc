@@ -32,6 +32,7 @@ Autoscaler::Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app
 }
 
 void Autoscaler::AdoptReplica(ServiceId service, TileId tile, CapRef endpoint) {
+  ChargeBeforeNow();
   Replica r;
   r.service = service;
   r.tile = tile;
@@ -68,12 +69,25 @@ void Autoscaler::PushMembership() {
   lb_->ReplaceBackends(endpoints);
 }
 
-void Autoscaler::Tick(Cycle now) {
+void Autoscaler::ChargeThrough(Cycle through) {
   // Every replica-owned region costs a region-cycle whether it is serving,
-  // loading, or draining — the honest provisioning cost. The cycles since
-  // the last tick were skipped, with the same membership.
-  tile_cycles_ += (now - last_tick_) * replicas_.size();
-  last_tick_ = now;
+  // loading, or draining — the honest provisioning cost. Unsigned
+  // arithmetic keeps the count right while last_tick_ is still the
+  // creation cycle minus one.
+  tile_cycles_ += (through - last_tick_) * replicas_.size();
+  last_tick_ = through;
+}
+
+void Autoscaler::ChargeBeforeNow() {
+  const Cycle now = os_->sim().now();
+  if (last_tick_ != now) {
+    ChargeThrough(now - 1);
+  }
+}
+
+void Autoscaler::Tick(Cycle now) {
+  // The cycles since the last tick were parked, with the same membership.
+  ChargeThrough(now);
   if (config_.poll_period != 0 && now % config_.poll_period == 0) {
     Poll();
   }
@@ -173,6 +187,7 @@ void Autoscaler::ScaleUp() {
   counters_.Add("orch.scale_up_started");
   APIARY_LOG(kInfo) << "autoscaler: scaling up onto tile " << tile;
   scheduler_->ScheduleLoad(tile, factory_, [this](TileId t, ServiceId svc, bool ok) {
+    ChargeBeforeNow();
     placer_->Release(t);
     op_pending_ = false;
     auto it = std::find_if(replicas_.begin(), replicas_.end(), [t](const Replica& x) {
@@ -219,6 +234,7 @@ void Autoscaler::ScaleDown() {
   scheduler_->ScheduleTeardown(
       victim.tile, [this, ep]() { return lb_->InFlightOn(ep) == 0; },
       [this](TileId t, bool ok) {
+        ChargeBeforeNow();
         op_pending_ = false;
         auto rit = std::find_if(replicas_.begin(), replicas_.end(), [t](const Replica& x) {
           return x.tile == t && x.state == ReplicaState::kDraining;

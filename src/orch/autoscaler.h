@@ -79,9 +79,13 @@ class Autoscaler : public Clocked {
   void SetAdmission(std::function<bool()> admit) { admit_ = std::move(admit); }
 
   void Tick(Cycle now) override;
-  // The control loop only acts at poll multiples; the region-cycle integral
-  // (the other per-tick effect) covers skipped windows at the next tick
-  // because replica membership can only change on executed cycles.
+  // The control loop only acts at poll multiples, so the autoscaler parks
+  // until the next one. The region-cycle integral (the other per-tick
+  // effect) covers the parked cycles at the next tick; whatever changes the
+  // replica count outside a tick (adoption, the scheduler's callbacks)
+  // folds the integral through the cycle before first.
+  // APIARY-WAKE(self): no input ends the wait; a zero poll_period turns
+  // the control loop off for good.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (config_.poll_period == 0) {
       return kNoActivity;
@@ -90,13 +94,6 @@ class Autoscaler : public Clocked {
     return rem == 0 ? now : now + (config_.poll_period - rem);
   }
   std::string DebugName() const override { return "autoscaler"; }
-  // The region-cycle integral is folded in on every executed cycle: replica
-  // membership changes on executed cycles (scheduler callbacks), so a tick
-  // skipped while parked would charge the new membership for cycles the old
-  // one ran. Pinned, never parked.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kEveryCycle;
-  }
 
   uint32_t live_replicas() const;
   uint64_t scale_ups() const { return scale_ups_; }
@@ -118,6 +115,13 @@ class Autoscaler : public Clocked {
     ReplicaState state = ReplicaState::kLoading;
   };
 
+  // Charges the current replica count for the cycles after last_tick_
+  // through `through`.
+  void ChargeThrough(Cycle through);
+  // Called before the replica count changes outside Tick: the cycles up to
+  // now - 1 ran with the old count (a no-op when this cycle's tick already
+  // ran).
+  void ChargeBeforeNow();
   void Poll();
   void ScaleUp();
   void ScaleDown();

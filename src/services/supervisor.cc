@@ -17,6 +17,9 @@ void Supervisor::Manage(TileId tile, AccelFactory factory) {
   Managed m;
   m.factory = std::move(factory);
   managed_[tile] = std::move(m);
+  os_->monitor(tile).SetWatcher(WakeHint(this));
+  // The tile may already be fail-stopped, which the next poll acts on.
+  RequestWake();
 }
 
 void Supervisor::SetStandby(ServiceId service, TileId standby_tile) {
@@ -65,6 +68,8 @@ void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
   if (m.state != TileState::kHealthy) {
     return;  // Already recovering (or quarantined) — one fault, one recovery.
   }
+  // Detectors (the watchdog, harness code) reach a parked supervisor.
+  RequestWake();
   counters_.Add("supervisor.faults_detected");
   const Cycle now = os_->sim().now();
   m.fault_detected_at = now;
@@ -153,8 +158,7 @@ Cycle Supervisor::NextActivity(Cycle now) const {
         break;
       }
       case TileState::kReconfiguring:
-        // The recovering tile itself pins the reconfig-done cycle (see
-        // header comment); nothing to declare here.
+        // The tile's monitor wakes us when the reconfiguration lands.
         break;
       case TileState::kQuarantined:
         break;

@@ -77,20 +77,15 @@ class Supervisor : public Clocked {
   void Quarantine(TileId tile, const std::string& reason);
 
   void Tick(Cycle now) override;
-  // Wakes for backoff expiries, and for the next poll multiple while any
+  // Parks until a backoff expiry, or the next poll multiple while any
   // healthy-state managed tile sits fail-stopped (the poll's only effect).
-  // Reconfiguration completion needs no entry of its own: the recovering
-  // tile declares its reconfig-done cycle, every block ticks on executed
-  // cycles, and the supervisor (registered after the tiles) observes the
-  // completed tile in that same cycle — exactly as in a cycle-by-cycle run.
+  // Everything else arrives as a wake: OnTileFault, and each managed
+  // tile's monitor, which wakes the supervisor on FailStop and when a
+  // reconfiguration lands (Monitor::SetWatcher). The supervisor is
+  // registered after the tiles, so a wake from a tile's tick runs it in
+  // that same cycle — exactly as in a cycle-by-cycle run.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   std::string DebugName() const override { return "supervisor"; }
-  // The same-cycle observation of reconfig completions quoted above depends
-  // on executing every cycle — pinned, never parked. NextActivity still
-  // bounds skips.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kEveryCycle;
-  }
 
   const CounterSet& counters() const { return counters_; }
   // Fault-detection to back-in-service time, per recovered fault.

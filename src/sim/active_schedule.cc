@@ -1,6 +1,5 @@
 #include "src/sim/active_schedule.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -8,23 +7,17 @@ namespace apiary {
 
 void ActiveSchedule::Add(Clocked* block) {
   const auto slot = static_cast<uint32_t>(slots_.size());
-  const bool pinned = block->SchedulingPolicy() == Clocked::SchedPolicy::kEveryCycle;
-  slots_.push_back(Slot{block, 0, pinned});
+  slots_.push_back(Slot{block, 0});
   if (slot % 64 == 0) {
     active_.push_back(0);
   }
   block->BindWakeSink(this, slot);
-  if (pinned) {
-    pinned_.push_back(slot);
-    active_[slot / 64] |= uint64_t{1} << (slot % 64);
-  } else {
-    Activate(slot);
-  }
+  Activate(slot);
 }
 
 void ActiveSchedule::Activate(uint32_t slot) {
   active_[slot / 64] |= uint64_t{1} << (slot % 64);
-  ++transient_active_;
+  ++active_count_;
 }
 
 void ActiveSchedule::Wake(uint32_t slot) {
@@ -64,21 +57,17 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
 
   // 2. Re-poll the active set and park the quiescent: declared-future blocks
   // go to the heap, idle-until-input blocks park on their wake channel.
-  // Pinned (kEveryCycle) blocks stay without being polled.
   polling_ = true;
   for (size_t w = 0; w < active_.size(); ++w) {
     for (uint64_t bits = active_[w]; bits != 0; bits &= bits - 1) {
       const int bit = std::countr_zero(bits);
       Slot& s = slots_[w * 64 + bit];
-      if (s.pinned) {
-        continue;
-      }
       const Cycle next = s.block->NextActivity(now);
       if (next <= now) {
         continue;
       }
       active_[w] &= ~(uint64_t{1} << bit);
-      --transient_active_;
+      --active_count_;
       s.deadline = next;
       if (next != kNoActivity) {
         timers_.emplace(next, static_cast<uint32_t>(w * 64 + bit));
@@ -89,26 +78,15 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
 }
 
 Cycle ActiveSchedule::EarliestWork(Cycle now) {
-  if (transient_active_ > 0) {
-    return now;  // O(1): some kActiveSet block is busy.
-  }
-  Cycle earliest = kNoActivity;
-  for (const uint32_t slot : pinned_) {
-    const Cycle next = slots_[slot].block->NextActivity(now);
-    if (next <= now) {
-      return now;
-    }
-    earliest = std::min(earliest, next);
+  if (active_count_ > 0) {
+    return now;  // O(1): some block is busy.
   }
   // The skip target must be exact, not a bound (skip counters are part of
   // the byte-identity contract), so stale tops go before the top is read.
   while (!timers_.empty() && !TimerLive(timers_.top())) {
     timers_.pop();
   }
-  if (!timers_.empty()) {
-    earliest = std::min(earliest, timers_.top().first);
-  }
-  return earliest;
+  return timers_.empty() ? kNoActivity : timers_.top().first;
 }
 
 }  // namespace apiary

@@ -17,9 +17,8 @@
 // exactly one of two channels:
 //   * the deadline heap (the block's own declared deadline),
 //   * Clocked::RequestWake()/WakeHint (input delivered by another block's
-//     tick, a const link poll, or harness code between runs),
-// and SchedPolicy::kEveryCycle opts a block out entirely (ticked on every
-// executed cycle, exactly as the reference loop would).
+//     tick, a const link poll, or harness code between runs).
+// Every block follows it; none is ticked on every cycle by fiat.
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
 #define SRC_SIM_ACTIVE_SCHEDULE_H_
 
@@ -43,7 +42,7 @@ class ActiveSchedule final : public WakeSink {
   // Adds a block for life; its slot id is the number of blocks added before
   // it. Call between runs only (Simulator::Register asserts it). The block
   // starts active (conservative: a spurious tick is a no-op) and ticks on
-  // the next executed cycle. Its SchedulingPolicy() is read once, here.
+  // the next executed cycle.
   void Add(Clocked* block);
 
   // WakeSink: ends `slot`'s parked quiescence. A wake issued mid-ExecuteTicks
@@ -63,9 +62,9 @@ class ActiveSchedule final : public WakeSink {
   void AdvanceBoundary(Cycle now);
 
   // The earliest cycle >= `now` at which this schedule needs an executed
-  // cycle: `now` itself while any block is active (O(1) when a kActiveSet
-  // block is busy), else the earliest live deadline or pinned declaration;
-  // kNoActivity when fully idle. Drops stale heap tops on the way.
+  // cycle: `now` itself while any block is active (O(1)), else the
+  // earliest live heap deadline; kNoActivity when fully idle. Drops stale
+  // heap tops on the way. Polls no declaration.
   Cycle EarliestWork(Cycle now);
 
   // Executed-cycle breakdown (monotonic).
@@ -79,7 +78,6 @@ class ActiveSchedule final : public WakeSink {
     // While the slot is inactive: its declared deadline (a live heap entry
     // carries the same value), or kNoActivity when parked until a wake.
     Cycle deadline;
-    bool pinned;  // SchedPolicy::kEveryCycle: always in the active set.
   };
 
   using Timer = std::pair<Cycle, uint32_t>;  // (deadline, slot)
@@ -96,12 +94,10 @@ class ActiveSchedule final : public WakeSink {
 
   std::vector<Slot> slots_;
   // The active set: bit s % 64 of word s / 64 is set iff slot s ticks on the
-  // next executed cycle. Pinned slots' bits are never cleared.
+  // next executed cycle.
   std::vector<uint64_t> active_;
-  // Number of active kActiveSet slots: the O(1) busy signal.
-  size_t transient_active_ = 0;
-  // kEveryCycle slots (few; polled for skip targets).
-  std::vector<uint32_t> pinned_;
+  // Number of active slots: the O(1) busy signal.
+  size_t active_count_ = 0;
   // Min-heap of timed sleepers' deadlines.
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
 

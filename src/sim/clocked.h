@@ -27,24 +27,10 @@ class Clocked {
  public:
   virtual ~Clocked() = default;
 
-  // How the active-set scheduler may treat this block (see DESIGN.md
-  // §"Simulation substrate"):
-  //   kActiveSet    — honors the full quiescence contract: Tick() of a
-  //                   quiescent block is a no-op, and every early end of
-  //                   quiescence is announced through RequestWake()/WakeHint.
-  //                   The scheduler parks the block and wakes it at its
-  //                   declared deadline or on a wake call.
-  //   kEveryCycle   — Tick() does per-executed-cycle work by design (a
-  //                   same-cycle observation of other blocks' state, an
-  //                   integral folded in at every executed cycle). Ticked on
-  //                   every executed cycle exactly as before active sets;
-  //                   NextActivity still bounds skips.
-  // There is no third way back from parking: whoever mutates a parked
-  // block's input — another block's tick, a const link poll, harness code
-  // between runs — calls RequestWake()/WakeHint. The schedule reads the
-  // policy once, at registration, so the answer must not change.
-  enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1 };
-  [[nodiscard]] virtual SchedPolicy SchedulingPolicy() const { return SchedPolicy::kActiveSet; }
+  // No reader: every block follows one scheduling contract (see
+  // NextActivity and RequestWake below). The type is kept only as the
+  // return type of the Accelerator hook that perfbench/trace.h overrides.
+  enum class SchedPolicy : uint8_t { kActiveSet = 0 };
 
   // Advance one cycle. `now` is the cycle being executed.
   virtual void Tick(Cycle now) = 0;
@@ -57,12 +43,15 @@ class Clocked {
   //   - kNoActivity       : idle until external input arrives.
   // The declaration must be *pure*: absent this block's own Tick() and
   // external input, repeated polls return the same answer, and a poll never
-  // wakes a block. The active-set scheduler parks on it; a block whose
-  // quiescence ends early (input arrives) must be woken via
-  // RequestWake()/WakeHint by whoever delivered the input, including harness
-  // code that feeds a block between runs. Declaring a cycle too late breaks
-  // simulations (missed work); when in doubt, return `now`. The default
-  // keeps unported blocks cycle-accurate.
+  // wakes a block. This is the one scheduling contract every block follows
+  // (see DESIGN.md §"Simulation substrate"): Tick() of a quiescent block is
+  // a no-op, the active-set scheduler parks the block on its declaration,
+  // and a block whose quiescence ends early (input arrives, or state its
+  // declaration reads changes) must be woken via RequestWake()/WakeHint by
+  // whoever made the change — another block's tick, a const link poll,
+  // harness code between runs. There is no other way back from parking.
+  // Declaring a cycle too late breaks simulations (missed work); when in
+  // doubt, return `now`. The default keeps unported blocks cycle-accurate.
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const {
     return now;  // Active every cycle unless the block declares otherwise.
   }

@@ -46,10 +46,10 @@ void Simulator::SkipAhead(Cycle limit) {
   if (!skip_enabled_ || clock_ >= limit) {
     return;
   }
-  // O(1) when any kActiveSet block is busy; otherwise the earliest pinned
-  // declaration or live heap deadline — the minimum of every block's
-  // NextActivity (declarations are pure), so the reference engine would
-  // execute exactly the cycles jumped over here as no-ops.
+  // O(1) when any block is busy; otherwise the earliest live heap deadline
+  // — the minimum of every parked block's NextActivity (declarations are
+  // pure, and input to a parked block wakes it), so the reference engine
+  // would execute exactly the cycles jumped over here as no-ops.
   const Cycle target = std::min(sched_.EarliestWork(clock_), limit);
   if (target <= clock_) {
     return;
