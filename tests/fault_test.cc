@@ -6,9 +6,12 @@
 // hot-standby failover, watchdog-driven wedge recovery).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "src/mem/interleaved_memory.h"
 #include "src/services/mgmt_service.h"
 #include "src/services/supervisor.h"
+#include "src/sim/logging.h"
 #include "tests/test_util.h"
 
 namespace apiary {
@@ -628,6 +632,105 @@ TEST(SupervisorTest, WatchdogWedgeDetectionFeedsRecovery) {
   fb.os.tile(wt).InjectSeuWedge();
   ASSERT_TRUE(fb.sim.RunUntil(
       [&] { return sup.restarts(wt) == 2 && sup.AllHealthy(); }, 200'000));
+}
+
+// Crashes once, kCrashAfter cycles after booting, and parks its tile until
+// then, so the crash lands in a stretch the optimized engine fast-forwards.
+class TimedCrasher : public Accelerator {
+ public:
+  static constexpr Cycle kCrashAfter = 7'000;
+
+  void OnBoot(TileApi& api) override { crash_at_ = api.now() + kCrashAfter; }
+  void OnMessage(const Message&, TileApi&) override {}
+  void Tick(TileApi& api) override {
+    if (api.now() >= crash_at_) {
+      api.RaiseFault("timed crash");
+    }
+  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return crash_at_ > now ? crash_at_ : now;
+  }
+  std::string name() const override { return "timed_crasher"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+ private:
+  Cycle crash_at_ = ~0ull;
+};
+
+// Appends each log line to the std::string passed as `user`.
+void AppendLogLine(LogLevel level, const std::string& line, void* user) {
+  *static_cast<std::string*>(user) += std::to_string(static_cast<int>(level)) + ' ' + line + '\n';
+}
+
+struct ParkedSupervisorRun {
+  std::string transcript;
+  uint64_t skipped_cycles = 0;
+};
+
+// The supervisor parks while its fleet is healthy and is woken by the
+// managed tiles' monitors: a crash inside an idle stretch (the fail-stop
+// comes from the tile's own tick), harness fail-stops between runs (the
+// second one waits out a backoff), and each reconfiguration landing.
+ParkedSupervisorRun RunParkedSupervisor(bool optimized) {
+  FaultBoard fb(/*reconfig_cycles=*/3'000);
+  fb.sim.SetSkipEnabled(optimized);
+  fb.board.mesh().SetExpressEnabled(optimized);
+  AppId app = fb.os.CreateApp("app");
+  const TileId crash_tile = fb.os.Deploy(app, std::make_unique<TimedCrasher>());
+  const TileId stop_tile = fb.os.Deploy(app, std::make_unique<EchoAccelerator>(0));
+  Supervisor sup(&fb.os);
+  sup.Manage(crash_tile, [] { return std::make_unique<EchoAccelerator>(0); });
+  sup.Manage(stop_tile, [] { return std::make_unique<EchoAccelerator>(0); });
+
+  std::string log;
+  const LogLevel prev_level = GetLogLevel();
+  SetLogLevel(LogLevel::kDebug);
+  SetLogSink(AppendLogLine, &log);
+  std::ostringstream out;
+  const auto run_until = [&](const char* what, const std::function<bool()>& pred) {
+    const bool fired = fb.sim.RunUntil(pred, 200'000);
+    out << what << (fired ? " @" : " never, @") << fb.sim.now() << '\n';
+  };
+  const auto faults = [&] { return sup.counters().Get("supervisor.faults_detected"); };
+
+  run_until("crash detected", [&] { return faults() == 1; });
+  run_until("crash healed", [&] { return sup.AllHealthy(); });
+  fb.sim.Run(20'000);
+  fb.os.FailStop(stop_tile, "harness stop 1");
+  run_until("stop 1 detected", [&] { return faults() == 2; });
+  run_until("stop 1 healed", [&] { return sup.AllHealthy(); });
+  fb.sim.Run(10'000);
+  fb.os.FailStop(stop_tile, "harness stop 2");
+  run_until("stop 2 backoff", [&] {
+    return sup.tile_state(stop_tile) == Supervisor::TileState::kBackoff;
+  });
+  run_until("stop 2 healed", [&] { return sup.AllHealthy(); });
+  fb.sim.Run(10'000);
+
+  SetLogSink(nullptr, nullptr);
+  SetLogLevel(prev_level);
+  out << "end @" << fb.sim.now() << '\n';
+  out << "supervisor: " << sup.counters().ToString() << '\n';
+  out << "recovery: " << sup.recovery_cycles().Summary() << '\n';
+  out << "restarts: " << sup.restarts(crash_tile) << ' ' << sup.restarts(stop_tile) << '\n';
+  out << "monitors: " << fb.os.AggregateMonitorCounters().ToString() << '\n';
+  out << "log:\n" << log;
+  return ParkedSupervisorRun{out.str(), fb.sim.skipped_cycles()};
+}
+
+TEST(SupervisorTest, ParkedSupervisorMatchesReferenceEngine) {
+  const ParkedSupervisorRun want = RunParkedSupervisor(/*optimized=*/false);
+  const ParkedSupervisorRun got = RunParkedSupervisor(/*optimized=*/true);
+  EXPECT_EQ(want.transcript, got.transcript);
+  // Every step happened, the second stop backed off, and the optimized
+  // engine fast-forwarded the idle stretches around them.
+  EXPECT_EQ(want.transcript.find("never"), std::string::npos) << want.transcript;
+  EXPECT_NE(want.transcript.find("supervisor.backoff_delays=1"), std::string::npos)
+      << want.transcript;
+  EXPECT_NE(want.transcript.find("supervisor.faults_recovered=3"), std::string::npos)
+      << want.transcript;
+  EXPECT_EQ(want.skipped_cycles, 0u);
+  EXPECT_GT(got.skipped_cycles, 40'000u);
 }
 
 // ------------------------------------------------------------------
