@@ -491,11 +491,9 @@ LintConfig DefaultConfig() {
   config.sync_allowed_prefixes = {"src/sim/thread_domain."};
 
   // Wake path: what counts as a visible wake integration. Firing or handing
-  // out a wake handle proves input delivery ends quiescence; overriding
-  // SchedulingPolicy proves the block opted out of parking entirely (the
-  // only other policy is kEveryCycle: ticked every executed cycle, never
-  // parked).
-  config.wake_evidence = {"RequestWake(", "WakeHint", ".Wake(", "SchedulingPolicy("};
+  // out a wake handle proves input delivery ends quiescence. There is no
+  // opt-out: every block parks.
+  config.wake_evidence = {"RequestWake(", "WakeHint", ".Wake("};
   return config;
 }
 
@@ -1651,9 +1649,9 @@ void CheckWakePath(const std::vector<SourceFile>& files, const LintConfig& confi
           {file.path, def_line, "apiary-wake-path",
            "NextActivity can return kNoActivity (idle until external input) but no "
            "wake path is visible in this file pair — whoever delivers input to a "
-           "parked block must fire RequestWake()/WakeHint (or the block opts out "
-           "via SchedulingPolicy()); if the waker lives elsewhere, annotate the "
-           "definition with // APIARY-WAKE(<source>): <reason>"});
+           "parked block must fire RequestWake()/WakeHint; if the waker lives "
+           "elsewhere, annotate the definition with "
+           "// APIARY-WAKE(<source>): <reason>"});
     }
   }
 }

@@ -201,8 +201,7 @@ struct LintConfig {
 
   // --- apiary-wake-path ---
   // Substrings that count as a visible wake integration in a block's
-  // .h/.cc pair: firing or handing out a wake, or opting out of parking
-  // via a SchedulingPolicy override.
+  // .h/.cc pair: firing or handing out a wake.
   std::vector<std::string> wake_evidence;
 };
 
@@ -258,8 +257,7 @@ void CheckOpcodeCoverage(const std::vector<SourceFile>& files, const LintConfig&
 // of a .h/.cc pair): under src/, a NextActivity() definition whose body can
 // return kNoActivity declares "idle until external input" — the active-set
 // scheduler will park the block on it. The pair must then show a wake
-// integration (RequestWake/WakeHint, or a SchedulingPolicy opt-out), or
-// the definition must carry an
+// integration (RequestWake/WakeHint), or the definition must carry an
 // // APIARY-WAKE(<source>): <reason> annotation naming who wakes it. A
 // parked block whose input arrives with no wake is missed work, not a
 // perf loss (DESIGN.md §"Simulation substrate").

@@ -804,13 +804,14 @@ TEST(WakePath, EvidenceAnywhereInThePairClears) {
       "apiary-wake-path"));
 }
 
-TEST(WakePath, SchedulingPolicyOptOutClears) {
+TEST(WakePath, SchedulingPolicyOverrideIsNoEvidence) {
+  // There is no opt-out from parking: a policy override shows no waker.
   std::string src = kParkedQueue;
   src.insert(src.find("void Tick"),
              "SchedPolicy SchedulingPolicy() const override {\n"
-             "    return SchedPolicy::kEveryCycle;\n"
+             "    return SchedPolicy::kActiveSet;\n"
              "  }\n  ");
-  EXPECT_FALSE(HasCheck(LintOne("src/noc/rx.h", src), "apiary-wake-path"));
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/rx.h", src), "apiary-wake-path"));
 }
 
 TEST(WakePath, AnnotationNamingTheWakerBlesses) {
