@@ -327,12 +327,6 @@ void ApiaryOs::SetRateLimit(TileId tile, uint64_t flits_per_1k_cycles, uint64_t 
   }
 }
 
-void ApiaryOs::SetArbClass(TileId tile, uint8_t cls) {
-  if (tile < tiles_.size()) {
-    tiles_[tile]->monitor().SetArbClass(cls);
-  }
-}
-
 void ApiaryOs::SetNocClassWeight(uint8_t cls, uint32_t weight) {
   board_->mesh().SetArbClassWeight(cls, weight);
 }

@@ -89,10 +89,9 @@ class ApiaryOs {
 
   void SetRateLimit(TileId tile, uint64_t flits_per_1k_cycles, uint64_t burst_flits);
 
-  // Tenant bandwidth controls: assigns a tile's injected traffic to a NoC
-  // arbitration class, and configures the board-wide weight of a class
-  // (see Router::SetClassWeight). Both are kernel-only operations.
-  void SetArbClass(TileId tile, uint8_t cls);
+  // Tenant bandwidth control: configures the board-wide weight of a NoC
+  // arbitration class (see Router::SetClassWeight); kernel-only. A tile's
+  // class is set on its monitor (TenantManager::AttachTile).
   void SetNocClassWeight(uint8_t cls, uint32_t weight);
 
   // ------------------------------------------------------------------

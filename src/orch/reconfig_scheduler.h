@@ -68,7 +68,6 @@ class ReconfigScheduler : public Clocked {
   }
   std::string DebugName() const override { return "reconfig_scheduler"; }
 
-  size_t queue_depth() const { return jobs_.size(); }
   bool busy() const { return active_.has_value() || !jobs_.empty(); }
   const CounterSet& counters() const { return counters_; }
 

@@ -114,40 +114,7 @@ void MemoryService::HandleAccess(const Message& msg, TileApi& api, bool is_write
     ReplyError(msg, api, MsgStatus::kSegFault);
     return;
   }
-  // Memory-channel share enforcement: an over-quota access is deferred to
-  // the next window (graceful degradation — latency, not loss) until the
-  // deferral queue itself fills, at which point the sender is told to back
-  // off. Quota pressure therefore never drops an admitted request.
-  if (!ShareAllows(msg.src_app, api.now())) {
-    if (deferred_.size() >= kMaxDeferred) {
-      counters_.Add("memsvc.quota_rejected");
-      ReplyError(msg, api, MsgStatus::kBackpressure);
-      return;
-    }
-    counters_.Add("memsvc.quota_deferred");
-    deferred_.push_back(DeferredAccess{msg, is_write});
-    return;
-  }
-  AdmitAccess(msg, is_write, api.now());
-}
-
-bool MemoryService::ShareAllows(AppId app, Cycle now) {
-  auto it = shares_.find(app);
-  if (it == shares_.end()) {
-    return true;
-  }
-  return it->second.WouldAllow(now, 1);
-}
-
-void MemoryService::AdmitAccess(const Message& msg, bool is_write, Cycle now) {
-  auto it = shares_.find(msg.src_app);
-  if (it != shares_.end()) {
-    it->second.TryConsume(now, 1);
-  }
   ++app_ops_[msg.src_app];
-  const uint64_t offset = GetU64(msg.payload, 0);
-  const uint64_t len =
-      is_write ? msg.payload.size() - 8 : static_cast<uint64_t>(GetU32(msg.payload, 8));
   auto op = std::make_shared<PendingAccess>();
   op->request = msg;
   op->is_write = is_write;
@@ -161,30 +128,15 @@ void MemoryService::AdmitAccess(const Message& msg, bool is_write, Cycle now) {
   counters_.Add(is_write ? "memsvc.writes" : "memsvc.reads");
 }
 
-void MemoryService::SetAppShare(AppId app, uint64_t ops_per_window, Cycle window_cycles) {
-  if (ops_per_window == 0) {
-    shares_.erase(app);
-    return;
-  }
-  shares_[app] = WindowMeter(ops_per_window, window_cycles);
-}
-
 uint64_t MemoryService::AppOps(AppId app) const {
   auto it = app_ops_.find(app);
   return it == app_ops_.end() ? 0 : it->second;
 }
 
 // APIARY-WAKE(tile): requests arrive through the owning Tile (NI sink
-// wake); deferred replays are timer-bounded by NextWindowStart below.
+// wake).
 Cycle MemoryService::NextActivity(Cycle now) const {
-  if (!pending_.empty()) {
-    return now;
-  }
-  if (!deferred_.empty()) {
-    auto it = shares_.find(deferred_.front().request.src_app);
-    return it == shares_.end() ? now : it->second.NextWindowStart(now);
-  }
-  return kNoActivity;
+  return pending_.empty() ? kNoActivity : now;
 }
 
 void MemoryService::OnMessage(const Message& msg, TileApi& api) {
@@ -214,13 +166,6 @@ void MemoryService::OnMessage(const Message& msg, TileApi& api) {
 }
 
 void MemoryService::Tick(TileApi& api) {
-  // Admit deferred (quota-blocked) accesses whose app regained allowance.
-  // FIFO across apps keeps the order deterministic and starvation-free.
-  while (!deferred_.empty() && ShareAllows(deferred_.front().request.src_app, api.now())) {
-    DeferredAccess d = std::move(deferred_.front());
-    deferred_.pop_front();
-    AdmitAccess(d.request, d.is_write, api.now());
-  }
   // Submit queued DRAM operations (retrying on bank backpressure) and reply
   // for completed ones. Completion order may differ from submission order
   // across banks; replies go out as operations finish.

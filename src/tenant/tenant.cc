@@ -53,9 +53,6 @@ AppId TenantManager::CreateApp(TenantId tenant, const std::string& name) {
   const AppId app = os_->CreateApp(name);
   t->apps.push_back(app);
   app_owner_[app] = tenant;
-  if (memsvc_ != nullptr && t->quota.mem_ops_per_window != 0) {
-    memsvc_->SetAppShare(app, t->quota.mem_ops_per_window, t->quota.mem_window_cycles);
-  }
   return app;
 }
 
@@ -137,16 +134,7 @@ void TenantManager::AttachScheduler(TenantId tenant, ReconfigScheduler* schedule
 
 void TenantManager::SetSupervisor(Supervisor* supervisor) { supervisor_ = supervisor; }
 
-void TenantManager::SetMemoryService(MemoryService* memsvc) {
-  memsvc_ = memsvc;
-  // Install shares for apps created before the service was attached.
-  for (const auto& [app, tenant] : app_owner_) {
-    const TenantState* t = Find(tenant);
-    if (t != nullptr && t->quota.mem_ops_per_window != 0) {
-      memsvc_->SetAppShare(app, t->quota.mem_ops_per_window, t->quota.mem_window_cycles);
-    }
-  }
-}
+void TenantManager::SetMemoryService(MemoryService* memsvc) { memsvc_ = memsvc; }
 
 uint64_t TenantManager::SumMonitorCounter(const TenantState& t,
                                           const std::string& name) const {
@@ -290,12 +278,6 @@ const std::vector<TileId>& TenantManager::Tiles(TenantId tenant) const {
   static const std::vector<TileId> kEmpty;
   const TenantState* t = Find(tenant);
   return t == nullptr ? kEmpty : t->tiles;
-}
-
-const TenantQuota& TenantManager::Quota(TenantId tenant) const {
-  static const TenantQuota kDefault;
-  const TenantState* t = Find(tenant);
-  return t == nullptr ? kDefault : t->quota;
 }
 
 bool TenantManager::Escalated(TenantId tenant) const {

@@ -4,17 +4,17 @@
 // identities, capabilities gate endpoints, rate limits bound injection. A
 // cloud deployment needs one more layer — the *tenant*, a principal that
 // owns a set of tiles, a capability subtree rooted in the kernel, and
-// enforced shares of every board-wide resource:
+// enforced shares of board-wide resources:
 //   * tile count        — admission-checked at deploy and autoscale time,
 //   * NoC bandwidth     — a tenant-shared token bucket drawn alongside each
 //                         member monitor's per-tile limiter, plus a weighted
 //                         arbitration class inside every router,
-//   * memory channel    — per-app windowed op shares in the MemoryService,
 //   * ICAP reconfig rate— a windowed load quota on the tenant's scheduler.
-// The manager also meters each tenant's consumption at fixed boundaries and
-// appends deterministic billing records (byte-identical across reruns and
-// across skip/no-skip), exported through kOpTenantStats. Repeat quota
-// offenders are escalated to Supervisor quarantine.
+// Memory-channel use is metered (the MemoryService's per-app op counts) but
+// not capped. The manager meters each tenant's consumption at fixed
+// boundaries and appends deterministic billing records (byte-identical
+// across reruns and across skip/no-skip), exported through kOpTenantStats.
+// Repeat quota offenders are escalated to Supervisor quarantine.
 #ifndef SRC_TENANT_TENANT_H_
 #define SRC_TENANT_TENANT_H_
 
@@ -50,9 +50,6 @@ struct TenantQuota {
   // default class; classes are assigned per tenant by the operator).
   uint8_t arb_class = 0;
   uint32_t arb_weight = 0;
-  // Memory-channel share: data-plane ops per window for each member app.
-  uint64_t mem_ops_per_window = 0;
-  Cycle mem_window_cycles = 10'000;
   // ICAP share: bitstream pushes per window on the tenant's scheduler.
   uint32_t reconfig_loads_per_window = 0;
   Cycle reconfig_window_cycles = 1'000'000;
@@ -84,8 +81,7 @@ class TenantManager : public Clocked {
   // Tenant lifecycle.
   // ------------------------------------------------------------------
   TenantId CreateTenant(const std::string& name, const TenantQuota& quota);
-  // Creates a kernel app owned by `tenant` and installs the tenant's
-  // memory-channel share for it (when a memory service is attached).
+  // Creates a kernel app owned by `tenant`.
   AppId CreateApp(TenantId tenant, const std::string& name);
 
   // Deploys an accelerator for one of the tenant's apps, enforcing the tile
@@ -120,8 +116,8 @@ class TenantManager : public Clocked {
   // Escalation target; without one, repeat offenders are fail-stopped
   // directly through the kernel.
   void SetSupervisor(Supervisor* supervisor);
-  // Memory service hosting the tenant apps' segments; needed both to
-  // install per-app shares and to meter memory ops.
+  // Memory service hosting the tenant apps' segments; meters their memory
+  // ops.
   void SetMemoryService(MemoryService* memsvc);
 
   // ------------------------------------------------------------------
@@ -135,7 +131,6 @@ class TenantManager : public Clocked {
   // FNV-1a digest over the record text (the kOpTenantStats proof token).
   uint32_t BillingDigest(TenantId tenant) const;
   const std::vector<TileId>& Tiles(TenantId tenant) const;
-  const TenantQuota& Quota(TenantId tenant) const;
   bool Escalated(TenantId tenant) const;
 
   void Tick(Cycle now) override;
