@@ -2,6 +2,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -194,8 +195,8 @@ struct LoadSpec {
 };
 
 // The request-issuing accelerator every load-driving bench deploys. Replies
-// are matched to requests in send order, not by request id: a late reply to
-// an abandoned request is taken as the reply to the oldest outstanding one.
+// are matched to requests by request id; a reply whose request is no longer
+// outstanding (a late reply to an abandoned request) is dropped uncounted.
 // A closed-loop client is active every cycle, as the default NextActivity
 // is; B1/B5's exact tick and wake counters pin both schedules.
 class LoadClient : public Accelerator {
@@ -217,7 +218,7 @@ class LoadClient : public Accelerator {
       return;
     }
     while (spec_.timeout != 0 && !outstanding_.empty() &&
-           now >= outstanding_.front() + spec_.timeout) {
+           now >= outstanding_.front().sent_at + spec_.timeout) {
       outstanding_.pop_front();
       ++timeouts;
     }
@@ -232,18 +233,19 @@ class LoadClient : public Accelerator {
     if (msg.kind != MsgKind::kResponse) {
       return;
     }
+    const auto it = std::find_if(outstanding_.begin(), outstanding_.end(),
+                                 [&](const Request& r) { return r.id == msg.request_id; });
+    if (it == outstanding_.end()) {
+      return;  // Its request timed out and was already counted.
+    }
     if (msg.status == MsgStatus::kOk) {
       ++ok;
       last_ok = api.now();
-      if (!outstanding_.empty()) {
-        latency.Record(api.now() - outstanding_.front());
-      }
+      latency.Record(api.now() - it->sent_at);
     } else {
       ++errors;
     }
-    if (!outstanding_.empty()) {
-      outstanding_.pop_front();
-    }
+    outstanding_.erase(it);
   }
 
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
@@ -273,15 +275,20 @@ class LoadClient : public Accelerator {
     }
     ++next_target_;
     ++sent;
-    outstanding_.push_back(api.now());
+    outstanding_.push_back(Request{last_request_id_, api.now()});
     return true;
   }
+
+  struct Request {
+    uint64_t id;
+    Cycle sent_at;
+  };
 
   LoadSpec spec_;
   Cycle next_send_at_ = kFirstPacedSend;
   uint64_t last_request_id_ = 0;
   uint64_t next_target_ = 0;
-  std::deque<Cycle> outstanding_;  // Send cycles, oldest first.
+  std::deque<Request> outstanding_;  // Oldest first.
 };
 
 // `--json <path>` argument, or "" when absent.
