@@ -57,7 +57,6 @@ class MemoryService : public Accelerator {
   void HandleAccess(const Message& msg, TileApi& api, bool is_write);
   void ReplyError(const Message& msg, TileApi& api, MsgStatus status);
 
-
   ApiaryOs* os_;
   MemoryBackend* memory_;
   // In-flight DRAM operations, replied to in completion order.

@@ -18,7 +18,7 @@
 //   * the deadline heap (the block's own declared deadline),
 //   * Clocked::RequestWake()/WakeHint (input delivered by another block's
 //     tick, a const link poll, or harness code between runs).
-// Every block follows it; none is ticked on every cycle by fiat.
+// Every block follows it.
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
 #define SRC_SIM_ACTIVE_SCHEDULE_H_
 
