@@ -3,7 +3,8 @@
 // lifecycle across reconfiguration, NoC link faults (drop + detected
 // corruption), DRAM upsets with and without ECC, ethernet loss bursts, and
 // the Supervisor's recovery policies (restart, backoff, quarantine,
-// hot-standby failover, watchdog-driven wedge recovery).
+// hot-standby failover, watchdog-driven wedge recovery), including a
+// parked supervisor checked against the reference engine.
 #include <gtest/gtest.h>
 
 #include <functional>
