@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,6 +14,11 @@
 #include "src/sim/clocked.h"
 
 namespace apiary {
+
+// The backing store is paged: a page is allocated (zeroed) on its first
+// write, and memory never written reads as zeros. Modelled capacity costs the
+// host one pointer per page until it is written.
+inline constexpr uint64_t kStorePageBytes = 64 * 1024;
 
 class MemoryController : public Clocked, public MemoryBackend {
  public:
@@ -42,16 +48,33 @@ class MemoryController : public Clocked, public MemoryBackend {
   }
   std::string DebugName() const override { return "memctl"; }
 
-  uint64_t capacity() const override { return store_.size(); }
+  uint64_t capacity() const override { return capacity_; }
   const CounterSet& counters() const { return dram_.counters(); }
 
  private:
+  // A read waiting on DRAM timing. The DRAM completion carries only the
+  // slot index, so it fits std::function's inline buffer.
+  struct PendingRead {
+    uint64_t addr = 0;
+    std::span<uint8_t> out;
+    std::function<void(Cycle)> done;
+  };
+
   bool InBounds(uint64_t addr, uint64_t len) const {
-    return addr <= store_.size() && len <= store_.size() - addr;
+    return addr <= capacity_ && len <= capacity_ - addr;
   }
+  // The page holding `addr`, allocated zeroed if it was never written.
+  uint8_t* WritablePage(uint64_t addr);
+  // Page-split copies; unwritten pages read as zeros.
+  void CopyIn(uint64_t addr, std::span<const uint8_t> data);
+  void CopyOut(uint64_t addr, std::span<uint8_t> out) const;
+  void CompleteRead(uint32_t slot, Cycle now);
 
   DramChannel dram_;
-  std::vector<uint8_t> store_;
+  uint64_t capacity_;
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;
+  std::vector<PendingRead> reads_;
+  std::vector<uint32_t> free_reads_;
   bool ecc_enabled_ = false;
 };
 
