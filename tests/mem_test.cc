@@ -2,7 +2,9 @@
 // page allocator, page table and DRAM model.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/mem/dram.h"
@@ -338,6 +340,179 @@ TEST(MemoryControllerTest, DebugAccessBypassesTiming) {
   mc.DebugWrite(10, data);
   EXPECT_EQ(mc.DebugRead(10, 3), data);
   EXPECT_TRUE(mc.DebugRead(5000, 1).empty());
+}
+
+// The backing store is sparse: pages are allocated on first write and
+// memory never written reads as zeros.
+TEST(MemoryControllerTest, UnwrittenMemoryReadsAsZeros) {
+  Simulator sim;
+  DramConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  MemoryController mc(cfg);
+  sim.Register(&mc);
+  EXPECT_EQ(mc.DebugRead(1000, 100), std::vector<uint8_t>(100, 0));
+
+  std::vector<uint8_t> out(256, 0xEE);
+  bool read = false;
+  ASSERT_TRUE(mc.SubmitRead(3 * kStorePageBytes + 17, out, [&](Cycle) { read = true; }));
+  sim.Run(100);
+  ASSERT_TRUE(read);
+  EXPECT_EQ(out, std::vector<uint8_t>(256, 0));
+
+  // A read from a written page into one never written: data, then zeros.
+  const std::vector<uint8_t> data = {1, 2, 3, 4};
+  mc.DebugWrite(kStorePageBytes - 4, data);
+  std::vector<uint8_t> straddle(8, 0xEE);
+  read = false;
+  ASSERT_TRUE(mc.SubmitRead(kStorePageBytes - 4, straddle, [&](Cycle) { read = true; }));
+  sim.Run(100);
+  ASSERT_TRUE(read);
+  EXPECT_EQ(straddle, (std::vector<uint8_t>{1, 2, 3, 4, 0, 0, 0, 0}));
+  EXPECT_EQ(mc.DebugRead(kStorePageBytes - 4, 8), straddle);
+}
+
+TEST(MemoryControllerTest, WritesStraddlingPageBoundariesReadBackIntact) {
+  Simulator sim;
+  DramConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  MemoryController mc(cfg);
+  sim.Register(&mc);
+
+  // SubmitWrite across one boundary, read back through SubmitRead.
+  std::vector<uint8_t> data(64);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i + 1);
+  }
+  const uint64_t addr = 2 * kStorePageBytes - 30;
+  ASSERT_TRUE(mc.SubmitWrite(addr, data, nullptr));
+  std::vector<uint8_t> out(data.size());
+  bool read = false;
+  ASSERT_TRUE(mc.SubmitRead(addr, out, [&](Cycle) { read = true; }));
+  sim.Run(100);
+  ASSERT_TRUE(read);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(mc.DebugRead(addr, data.size()), data);
+
+  // DebugWrite spanning three pages, read back through DebugRead.
+  std::vector<uint8_t> big(kStorePageBytes + 200);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  const uint64_t big_addr = 5 * kStorePageBytes - 100;
+  mc.DebugWrite(big_addr, big);
+  EXPECT_EQ(mc.DebugRead(big_addr, big.size()), big);
+  EXPECT_EQ(mc.DebugRead(big_addr - 1, 1)[0], 0);
+  EXPECT_EQ(mc.DebugRead(big_addr + big.size(), 1)[0], 0);
+}
+
+TEST(MemoryControllerTest, BitFlipOnUnwrittenPageSetsOneBit) {
+  DramConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  MemoryController mc(cfg);
+  const uint64_t addr = 7 * kStorePageBytes + 1234;
+  EXPECT_EQ(mc.InjectBitFlip(addr, 5), BitFlipResult::kCorrupted);
+
+  const uint64_t page_base = addr - addr % kStorePageBytes;
+  std::vector<uint8_t> expected(kStorePageBytes, 0);
+  expected[addr - page_base] = 0x20;
+  EXPECT_EQ(mc.DebugRead(page_base, kStorePageBytes), expected);
+}
+
+TEST(MemoryControllerTest, InBoundsEdgesAtCapacity) {
+  Simulator sim;
+  DramConfig cfg;
+  cfg.capacity_bytes = 3 * kStorePageBytes + 100;  // Last page is partial.
+  MemoryController mc(cfg);
+  sim.Register(&mc);
+  const uint64_t cap = mc.capacity();
+  ASSERT_EQ(cap, cfg.capacity_bytes);
+
+  const std::vector<uint8_t> last = {0x5A};
+  mc.DebugWrite(cap - 1, last);
+  EXPECT_EQ(mc.DebugRead(cap - 1, 1), last);
+  // One byte past the end: refused, and the store is untouched.
+  const std::vector<uint8_t> two = {1, 2};
+  mc.DebugWrite(cap - 1, two);
+  EXPECT_EQ(mc.DebugRead(cap - 1, 1), last);
+  EXPECT_TRUE(mc.DebugRead(cap - 1, 2).empty());
+  EXPECT_TRUE(mc.DebugRead(cap, 1).empty());
+
+  std::vector<uint8_t> buf(4);
+  EXPECT_TRUE(mc.SubmitRead(cap - 4, buf, nullptr));
+  EXPECT_FALSE(mc.SubmitRead(cap - 3, buf, nullptr));
+  EXPECT_FALSE(mc.SubmitRead(~0ull - 1, buf, nullptr));
+  EXPECT_FALSE(mc.SubmitWrite(cap, last, nullptr));
+  EXPECT_FALSE(mc.SubmitWrite(cap - 3, buf, nullptr));
+
+  EXPECT_EQ(mc.InjectBitFlip(cap, 0), BitFlipResult::kOutOfRange);
+  EXPECT_EQ(mc.InjectBitFlip(cap - 1, 0), BitFlipResult::kCorrupted);
+  EXPECT_EQ(mc.DebugRead(cap - 1, 1)[0], 0x5B);
+  sim.Run(100);
+  EXPECT_EQ(buf, (std::vector<uint8_t>{0, 0, 0, 0x5B}));
+}
+
+TEST(MemoryControllerTest, DefaultCapacityRoundTripsLastByte) {
+  Simulator sim;
+  MemoryController mc(DramConfig{});
+  sim.Register(&mc);
+  const uint64_t cap = mc.capacity();
+  ASSERT_EQ(cap, 4ull << 30);
+
+  const std::vector<uint8_t> data = {0xC3};
+  bool wrote = false;
+  ASSERT_TRUE(mc.SubmitWrite(cap - 1, data, [&](Cycle) { wrote = true; }));
+  std::vector<uint8_t> out(1);
+  bool read = false;
+  ASSERT_TRUE(mc.SubmitRead(cap - 1, out, [&](Cycle) { read = true; }));
+  sim.Run(100);
+  EXPECT_TRUE(wrote);
+  ASSERT_TRUE(read);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(mc.DebugRead(cap - 1, 1), data);
+}
+
+// Reads complete through reusable slots: a completion may submit the next
+// read, and a read refused by a full bank queue leaves no slot behind.
+TEST(MemoryControllerTest, ReadCompletionMaySubmitAndRefusedReadNeverRuns) {
+  Simulator sim;
+  DramConfig cfg;
+  cfg.capacity_bytes = 1 << 20;
+  MemoryController mc(cfg);
+  sim.Register(&mc);
+  std::vector<uint8_t> data(16);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  mc.DebugWrite(0, data);
+
+  // A chain of one-byte reads, each submitted from the previous completion.
+  std::vector<uint8_t> out(data.size());
+  std::function<void(Cycle)> next;
+  size_t submitted = 0;
+  next = [&](Cycle) {
+    if (submitted < out.size()) {
+      const size_t i = submitted++;
+      ASSERT_TRUE(mc.SubmitRead(i, std::span<uint8_t>(&out[i], 1), next));
+    }
+  };
+  next(0);
+  sim.Run(1000);
+  EXPECT_EQ(out, data);
+
+  // Fill one bank's queue; the refused read must not leak its slot or run.
+  std::vector<std::vector<uint8_t>> bufs(kDramBankQueueDepth + 1, std::vector<uint8_t>(1));
+  int completed = 0;
+  for (uint32_t i = 0; i < kDramBankQueueDepth; ++i) {
+    ASSERT_TRUE(mc.SubmitRead(i, bufs[i], [&](Cycle) { ++completed; }));
+  }
+  bool refused_ran = false;
+  EXPECT_FALSE(mc.SubmitRead(0, bufs.back(), [&](Cycle) { refused_ran = true; }));
+  sim.Run(1000);
+  EXPECT_EQ(completed, static_cast<int>(kDramBankQueueDepth));
+  EXPECT_FALSE(refused_ran);
+  for (uint32_t i = 0; i < kDramBankQueueDepth; ++i) {
+    EXPECT_EQ(bufs[i][0], data[i]);
+  }
 }
 
 }  // namespace
