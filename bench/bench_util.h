@@ -27,12 +27,15 @@
 
 namespace apiary {
 
+// Every bench board models 256 MiB of DRAM. The backing store is sparse, so
+// the host pays only for what a bench writes.
+inline constexpr uint64_t kBenchDramBytes = 256ull << 20;
+
 struct BenchBoardOptions {
   uint32_t width = 4;
   uint32_t height = 4;
   std::string part = "VU9P";
   MacKind mac = MacKind::k100G;
-  uint64_t dram_bytes = 256ull << 20;
   double clock_mhz = 250.0;
   Cycle fabric_latency_cycles = 25;  // ~100ns one-way datacenter hop.
   // 0 keeps the BoardConfig default (100k cells). Large meshes (8x8 and up)
@@ -68,7 +71,7 @@ struct BenchBoard {
     BoardConfig cfg;
     cfg.part_number = options.part;
     cfg.mesh = MeshConfig{options.width, options.height, 8, 512};
-    cfg.dram.capacity_bytes = options.dram_bytes;
+    cfg.dram.capacity_bytes = kBenchDramBytes;
     cfg.mac_kind = options.mac;
     if (options.tile_region_cells != 0) {
       cfg.tile_region_cells = options.tile_region_cells;

@@ -41,6 +41,8 @@ struct FaultBoard {
   static BoardConfig MakeConfig(Cycle reconfig_cycles) {
     BoardConfig cfg;
     cfg.mesh = MeshConfig{4, 4, 8, 512};
+    // The same board size as TestBoard: capacity costs no host memory until
+    // written, but the kernel's segment allocator is built over it.
     cfg.dram.capacity_bytes = 64ull << 20;
     cfg.partial_reconfig_cycles = reconfig_cycles;
     return cfg;

@@ -37,7 +37,9 @@ struct TestBoard {
     BoardConfig cfg;
     cfg.part_number = options.part;
     cfg.mesh = MeshConfig{options.width, options.height, 8, 512};
-    cfg.dram.capacity_bytes = 64ull << 20;  // Keep test memory small.
+    // Unwritten DRAM costs the host nothing; the size stays because the
+    // kernel's segment allocator is built over it, and tests depend on it.
+    cfg.dram.capacity_bytes = 64ull << 20;
     cfg.mac_kind = options.mac;
     cfg.with_pcie = options.with_pcie;
     if (options.reconfig_cycles != 0) {
