@@ -6,10 +6,18 @@ namespace apiary {
 
 namespace {
 constexpr size_t kMaxTraceEntries = 1000;
+// Per-kind stream constants, mixed into the plan seed.
+constexpr uint64_t kLinkStream = 0x4c494e4b;  // "LINK"
+constexpr uint64_t kDramStream = 0x4452414d;  // "DRAM"
+constexpr uint64_t kEthStream = 0x45544852;   // "ETHR"
 }  // namespace
 
 FaultInjector::FaultInjector(FaultPlan plan, FaultHooks hooks)
-    : plan_(std::move(plan)), hooks_(hooks), rng_(plan_.seed) {
+    : plan_(std::move(plan)),
+      hooks_(hooks),
+      link_rng_(plan_.seed ^ kLinkStream),
+      dram_rng_(plan_.seed ^ kDramStream),
+      eth_rng_(plan_.seed ^ kEthStream) {
   plan_.Sort();
   if (hooks_.os != nullptr) {
     hooks_.os->sim().Register(this);
@@ -82,8 +90,8 @@ void FaultInjector::Fire(const FaultEvent& event, Cycle now) {
       const uint64_t span =
           event.len != 0 ? std::min(event.len, capacity - base) : capacity - base;
       for (uint32_t i = 0; i < event.count && span != 0; ++i) {
-        const uint64_t addr = base + rng_.NextBelow(span);
-        const uint32_t bit = static_cast<uint32_t>(rng_.NextBelow(8));
+        const uint64_t addr = base + dram_rng_.NextBelow(span);
+        const uint32_t bit = static_cast<uint32_t>(dram_rng_.NextBelow(8));
         switch (hooks_.memory->InjectBitFlip(addr, bit)) {
           case BitFlipResult::kCorrupted:
             counters_.Add("fault.dram_corrupted");
@@ -107,7 +115,7 @@ void FaultInjector::Fire(const FaultEvent& event, Cycle now) {
         counters_.Add("fault.skipped_no_hook");
         break;
       }
-      hooks_.network->StartLossBurst(now, event.duration, event.rate, rng_.Next());
+      hooks_.network->StartLossBurst(now, event.duration, event.rate, eth_rng_.Next());
       Record(event, now, "rate=" + std::to_string(event.rate));
       break;
     case FaultKind::kAccelCrash:
@@ -202,7 +210,7 @@ bool FaultInjector::WindowHit(const std::vector<Window>& windows, TileId router_
                               Cycle now) {
   for (const Window& w : windows) {
     if (now < w.until && (w.tile == kInvalidTile || w.tile == router_tile)) {
-      return rng_.NextBool(w.rate);
+      return link_rng_.NextBool(w.rate);
     }
   }
   return false;
@@ -219,8 +227,8 @@ bool FaultInjector::OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle n
     // the ejecting NI re-hashes and detects it, wherever it lands.
     NocPacket& packet = *flit.packet;
     if (packet.wire_bytes() > 0) {
-      const size_t index = static_cast<size_t>(rng_.NextBelow(packet.wire_bytes()));
-      packet.CorruptWireBit(index, static_cast<uint8_t>(1u << rng_.NextBelow(8)));
+      const size_t index = static_cast<size_t>(link_rng_.NextBelow(packet.wire_bytes()));
+      packet.CorruptWireBit(index, static_cast<uint8_t>(1u << link_rng_.NextBelow(8)));
       counters_.Add("fault.link_corruptions_applied");
     }
   }

@@ -3,8 +3,10 @@
 // One Clocked block that fires the plan's timed events into the layers they
 // target (NoC links/routers, DRAM cells, the external ethernet fabric,
 // accelerator logic) and answers the NoC's per-traversal fault queries for
-// windowed link faults. All probabilistic decisions flow through one Rng
-// seeded from the plan, so a campaign replays byte-identically.
+// windowed link faults. Each fault kind draws from its own Rng seeded from
+// the plan (link drops and corruptions, DRAM flips, Ethernet loss bursts),
+// so a campaign replays byte-identically and a change in traffic through a
+// drop window does not move the DRAM flip addresses.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -82,7 +84,9 @@ class FaultInjector : public Clocked, public NocFaultModel {
   FaultPlan plan_;
   FaultHooks hooks_;
   size_t next_event_ = 0;
-  Rng rng_;
+  Rng link_rng_;
+  Rng dram_rng_;
+  Rng eth_rng_;
   std::vector<Window> drop_windows_;
   std::vector<Window> corrupt_windows_;
   std::vector<Window> stall_windows_;

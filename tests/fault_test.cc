@@ -389,6 +389,35 @@ TEST(DramFaultTest, InterleavedMemoryFlipsChannelLocalByte) {
   EXPECT_EQ(mem.InjectBitFlip(mem.capacity() + 10, 0), BitFlipResult::kOutOfRange);
 }
 
+// Each fault kind draws from its own stream: packets rolled against a drop
+// window do not move the DRAM flip addresses that follow it.
+TEST(DramFaultTest, LinkTrafficDoesNotMoveFlipAddresses) {
+  auto run = [](int traversals) {
+    DramConfig cfg;
+    cfg.capacity_bytes = 1ull << 20;
+    MemoryController memory(cfg);
+    FaultPlan plan;
+    plan.seed = 11;
+    plan.LinkDrop(/*at=*/0, /*duration=*/50, /*rate=*/0.5);
+    plan.DramBitFlips(/*at=*/100, /*count=*/4);
+    FaultInjector injector(plan, FaultHooks{.memory = &memory});
+    injector.Tick(0);
+    const Flit flit{};
+    for (int i = 0; i < traversals; ++i) {
+      injector.OnLinkTraverse(/*router_tile=*/0, flit, /*now=*/1);
+    }
+    injector.Tick(100);
+    EXPECT_EQ(injector.counters().Get("fault.dram_corrupted"), 4u);
+    return std::make_pair(injector.TraceString(),
+                          injector.counters().Get("fault.link_drops_applied"));
+  };
+  const auto [quiet_trace, quiet_drops] = run(0);
+  const auto [busy_trace, busy_drops] = run(40);
+  EXPECT_EQ(quiet_drops, 0u);
+  EXPECT_GT(busy_drops, 0u);
+  EXPECT_EQ(busy_trace, quiet_trace);
+}
+
 // ------------------------------------------------------------------
 // Ethernet loss bursts.
 // ------------------------------------------------------------------
