@@ -47,9 +47,8 @@ bool MemoryController::SubmitRead(uint64_t addr, std::span<uint8_t> out,
   if (!InBounds(addr, out.size())) {
     return false;
   }
-  uint32_t slot;
+  uint32_t slot = static_cast<uint32_t>(reads_.size());
   if (free_reads_.empty()) {
-    slot = static_cast<uint32_t>(reads_.size());
     reads_.emplace_back();
   } else {
     slot = free_reads_.back();
