@@ -20,7 +20,7 @@ uint8_t* MemoryController::WritablePage(uint64_t addr) {
 void MemoryController::CopyIn(uint64_t addr, std::span<const uint8_t> data) {
   while (!data.empty()) {
     const uint64_t offset = addr % kStorePageBytes;
-    const size_t n = static_cast<size_t>(std::min<uint64_t>(data.size(), kStorePageBytes - offset));
+    const size_t n = std::min<size_t>(data.size(), kStorePageBytes - offset);
     std::memcpy(WritablePage(addr) + offset, data.data(), n);
     addr += n;
     data = data.subspan(n);
@@ -30,7 +30,7 @@ void MemoryController::CopyIn(uint64_t addr, std::span<const uint8_t> data) {
 void MemoryController::CopyOut(uint64_t addr, std::span<uint8_t> out) const {
   while (!out.empty()) {
     const uint64_t offset = addr % kStorePageBytes;
-    const size_t n = static_cast<size_t>(std::min<uint64_t>(out.size(), kStorePageBytes - offset));
+    const size_t n = std::min<size_t>(out.size(), kStorePageBytes - offset);
     const uint8_t* page = pages_[addr / kStorePageBytes].get();
     if (page != nullptr) {
       std::memcpy(out.data(), page + offset, n);
